@@ -13,7 +13,7 @@ advantage.
 
 from jifnorm import (Corpus, Document, Journal, JournalTable, RawReference,
                      WindowSpec, compute_denominator, count_citations,
-                     fc_over_p, fractional_weights, match_corpus, quasi_if)
+                     fc_over_p, quasi_if)
 from jifnorm.counts import FRACTIONAL, FRACTIONAL_PLUS, INTEGER
 
 CENSUS = 2010
@@ -38,13 +38,14 @@ corpus = Corpus(CENSUS, [
     doc("m1", "MATH", ["MATH J|2009", "MATH J|2008"]),
     doc("x1", "BIO", ["BIO J|2009", "MATH J|2009", "MATH J|2001"]),
 ])
-match_corpus(corpus, journals)
 
 w2 = WindowSpec("two_year", CENSUS)
-print("per-document weights in the two-year window:")
+print("what each document hands out on its own, two-year window:")
 for d in corpus.documents:
+    alone = Corpus(CENSUS, [d])
     for mode, name in ((INTEGER, "integer"), (FRACTIONAL, "fractional")):
-        print(f"  {d.doc_id} {name:10}: {fractional_weights(d, w2, mode)}")
+        table = count_citations(alone, journals, w2, mode)
+        print(f"  {d.doc_id} {name:10}: {table.values}")
 
 print("\ntwo-year totals:")
 for mode, name in ((INTEGER, "TC-IC2"), (FRACTIONAL, "TC-FC2"),

@@ -19,7 +19,7 @@ from .corpus import (Corpus, CorpusFormatError, Document, Journal,
                      validate_corpus)
 from .counts import (CountError, CountMode, CountTable, FRACTIONAL,
                      FRACTIONAL_PLUS, INTEGER, WindowSpec, count_citations,
-                     fractional_weights, in_window, variable_id)
+                     variable_id)
 from .indicators import (DEFAULT_CITABLE_TYPES, DenominatorTable,
                          IndicatorError, IndicatorTable, compute_denominator,
                          count_indicator, fc_over_p,

@@ -31,11 +31,3 @@ def write_rows(path: str | Path, header: list[str], rows: Iterable[Iterable[str]
         for row in rows:
             fh.write("\t".join(row) + "\n")
 
-
-def fmt(value: float, decimals: int) -> str:
-    return f"{value:.{decimals}f}"
-
-
-def fmtg(value: float) -> str:
-    """Compact general format used where magnitudes span many orders."""
-    return f"{value:.9g}"

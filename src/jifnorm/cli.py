@@ -351,17 +351,18 @@ def _load_varcomp_tables(paths: list[Path]) -> list[IndicatorTable]:
                     header = line.rstrip("\n")
                     break
         if header.split("\t")[:4] == ["journal_id", "indicator_id", "pr100", "pr6"]:
-            pr100: dict[str, float] = {}
-            pr6: dict[str, float] = {}
-            source = path.stem
+            # one (PR100, PR6) pair per indicator_id, in file order
+            pairs: dict[str, tuple[dict[str, float], dict[str, float]]] = {}
             for _, fields in iter_rows(path):
                 if fields[0] == "journal_id":
                     continue
                 jid, source, p100, p6 = fields
+                pr100, pr6 = pairs.setdefault(source, ({}, {}))
                 pr100[jid] = float(p100)
                 pr6[jid] = float(p6)
-            tables.append(IndicatorTable(f"{source}:PR100", pr100))
-            tables.append(IndicatorTable(f"{source}:PR6", pr6))
+            for source, (pr100, pr6) in pairs.items():
+                tables.append(IndicatorTable(f"{source}:PR100", pr100))
+                tables.append(IndicatorTable(f"{source}:PR6", pr6))
         else:
             tables.append(read_indicator_table(path))
     return tables
@@ -372,7 +373,6 @@ def cmd_varcomp(settings: Settings) -> int:
     min_group = settings.get("min_group_size", 10, int)
     n_perm = settings.get("n_perm", 999, int)
     seed = settings.get("seed", 0, int)
-    threads = settings.get("threads", 1, int)
     statistic = settings.get("perm_stat", "eta2")
     reference_id = settings.get("reference", "IF2-IC")
 
@@ -396,8 +396,7 @@ def cmd_varcomp(settings: Settings) -> int:
     results = []
     for table in tables:
         results.append(analyze_indicator(table, scheme, statistic=statistic,
-                                         n_perm=n_perm, seed=seed,
-                                         n_threads=threads))
+                                         n_perm=n_perm, seed=seed))
 
     note = ("method: one-way moment-estimator variance components with "
             "label-permutation significance; components are on the raw "
@@ -480,7 +479,8 @@ def build_parser() -> argparse.ArgumentParser:
     common.add_argument("--fields", help="journal_id/field TSV")
     common.add_argument("--out", help="output directory (default .)")
     common.add_argument("--seed", type=int)
-    common.add_argument("--threads", type=int)
+    common.add_argument("--threads", type=int,
+                        help="accepted and ignored; every command runs serially")
     common.add_argument("--citable-types", dest="citable_types",
                         help="comma-separated doc types counted as citable")
     common.add_argument("--min-group-size", dest="min_group_size", type=int)

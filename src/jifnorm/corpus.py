@@ -25,7 +25,7 @@ from typing import TYPE_CHECKING, Optional
 from ._tsv import iter_rows
 
 if TYPE_CHECKING:  # pragma: no cover
-    from .refmatch import CitedRef, RefTable
+    from .refmatch import RefTable
 
 DOC_TYPES = frozenset({"article", "review", "letter", "other"})
 
@@ -42,15 +42,10 @@ class JournalTableError(Exception):
 
 @dataclass
 class RawReference:
-    """One cited-reference string as read from the input.
-
-    ``parsed`` is filled in by :mod:`jifnorm.refmatch`; identical raw
-    strings may share a single RawReference instance. Only ``raw`` is
-    corpus content; the parse annotation does not take part in equality.
-    """
+    """One cited-reference string as read from the input. Identical raw
+    strings may share a single RawReference instance."""
 
     raw: str
-    parsed: Optional["CitedRef"] = field(default=None, compare=False)
 
 
 @dataclass
@@ -174,6 +169,8 @@ class ValidationReport:
 
 
 def _coerce_doc_type(value: str, warnings: list[str], where: str) -> str:
+    if not isinstance(value, str):
+        raise ValueError(f"type {value!r} is not a string")
     value = value.strip().lower()
     if value in DOC_TYPES:
         return value
@@ -185,8 +182,11 @@ def _build_document(doc_id, journal, year, doc_type, nref, refs,
                     census_year: int, where: str, warnings: list[str]) -> Document:
     doc_id = str(doc_id)
     journal = str(journal)
-    year = int(year)
-    nref = int(nref)
+    for name, value in (("year", year), ("nref", nref)):
+        if type(value) is not int:  # a bool or a float is not a count
+            raise ValueError(f"{name} {value!r} is not an integer")
+    if not isinstance(refs, list):
+        raise ValueError(f"refs {refs!r} is not a list")
     if not doc_id:
         raise ValueError("empty doc_id")
     if not (1900 <= year <= census_year):
@@ -195,7 +195,8 @@ def _build_document(doc_id, journal, year, doc_type, nref, refs,
         raise ValueError(f"negative nref {nref}")
     ref_objs = []
     for r in refs:
-        r = str(r)
+        if not isinstance(r, str):
+            raise ValueError(f"reference {r!r} is not a string")
         if not r:
             raise ValueError("empty reference string")
         ref_objs.append(RawReference(r))
@@ -267,8 +268,9 @@ def load_corpus(path: str | Path, format: str = "auto",
             doc_id, journal, year, doc_type, nref, refs_joined = fields
             refs = [r for r in refs_joined.split(";") if r] if refs_joined else []
             try:
-                doc = _build_document(doc_id, journal, year, doc_type, nref, refs,
-                                      census_year, where, warnings)
+                doc = _build_document(doc_id, journal, int(year), doc_type,
+                                      int(nref), refs, census_year, where,
+                                      warnings)
             except ValueError as exc:
                 errors.append(f"{where}: {exc}")
                 continue

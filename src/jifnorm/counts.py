@@ -21,15 +21,15 @@ normalizes fractional totals to document counts.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from pathlib import Path
 from typing import Optional
 
 import numpy as np
 
 from ._tsv import write_rows
-from .corpus import Corpus, Document, JournalTable
-from .refmatch import RefTable, STATUS_VALID, YEAR_VALID, match_corpus
+from .corpus import Corpus, JournalTable
+from .refmatch import RefTable, STATUS_VALID, match_corpus
 
 WINDOW_KINDS = ("two_year", "five_year", "all_years")
 
@@ -105,7 +105,6 @@ class CountTable:
     mode: CountMode
     values: dict[str, float]
     contributing_docs: int = 0
-    warnings: list[str] = field(default_factory=list)
 
     @property
     def variable_id(self) -> str:
@@ -121,48 +120,14 @@ class CountTable:
         write_rows(path, ["journal_id", "window", "mode", "value"], rows)
 
 
-def in_window(year: int, w: WindowSpec) -> bool:
-    """Window membership for a year that already has status ``valid``."""
-    return w.lo <= year <= w.hi
-
-
-def fractional_weights(doc: Document, w: WindowSpec, mode: CountMode
-                       ) -> dict[int, float]:
-    """Per-reference weights for one citing document (reference index ->
-    weight). References must already be parsed.
-
-    Integer mode lists only matched valid in-window references (weight 1);
-    the fractional modes list every valid in-window reference at 1/k or
-    1/NRef. A document with no in-window references, or a zero
-    denominator, contributes nothing.
-    """
-    in_win = []
-    for i, ref in enumerate(doc.refs):
-        parsed = ref.parsed
-        if parsed is None:
-            raise CountError(f"document {doc.doc_id!r} has unparsed references")
-        if parsed.year_status == YEAR_VALID and in_window(parsed.year, w):
-            in_win.append((i, parsed))
-    if not in_win:
-        return {}
-    if mode.counting == "integer":
-        return {i: 1.0 for i, p in in_win if p.matched_journal is not None}
-    if mode.fraction_base == "in_window":
-        k = len(in_win)
-        return {i: 1.0 / k for i, _ in in_win}
-    if doc.ref_count == 0:
-        return {}
-    return {i: 1.0 / doc.ref_count for i, _ in in_win}
-
-
 def count_citations(corpus: Corpus, journals: JournalTable, w: WindowSpec,
                     mode: CountMode, ref_table: Optional[RefTable] = None
                     ) -> CountTable:
     """Sum per-journal citation weights over the whole corpus.
 
-    The reduction runs over references sorted by (journal, document), so
-    floating-point totals are reproducible regardless of input order or
-    parallel upstream loading.
+    Fractional totals are reduced from exact integer counts of references
+    per (journal, k), k being the divisor of each reference's weight, so
+    they do not depend on the order of the documents.
     """
     if w.census_year != corpus.census_year:
         raise CountError(
@@ -187,7 +152,6 @@ def count_citations(corpus: Corpus, journals: JournalTable, w: WindowSpec,
 
     counted = inwin & (ref_table.journal_index >= 0)
     jidx = ref_table.journal_index[counted]
-    didx = ref_table.doc_index[counted]
 
     if mode.counting == "integer":
         totals = np.bincount(jidx, minlength=n_journals).astype(np.int64)
@@ -195,14 +159,16 @@ def count_citations(corpus: Corpus, journals: JournalTable, w: WindowSpec,
         return CountTable(window=w, mode=mode, values=values,
                           contributing_docs=contributing)
 
-    if mode.fraction_base == "in_window":
-        weights = 1.0 / k[didx]
-    else:
-        nref = ref_table.doc_ref_count[didx]
-        weights = np.where(nref > 0, 1.0 / np.maximum(nref, 1), 0.0)
-
-    order = np.lexsort((didx, jidx))
-    totals = np.bincount(jidx[order], weights=weights[order],
+    per_doc = k if mode.fraction_base == "in_window" else ref_table.doc_ref_count
+    # count references exactly per (journal, divisor) pair, then add one
+    # count/divisor term per pair in ascending-divisor order
+    divisors, code = np.unique(per_doc, return_inverse=True)
+    n_div = divisors.size
+    pairs, refs_per_pair = np.unique(
+        jidx.astype(np.int64) * n_div + code[ref_table.doc_index[counted]],
+        return_counts=True)
+    totals = np.bincount(pairs // n_div,
+                         weights=refs_per_pair / divisors[pairs % n_div],
                          minlength=n_journals)
     values = {jid: float(totals[i]) for i, jid in enumerate(ref_table.journal_ids)}
     return CountTable(window=w, mode=mode, values=values,

@@ -47,15 +47,12 @@ _TRAILING_PUNCT = " .,;:"
 class CitedRef:
     """Parse result for one raw reference string.
 
-    ``year`` is present iff ``year_status != invalid_format``;
-    ``matched_journal`` is set only when the venue resolves uniquely in
-    the journal table used for matching.
+    ``year`` is present iff ``year_status != invalid_format``.
     """
 
     venue_abbrev: str
     year: Optional[int]
     year_status: str
-    matched_journal: Optional[str] = None
 
 
 def normalize_venue(s: str) -> str:
@@ -132,16 +129,11 @@ class RefTable:
 
 
 def match_corpus(corpus: Corpus, journals: JournalTable) -> RefTable:
-    """Parse and match every reference, filling ``RawReference.parsed`` and
-    returning the columnar table.
+    """Parse and match every reference into the columnar table.
 
     Matching is deterministic and total: parse results are memoized per
     distinct raw string, so processing order cannot change the outcome.
     """
-    cached = getattr(corpus, "_ref_table_cache", None)
-    if cached is not None and cached[0] is journals:
-        return cached[1]
-
     journal_ids = journals.journal_ids
     journal_pos = {jid: i for i, jid in enumerate(journal_ids)}
     census = corpus.census_year
@@ -155,8 +147,8 @@ def match_corpus(corpus: Corpus, journals: JournalTable) -> RefTable:
     doc_journal_index = np.empty(n_docs, dtype=np.int32)
     doc_ref_count = np.empty(n_docs, dtype=np.int64)
 
-    # memo: raw string -> (CitedRef, journal position, year, status code)
-    memo: dict[str, tuple[CitedRef, int, int, int]] = {}
+    # memo: raw string -> (journal position, year, status code)
+    memo: dict[str, tuple[int, int, int]] = {}
     row = 0
     for di, doc in enumerate(corpus.documents):
         doc_journal_index[di] = journal_pos.get(doc.journal_id, -1)
@@ -166,20 +158,14 @@ def match_corpus(corpus: Corpus, journals: JournalTable) -> RefTable:
             if hit is None:
                 parsed = parse_reference(ref.raw, census)
                 jid = journals.abbrev_index.get(parsed.venue_abbrev)
-                parsed.matched_journal = jid
-                hit = (parsed, journal_pos[jid] if jid is not None else -1,
+                hit = (journal_pos[jid] if jid is not None else -1,
                        parsed.year or 0, _STATUS_CODE[parsed.year_status])
                 memo[ref.raw] = hit
-            ref.parsed = hit[0]
             doc_index[row] = di
-            journal_index[row] = hit[1]
-            year[row] = hit[2]
-            status[row] = hit[3]
+            journal_index[row], year[row], status[row] = hit
             row += 1
 
-    table = RefTable(journal_ids=journal_ids, doc_index=doc_index,
-                     journal_index=journal_index, year=year, status=status,
-                     doc_journal_index=doc_journal_index,
-                     doc_ref_count=doc_ref_count, n_docs=n_docs)
-    corpus._ref_table_cache = (journals, table)
-    return table
+    return RefTable(journal_ids=journal_ids, doc_index=doc_index,
+                    journal_index=journal_index, year=year, status=status,
+                    doc_journal_index=doc_journal_index,
+                    doc_ref_count=doc_ref_count, n_docs=n_docs)

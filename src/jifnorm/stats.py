@@ -18,7 +18,6 @@ categories.
 from __future__ import annotations
 
 import math
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Optional, Sequence
@@ -281,12 +280,11 @@ def _perm_stat(values: np.ndarray, labels: np.ndarray, k: int,
 
 def permutation_test(values: dict[str, float], scheme: FieldScheme,
                      statistic: str = "eta2", n_perm: int = 999,
-                     seed: int = 0, n_threads: int = 1) -> float:
+                     seed: int = 0) -> float:
     """Right-tailed label-permutation p-value for the field effect.
 
-    Field labels are shuffled uniformly; each permutation index draws from
-    its own seed-sequence child, so the result is identical for any thread
-    count.
+    Field labels are shuffled uniformly; permutation i draws from
+    seed-sequence child i.
     """
     if statistic not in ("eta2", "sigma2_between"):
         raise StatsError(f"unknown permutation statistic {statistic!r}")
@@ -303,28 +301,23 @@ def permutation_test(values: dict[str, float], scheme: FieldScheme,
     observed = _perm_stat(v, g, k, statistic, n0, n_total)
     children = np.random.SeedSequence(seed).spawn(n_perm)
 
-    def one(i: int) -> float:
-        rng = np.random.default_rng(children[i])
-        return _perm_stat(v, rng.permutation(g), k, statistic, n0, n_total)
-
-    if n_threads > 1:
-        with ThreadPoolExecutor(max_workers=n_threads) as pool:
-            stats = list(pool.map(one, range(n_perm)))
-    else:
-        stats = [one(i) for i in range(n_perm)]
-    exceed = sum(1 for s in stats if s >= observed)
+    exceed = 0
+    for child in children:
+        labels = np.random.default_rng(child).permutation(g)
+        if _perm_stat(v, labels, k, statistic, n0, n_total) >= observed:
+            exceed += 1
     return (1 + exceed) / (n_perm + 1)
 
 
 def analyze_indicator(indicator: IndicatorTable, scheme: FieldScheme,
                       statistic: str = "eta2", n_perm: int = 999,
-                      seed: int = 0, n_threads: int = 1) -> VarCompResult:
+                      seed: int = 0) -> VarCompResult:
     """Variance components plus permutation significance for one indicator."""
     result = varcomp_moments(indicator.values, scheme,
                              indicator_id=indicator.indicator_id)
     result.perm_p = permutation_test(indicator.values, scheme,
                                      statistic=statistic, n_perm=n_perm,
-                                     seed=seed, n_threads=n_threads)
+                                     seed=seed)
     return result
 
 

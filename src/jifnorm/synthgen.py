@@ -24,8 +24,6 @@ from typing import Optional
 import numpy as np
 
 from .corpus import Corpus, Document, Journal, JournalTable, RawReference
-from .refmatch import (CitedRef, RefTable, STATUS_INVALID, STATUS_VALID,
-                       YEAR_INVALID, YEAR_VALID, normalize_venue)
 from .stats import FieldScheme
 
 WINDOW_LENGTH = {"two_year": 2, "five_year": 5}
@@ -220,28 +218,14 @@ def generate_corpus(cfg: SynthConfig
     # shared reference objects: slot 0 per journal holds the invalid-year
     # variant, slots 1..years_back hold one object per cited age
     slots = yb + 1
-    ref_pool: list[Optional[RawReference]] = [None] * (n_all * slots)
+    ref_pool: list[RawReference] = []
     for jid in ordered_ids:
-        j = table.by_id[jid]
-        abbrev = j.abbreviations[0]
-        venue = normalize_venue(abbrev)
-        base = pos[jid] * slots
-        ref_pool[base] = RawReference(
-            raw=f"{abbrev}|18",
-            parsed=CitedRef(venue_abbrev=venue, year=None,
-                            year_status=YEAR_INVALID, matched_journal=jid))
-        for age in range(1, yb + 1):
-            year = census - age
-            ref_pool[base + age] = RawReference(
-                raw=f"{abbrev}|{year}",
-                parsed=CitedRef(venue_abbrev=venue, year=year,
-                                year_status=YEAR_VALID, matched_journal=jid))
+        abbrev = table.by_id[jid].abbreviations[0]
+        ref_pool.append(RawReference(f"{abbrev}|18"))
+        ref_pool.extend(RawReference(f"{abbrev}|{census - age}")
+                        for age in range(1, yb + 1))
 
     documents: list[Document] = []
-    doc_jidx_parts: list[np.ndarray] = []
-    nref_parts: list[np.ndarray] = []
-    key_parts: list[np.ndarray] = []
-    status_parts: list[np.ndarray] = []
 
     for ji, jid in enumerate(ordered_ids):
         spec = spec_of[jid]
@@ -266,8 +250,6 @@ def generate_corpus(cfg: SynthConfig
                    if cfg.invalid_ref_rate > 0 else np.zeros(total, dtype=bool))
 
         keys = targets * slots + np.where(invalid, 0, ages)
-        status = np.where(invalid, STATUS_INVALID, STATUS_VALID).astype(np.uint8)
-
         flat_refs = [ref_pool[k] for k in keys]
         starts = np.zeros(n_docs + 1, dtype=np.int64)
         np.cumsum(nrefs, out=starts[1:])
@@ -277,30 +259,9 @@ def generate_corpus(cfg: SynthConfig
                 doc_type="article",
                 refs=flat_refs[starts[di]:starts[di + 1]],
                 ref_count=int(nrefs[di])))
-        doc_jidx_parts.append(np.full(n_docs, ji, dtype=np.int32))
-        nref_parts.append(nrefs.astype(np.int64))
-        key_parts.append(keys)
-        status_parts.append(status)
-
-    nref_all = np.concatenate(nref_parts)
-    keys_all = np.concatenate(key_parts)
-    status_all = np.concatenate(status_parts)
-    journal_index = (keys_all // slots).astype(np.int32)
-    age_slot = keys_all % slots
-    year_arr = np.where(age_slot == 0, 0, census - age_slot).astype(np.int32)
-    ref_table = RefTable(
-        journal_ids=ordered_ids,
-        doc_index=np.repeat(np.arange(len(documents), dtype=np.int64), nref_all),
-        journal_index=journal_index,
-        year=year_arr,
-        status=status_all,
-        doc_journal_index=np.concatenate(doc_jidx_parts),
-        doc_ref_count=nref_all,
-        n_docs=len(documents))
 
     corpus = Corpus(census_year=census, documents=documents,
                     source_format="jsonl")
-    corpus._ref_table_cache = (table, ref_table)
 
     scheme = FieldScheme(name="synthetic",
                          assignment={jid: spec_of[jid].field_code

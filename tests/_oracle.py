@@ -2,10 +2,12 @@
 
 Everything here is computed with plain dict/loop logic straight from the
 documented file formats and counting rules, with no imports from the
-package under test. Keep it slow and obvious.
+package under test. Keep it slow and obvious. Fractional totals are
+exact rationals, so ties that hold mathematically hold here too.
 """
 
 import json
+from fractions import Fraction
 
 
 def read_journals(path):
@@ -116,13 +118,14 @@ def window_bounds(kind, census):
 
 
 def count(docs, merged, census, kind, mode):
-    """mode: 'IC' | 'FC' | 'FC+'. Returns (totals per journal, contributing)."""
+    """mode: 'IC' | 'FC' | 'FC+'. Returns (totals per journal, contributing);
+    fractional totals are Fractions."""
     abbrev_to_jid = {}
     for jid, rec in merged.items():
         for a in rec["abbrevs"]:
             abbrev_to_jid[norm(a)] = jid
     lo, hi = window_bounds(kind, census)
-    totals = {jid: 0.0 for jid in merged}
+    totals = {jid: 0 if mode == "IC" else Fraction(0) for jid in merged}
     contributing = 0
     for doc in docs:
         parsed = [parse(r, census) for r in doc["refs"]]
@@ -139,11 +142,9 @@ def count(docs, merged, census, kind, mode):
             if mode == "IC":
                 totals[jid] += 1
             elif mode == "FC":
-                totals[jid] += 1.0 / k
+                totals[jid] += Fraction(1, k)
             else:
-                totals[jid] += 1.0 / doc["nref"]
-    if mode == "IC":
-        totals = {j: int(v) for j, v in totals.items()}
+                totals[jid] += Fraction(1, doc["nref"])
     return totals, contributing
 
 

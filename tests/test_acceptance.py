@@ -74,8 +74,9 @@ def big_synth():
                                        n_perm=1999, seed=271)
                for name in ("IF5-IC", "IF5-FC")}
     elapsed = time.perf_counter() - t0
-    return {"corpus": corpus, "journals": journals, "scheme": scheme,
-            "tables": tables, "results": results, "elapsed": elapsed}
+    return {"corpus": corpus, "journals": journals, "ref_table": ref_table,
+            "scheme": scheme, "tables": tables, "results": results,
+            "elapsed": elapsed}
 
 
 def test_criterion_1_fixture_exactness(data_dir):
@@ -337,7 +338,7 @@ def test_criterion_8_invariance_suite(big_synth):
     order = sorted(table.values, key=lambda j: (table.values[j], j))
     corpus, journals = big_synth["corpus"], big_synth["journals"]
     counts = count_citations(corpus, journals, WindowSpec("five_year", 2010),
-                             FRACTIONAL)
+                             FRACTIONAL, ref_table=big_synth["ref_table"])
     scaled_counts = CountTable(counts.window, counts.mode,
                                {j: 17.0 * v for j, v in counts.values.items()})
     scaled_if = quasi_if(scaled_counts,

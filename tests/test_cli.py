@@ -305,9 +305,15 @@ def test_varcomp_accepts_percentile_files(tmp_path, indicator_dir,
     assert code in (0, 1)
     lines = [l for l in read(out / "varcomp.tsv").splitlines()
              if not l.startswith("#")]
-    ids = {l.split("\t")[0] for l in lines[1:]}
-    assert any(i.endswith(":PR100") for i in ids)
-    assert any(i.endswith(":PR6") for i in ids)
+    ids = [l.split("\t")[0] for l in lines[1:]]
+    # one :PR100/:PR6 pair per indicator in the file, in file order
+    sources = []
+    for line in read(indicator_dir / "percentiles.tsv").splitlines()[1:]:
+        source = line.split("\t")[1]
+        if source not in sources:
+            sources.append(source)
+    assert len(sources) == 13
+    assert ids == [f"{s}:{pr}" for s in sources for pr in ("PR100", "PR6")]
 
 
 def test_synth_roundtrip_validates(tmp_path, data_dir):

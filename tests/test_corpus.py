@@ -71,6 +71,28 @@ def test_doc_type_coercion_warns(tmp_path):
     assert corpus.load_warnings
 
 
+def test_mistyped_jsonl_fields_are_record_errors(tmp_path):
+    """JSONL values keep their JSON types: no string is split into
+    characters and no float or bool is truncated to an integer."""
+    good = {"doc_id": "X", "journal": "J01", "year": 2010,
+            "type": "article", "nref": 2, "refs": ["J A|2008"]}
+    path = tmp_path / "c.jsonl"
+    path.write_text("".join(json.dumps(dict(good, doc_id=f"X{i}", **bad)) + "\n"
+                            for i, bad in enumerate([
+                                {"refs": "J A|2008"},
+                                {"nref": 2.9},
+                                {"year": 2010.7, "nref": True}])),
+                    encoding="utf-8")
+    corpus = load_corpus(path, census_year=CENSUS)
+    assert len(corpus.load_errors) == 3
+    assert not corpus.documents and not corpus.load_warnings
+    for bad in ({"nref": True}, {"year": 2010.0}, {"refs": ["J A|2008", 7]},
+                {"type": 5}):
+        path.write_text(json.dumps(dict(good, **bad)) + "\n", encoding="utf-8")
+        corpus = load_corpus(path, census_year=CENSUS)
+        assert len(corpus.load_errors) == 1 and not corpus.documents, bad
+
+
 def test_nref_below_reference_list_is_record_error(tmp_path):
     path = tmp_path / "c.jsonl"
     rec = {"doc_id": "X1", "journal": "J01", "year": 2010,

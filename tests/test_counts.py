@@ -2,10 +2,9 @@ import numpy as np
 import pytest
 
 from jifnorm import (Corpus, Document, Journal, JournalTable, RawReference,
-                     load_corpus, match_corpus)
+                     load_corpus)
 from jifnorm.counts import (CountError, CountMode, FRACTIONAL, FRACTIONAL_PLUS,
-                            INTEGER, WindowSpec, count_citations,
-                            fractional_weights, in_window, variable_id)
+                            INTEGER, WindowSpec, count_citations, variable_id)
 
 from conftest import CENSUS
 from _oracle import full_pipeline
@@ -17,6 +16,21 @@ def oracle(data_dir):
                          data_dir / "fixture_journals.tsv", CENSUS)
 
 
+def _one_doc(refs, nref=None):
+    journals = JournalTable([Journal("A", "A", ["J A"], "F", {}),
+                             Journal("B", "B", ["J B"], "F", {})])
+    doc = Document("d1", "A", 2010, "article",
+                   [RawReference(r) for r in refs],
+                   nref if nref is not None else len(refs))
+    return Corpus(2010, [doc]), journals
+
+
+def _totals(refs, kind, mode, nref=None):
+    corpus, journals = _one_doc(refs, nref)
+    return count_citations(corpus, journals, WindowSpec(kind, CENSUS),
+                           mode).values
+
+
 @pytest.mark.parametrize("year,kind,expected", [
     (2008, "two_year", True), (2009, "two_year", True),
     (2005, "two_year", False), (2010, "two_year", False),
@@ -25,7 +39,7 @@ def oracle(data_dir):
     (1900, "all_years", True), (2010, "all_years", True),
 ])
 def test_in_window(year, kind, expected):
-    assert in_window(year, WindowSpec(kind, CENSUS)) is expected
+    assert _totals([f"J A|{year}"], kind, INTEGER)["A"] == int(expected)
 
 
 def test_variable_ids():
@@ -35,43 +49,34 @@ def test_variable_ids():
     assert variable_id(WindowSpec("two_year", CENSUS), FRACTIONAL_PLUS) == "TC-FC2+"
 
 
-def _doc_with(refs, nref=None):
-    journals = JournalTable([Journal("A", "A", ["J A"], "F", {}),
-                             Journal("B", "B", ["J B"], "F", {})])
-    doc = Document("d1", "A", 2010, "article",
-                   [RawReference(r) for r in refs],
-                   nref if nref is not None else len(refs))
-    corpus = Corpus(2010, [doc])
-    match_corpus(corpus, journals)
-    return doc, corpus, journals
-
-
 def test_fractional_weights_in_window():
-    doc, _, _ = _doc_with(["J A|2009", "J A|2008", "J B|2009", "UNKNOWN|2008"])
-    w = fractional_weights(doc, WindowSpec("two_year", CENSUS), FRACTIONAL)
-    assert w == {0: 0.25, 1: 0.25, 2: 0.25, 3: 0.25}
+    """The unmatched venue widens k to 4 but is not credited."""
+    totals = _totals(["J A|2009", "J A|2008", "J B|2009", "UNKNOWN|2008"],
+                     "two_year", FRACTIONAL)
+    assert totals == {"A": 0.25 + 0.25, "B": 0.25}
 
 
 def test_fractional_weights_whole_list_base():
-    doc, _, _ = _doc_with(["J A|2009", "J A|2008", "J B|2009", "J B|2008"],
-                          nref=40)
-    w = fractional_weights(doc, WindowSpec("two_year", CENSUS), FRACTIONAL_PLUS)
-    assert w == {0: 0.025, 1: 0.025, 2: 0.025, 3: 0.025}
+    totals = _totals(["J A|2009", "J A|2008", "J B|2009", "J B|2008"],
+                     "two_year", FRACTIONAL_PLUS, nref=40)
+    assert totals == {"A": 0.025 + 0.025, "B": 0.025 + 0.025}
 
 
 def test_fractional_weights_no_in_window_refs():
-    doc, _, _ = _doc_with(["J A|2001", "J B|1999"])
-    assert fractional_weights(doc, WindowSpec("two_year", CENSUS), FRACTIONAL) == {}
+    corpus, journals = _one_doc(["J A|2001", "J B|1999"])
+    table = count_citations(corpus, journals, WindowSpec("two_year", CENSUS),
+                            FRACTIONAL)
+    assert table.values == {"A": 0.0, "B": 0.0}
+    assert table.contributing_docs == 0
 
 
 def test_integer_weights_only_matched():
-    doc, _, _ = _doc_with(["J A|2009", "UNKNOWN|2009"])
-    w = fractional_weights(doc, WindowSpec("two_year", CENSUS), INTEGER)
-    assert w == {0: 1.0}
+    assert _totals(["J A|2009", "UNKNOWN|2009"], "two_year",
+                   INTEGER) == {"A": 1, "B": 0}
 
 
 def test_single_doc_weights_sum_to_one():
-    _, corpus, journals = _doc_with(["J A|2009", "J A|2008"])
+    corpus, journals = _one_doc(["J A|2009", "J A|2008"])
     table = count_citations(corpus, journals, WindowSpec("two_year", CENSUS),
                             FRACTIONAL)
     assert table.values["A"] == pytest.approx(1.0)
@@ -132,17 +137,19 @@ def test_whole_list_totals_below_in_window_totals(merged_fixture):
 
 def test_document_permutation_invariance(fixture_paths, merged_fixture):
     corpus, journals = merged_fixture
-    base = count_citations(corpus, journals, WindowSpec("five_year", CENSUS),
-                           FRACTIONAL)
+    cases = [(WindowSpec(kind, CENSUS), mode)
+             for kind in ("two_year", "five_year", "all_years")
+             for mode in (FRACTIONAL, FRACTIONAL_PLUS)]
+    base = [count_citations(corpus, journals, w, mode).values
+            for w, mode in cases]
     rng = np.random.default_rng(7)
     for _ in range(3):
         shuffled = Corpus(corpus.census_year,
                           [corpus.documents[i]
                            for i in rng.permutation(len(corpus.documents))])
-        other = count_citations(shuffled, journals,
-                                WindowSpec("five_year", CENSUS), FRACTIONAL)
-        for jid, v in base.values.items():
-            assert other.values[jid] == pytest.approx(v, rel=1e-9)
+        for (w, mode), expected in zip(cases, base):
+            other = count_citations(shuffled, journals, w, mode)
+            assert other.values == expected, (w.kind, mode.label)
 
 
 def test_integer_mode_permutation_exact(merged_fixture):

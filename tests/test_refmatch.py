@@ -1,3 +1,4 @@
+import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
@@ -100,14 +101,13 @@ def test_match_corpus_is_order_independent(fixture_paths, raw_fixture):
     assert rows1 == rows2
 
 
-def test_match_corpus_fills_parsed(raw_fixture):
+def test_match_corpus_fills_table_rows(raw_fixture):
     corpus, journals = raw_fixture
-    match_corpus(corpus, journals)
-    for doc in corpus.documents:
-        for ref in doc.refs:
-            assert ref.parsed is not None
-    doc = next(d for d in corpus.documents if d.doc_id == "J01-01")
-    assert doc.refs[0].parsed.matched_journal == "J03"
+    table = match_corpus(corpus, journals)
+    assert table.status.size == sum(len(d.refs) for d in corpus.documents)
+    di = next(i for i, d in enumerate(corpus.documents) if d.doc_id == "J01-01")
+    row = int(np.flatnonzero(table.doc_index == di)[0])
+    assert table.journal_ids[table.journal_index[row]] == "J03"
 
 
 def test_matched_never_exceeds_parseable(raw_fixture):

@@ -79,17 +79,17 @@ def test_noise_injection_produces_invalid_refs():
     assert 0.05 * total < report.invalid_year_refs < 0.15 * total
 
 
-def test_cached_table_matches_fresh_parse():
-    """Counting through the attached reference table must equal counting
-    after a full reparse of the written files."""
+def test_generated_corpus_counts_like_jsonl_round_trip(tmp_path):
+    """A generated corpus counts exactly like its JSONL save/load round
+    trip."""
     cfg = small_config(seed=5)
     corpus, journals, _, _ = generate_corpus(cfg)
+    save_corpus(corpus, tmp_path / "c.jsonl")
+    loaded = load_corpus(tmp_path / "c.jsonl", census_year=cfg.census_year)
     w = WindowSpec("five_year", cfg.census_year)
-    cached = count_citations(corpus, journals, w, FRACTIONAL)
-    corpus._ref_table_cache = None
-    fresh = count_citations(corpus, journals, w, FRACTIONAL)
-    for jid, v in cached.values.items():
-        assert fresh.values[jid] == pytest.approx(v, rel=1e-12)
+    generated = count_citations(corpus, journals, w, FRACTIONAL)
+    assert count_citations(loaded, journals, w, FRACTIONAL).values == \
+        generated.values
 
 
 def test_round_trip_through_files(tmp_path):
