@@ -11,9 +11,9 @@ which is exactly the normalization that removes the list-length
 advantage.
 """
 
-from jifnorm import (Corpus, Document, Journal, JournalTable, RawReference,
-                     WindowSpec, compute_denominator, count_citations,
-                     fc_over_p, quasi_if)
+from jifnorm import (Corpus, Document, Journal, JournalTable, WindowSpec,
+                     compute_denominator, count_citations, fc_over_p,
+                     quasi_if)
 from jifnorm.counts import FRACTIONAL, FRACTIONAL_PLUS, INTEGER
 
 CENSUS = 2010
@@ -27,8 +27,7 @@ journals = JournalTable([
 
 
 def doc(doc_id, journal, refs):
-    return Document(doc_id, journal, CENSUS, "article",
-                    [RawReference(r) for r in refs], len(refs))
+    return Document(doc_id, journal, CENSUS, "article", refs, len(refs))
 
 
 # One BIO paper cites 8 recent BIO items; one MATH paper cites 2 recent

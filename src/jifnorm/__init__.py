@@ -13,10 +13,9 @@ ground truth for the whole pipeline.
 __version__ = "0.1.0"
 
 from .corpus import (Corpus, CorpusFormatError, Document, Journal,
-                     JournalTable, JournalTableError, RawReference,
-                     ValidationReport, load_corpus, load_journals,
-                     merge_journal_parts, save_corpus, save_journals,
-                     validate_corpus)
+                     JournalTable, JournalTableError, ValidationReport,
+                     load_corpus, load_journals, merge_journal_parts,
+                     save_corpus, save_journals, validate_corpus)
 from .counts import (CountError, CountMode, CountTable, FRACTIONAL,
                      FRACTIONAL_PLUS, INTEGER, WindowSpec, count_citations,
                      variable_id)

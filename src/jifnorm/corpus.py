@@ -1,7 +1,10 @@
 """Citation corpus loading, journal master records, merging, and validation.
 
 A corpus is a census year's worth of citing documents, each carrying its
-raw cited-reference strings. Two on-disk formats are supported:
+raw cited-reference strings. It is stored column by column: one entry per
+document in each per-document column, and one int id per reference into
+the corpus's table of distinct reference strings. Two on-disk formats are
+supported:
 
 * JSONL: one object per line with keys ``doc_id``, ``journal``, ``year``,
   ``type``, ``nref``, ``refs`` (array of strings).
@@ -16,11 +19,17 @@ followed by any number of ``year=count`` pairs giving citable-item counts.
 
 from __future__ import annotations
 
+import copy
 import json
 import sys
-from dataclasses import dataclass, field
+from collections import defaultdict
+from collections.abc import Iterable, Sequence
+from dataclasses import dataclass
+from itertools import repeat
 from pathlib import Path
 from typing import TYPE_CHECKING, Optional
+
+import numpy as np
 
 from ._tsv import iter_rows
 
@@ -31,6 +40,8 @@ DOC_TYPES = frozenset({"article", "review", "letter", "other"})
 
 CORPUS_TSV_HEADER = ["doc_id", "journal", "year", "type", "nref", "refs"]
 
+NREF_MAX = 2**63 - 1  # declared reference counts are stored as int64
+
 
 class CorpusFormatError(Exception):
     """Fatal input problem: missing file, bad header, unusable table."""
@@ -38,14 +49,6 @@ class CorpusFormatError(Exception):
 
 class JournalTableError(Exception):
     """Fatal journal-master problem, e.g. ambiguous abbreviations."""
-
-
-@dataclass
-class RawReference:
-    """One cited-reference string as read from the input. Identical raw
-    strings may share a single RawReference instance."""
-
-    raw: str
 
 
 @dataclass
@@ -61,17 +64,105 @@ class Document:
     journal_id: str
     pub_year: int
     doc_type: str
-    refs: list[RawReference]
+    refs: list[str]
     ref_count: int
 
 
-@dataclass
+def id_table() -> defaultdict[str, int]:
+    """A dict that gives each new key the next id, 0, 1, 2, ..., on first
+    lookup; ``list(table)`` lists the keys in id order."""
+    table: defaultdict[str, int] = defaultdict()
+    table.default_factory = table.__len__
+    return table
+
+
+class _ColumnBuilder:
+    """Appends documents to per-document lists and interns each reference
+    string to an id in first-seen order."""
+
+    def __init__(self):
+        self.doc_ids: list[str] = []
+        self.doc_journals: list[str] = []
+        self.pub_years: list[int] = []
+        self.doc_types: list[str] = []
+        self.ref_counts: list[int] = []
+        self.ref_offsets: list[int] = [0]
+        self.ref_ids: list[int] = []
+        self.string_ids = id_table()
+
+    def add(self, doc_id: str, journal: str, year: int, doc_type: str,
+            nref: int, refs: list[str]) -> None:
+        self.doc_ids.append(doc_id)
+        self.doc_journals.append(journal)
+        self.pub_years.append(year)
+        self.doc_types.append(doc_type)
+        self.ref_counts.append(nref)
+        self.ref_ids += map(self.string_ids.__getitem__, refs)
+        self.ref_offsets.append(len(self.ref_ids))
+
+    def columns(self) -> dict:
+        return dict(doc_ids=self.doc_ids, doc_journals=self.doc_journals,
+                    pub_years=self.pub_years, doc_types=self.doc_types,
+                    ref_counts=self.ref_counts, ref_offsets=self.ref_offsets,
+                    ref_ids=self.ref_ids, ref_strings=list(self.string_ids))
+
+
 class Corpus:
-    census_year: int
-    documents: list[Document]
-    source_format: str = "jsonl"
-    load_errors: list[str] = field(default_factory=list)
-    load_warnings: list[str] = field(default_factory=list)
+    """A census year's citing documents, stored column by column.
+
+    Per document, in input order: ``doc_ids``, ``doc_journals`` (the citing
+    journal), ``pub_years``, ``doc_types``, ``ref_counts`` (declared NRef)
+    and ``ref_offsets``, one longer than the others: the references of
+    document ``i`` are ``ref_ids[ref_offsets[i]:ref_offsets[i + 1]]``, ids
+    into ``ref_strings``, the table of distinct reference strings.
+
+    ``Corpus(census_year, documents)`` builds the columns from ``Document``
+    objects; ``documents`` is a read-only sequence that builds each
+    ``Document`` on access. Two corpora are equal when their documents
+    are, whatever ids their strings got.
+    """
+
+    def __init__(self, census_year: int, documents: Iterable[Document],
+                 source_format: str = "jsonl",
+                 load_errors: Optional[list[str]] = None,
+                 load_warnings: Optional[list[str]] = None):
+        builder = _ColumnBuilder()
+        for d in documents:
+            builder.add(d.doc_id, d.journal_id, d.pub_year, d.doc_type,
+                        d.ref_count, d.refs)
+        self._store(census_year, source_format, load_errors, load_warnings,
+                    **builder.columns())
+
+    @classmethod
+    def from_columns(cls, census_year: int, *, source_format: str = "jsonl",
+                     load_errors: Optional[list[str]] = None,
+                     load_warnings: Optional[list[str]] = None,
+                     **columns) -> "Corpus":
+        """A corpus over given columns, named as the attributes are."""
+        corpus = cls.__new__(cls)
+        corpus._store(census_year, source_format, load_errors, load_warnings,
+                      **columns)
+        return corpus
+
+    def _store(self, census_year, source_format, load_errors, load_warnings, *,
+               doc_ids, doc_journals, pub_years, doc_types, ref_counts,
+               ref_offsets, ref_ids, ref_strings) -> None:
+        self.census_year = census_year
+        self.source_format = source_format
+        self.load_errors = [] if load_errors is None else load_errors
+        self.load_warnings = [] if load_warnings is None else load_warnings
+        self.doc_ids = doc_ids
+        self.doc_journals = doc_journals
+        self.pub_years = np.asarray(pub_years, dtype=np.int64)
+        self.doc_types = doc_types
+        self.ref_counts = np.asarray(ref_counts, dtype=np.int64)
+        self.ref_offsets = np.asarray(ref_offsets, dtype=np.int64)
+        self.ref_ids = np.asarray(ref_ids, dtype=np.int32)
+        self.ref_strings = ref_strings
+
+    @property
+    def documents(self) -> "_DocumentView":
+        return _DocumentView(self)
 
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, Corpus):
@@ -79,6 +170,32 @@ class Corpus:
         return (self.census_year == other.census_year
                 and self.source_format == other.source_format
                 and self.documents == other.documents)
+
+
+class _DocumentView(Sequence):
+    """Read-only sequence of a corpus's documents, built on access."""
+
+    def __init__(self, corpus: Corpus):
+        self._corpus = corpus
+
+    def __len__(self) -> int:
+        return len(self._corpus.doc_ids)
+
+    def __getitem__(self, index):
+        if isinstance(index, slice):
+            return [self[i] for i in range(len(self))[index]]
+        i = range(len(self))[index]
+        c = self._corpus
+        ids = c.ref_ids[c.ref_offsets[i]:c.ref_offsets[i + 1]].tolist()
+        return Document(doc_id=c.doc_ids[i], journal_id=c.doc_journals[i],
+                        pub_year=int(c.pub_years[i]), doc_type=c.doc_types[i],
+                        refs=[c.ref_strings[k] for k in ids],
+                        ref_count=int(c.ref_counts[i]))
+
+    def __eq__(self, other: object) -> bool:
+        if not isinstance(other, (_DocumentView, list)):
+            return NotImplemented
+        return list(self) == list(other)
 
 
 @dataclass
@@ -178,13 +295,18 @@ def _coerce_doc_type(value: str, warnings: list[str], where: str) -> str:
     return "other"
 
 
-def _build_document(doc_id, journal, year, doc_type, nref, refs,
-                    census_year: int, where: str, warnings: list[str]) -> Document:
-    doc_id = str(doc_id)
-    journal = str(journal)
-    for name, value in (("year", year), ("nref", nref)):
-        if type(value) is not int:  # a bool or a float is not a count
-            raise ValueError(f"{name} {value!r} is not an integer")
+def _check_record(doc_id, journal, year, doc_type, nref, refs,
+                  census_year: int, where: str, warnings: list[str]) -> str:
+    """Raise ValueError for a malformed record; return its document type."""
+    if not isinstance(doc_id, str):
+        raise ValueError(f"doc_id {doc_id!r} is not a string")
+    if not isinstance(journal, str):
+        raise ValueError(f"journal {journal!r} is not a string")
+    # a bool or a float is not a count
+    if type(year) is not int:
+        raise ValueError(f"year {year!r} is not an integer")
+    if type(nref) is not int:
+        raise ValueError(f"nref {nref!r} is not an integer")
     if not isinstance(refs, list):
         raise ValueError(f"refs {refs!r} is not a list")
     if not doc_id:
@@ -193,18 +315,17 @@ def _build_document(doc_id, journal, year, doc_type, nref, refs,
         raise ValueError(f"pub_year {year} outside [1900, {census_year}]")
     if nref < 0:
         raise ValueError(f"negative nref {nref}")
-    ref_objs = []
-    for r in refs:
-        if not isinstance(r, str):
-            raise ValueError(f"reference {r!r} is not a string")
-        if not r:
-            raise ValueError("empty reference string")
-        ref_objs.append(RawReference(r))
-    if nref < len(ref_objs):
-        raise ValueError(f"nref {nref} smaller than reference list ({len(ref_objs)})")
-    return Document(doc_id=doc_id, journal_id=journal, pub_year=year,
-                    doc_type=_coerce_doc_type(doc_type, warnings, where),
-                    refs=ref_objs, ref_count=nref)
+    if nref > NREF_MAX:
+        raise ValueError(f"nref {nref} above {NREF_MAX}")
+    if "" in refs or not all(map(isinstance, refs, repeat(str))):
+        for r in refs:  # report the first bad reference
+            if not isinstance(r, str):
+                raise ValueError(f"reference {r!r} is not a string")
+            if not r:
+                raise ValueError("empty reference string")
+    if nref < len(refs):
+        raise ValueError(f"nref {nref} smaller than reference list ({len(refs)})")
+    return _coerce_doc_type(doc_type, warnings, where)
 
 
 def load_corpus(path: str | Path, format: str = "auto",
@@ -221,17 +342,18 @@ def load_corpus(path: str | Path, format: str = "auto",
     if census_year < 1900:
         raise CorpusFormatError(f"census_year {census_year} must be >= 1900")
 
-    documents: list[Document] = []
+    builder = _ColumnBuilder()
     errors: list[str] = []
     warnings: list[str] = []
     seen_ids: set[str] = set()
+    name = path.name
 
-    def add(doc: Document, where: str) -> None:
-        if doc.doc_id in seen_ids:
-            errors.append(f"{where}: duplicate doc_id {doc.doc_id!r}")
+    def add(doc_id, journal, year, doc_type, nref, refs, where: str) -> None:
+        if doc_id in seen_ids:
+            errors.append(f"{where}: duplicate doc_id {doc_id!r}")
             return
-        seen_ids.add(doc.doc_id)
-        documents.append(doc)
+        seen_ids.add(doc_id)
+        builder.add(doc_id, journal, year, doc_type, nref, refs)
 
     if format == "jsonl":
         with open(path, encoding="utf-8") as fh:
@@ -239,17 +361,19 @@ def load_corpus(path: str | Path, format: str = "auto",
                 line = line.strip()
                 if not line or line.startswith("#"):
                     continue
-                where = f"{path.name}:{lineno}"
+                where = f"{name}:{lineno}"
                 try:
                     obj = json.loads(line)
-                    doc = _build_document(obj["doc_id"], obj["journal"], obj["year"],
-                                          obj.get("type", "other"), obj["nref"],
-                                          obj.get("refs", []), census_year,
-                                          where, warnings)
+                    doc_id, journal, year = obj["doc_id"], obj["journal"], obj["year"]
+                    doc_type = obj.get("type", "other")
+                    nref, refs = obj["nref"], obj.get("refs", [])
+                    doc_type = _check_record(doc_id, journal, year, doc_type,
+                                             nref, refs, census_year, where,
+                                             warnings)
                 except (json.JSONDecodeError, KeyError, TypeError, ValueError) as exc:
                     errors.append(f"{where}: {exc}")
                     continue
-                add(doc, where)
+                add(doc_id, journal, year, doc_type, nref, refs, where)
     else:
         rows = iter_rows(path)
         try:
@@ -261,24 +385,24 @@ def load_corpus(path: str | Path, format: str = "auto",
                 f"{path}: malformed TSV header {header!r}, "
                 f"expected {CORPUS_TSV_HEADER!r}")
         for lineno, fields in rows:
-            where = f"{path.name}:{lineno}"
+            where = f"{name}:{lineno}"
             if len(fields) != 6:
                 errors.append(f"{where}: expected 6 columns, got {len(fields)}")
                 continue
             doc_id, journal, year, doc_type, nref, refs_joined = fields
             refs = [r for r in refs_joined.split(";") if r] if refs_joined else []
             try:
-                doc = _build_document(doc_id, journal, int(year), doc_type,
-                                      int(nref), refs, census_year, where,
-                                      warnings)
+                year, nref = int(year), int(nref)
+                doc_type = _check_record(doc_id, journal, year, doc_type, nref,
+                                         refs, census_year, where, warnings)
             except ValueError as exc:
                 errors.append(f"{where}: {exc}")
                 continue
-            add(doc, where)
+            add(doc_id, journal, year, doc_type, nref, refs, where)
 
-    return Corpus(census_year=census_year, documents=documents,
-                  source_format=format, load_errors=errors,
-                  load_warnings=warnings)
+    return Corpus.from_columns(census_year, source_format=format,
+                               load_errors=errors, load_warnings=warnings,
+                               **builder.columns())
 
 
 def save_corpus(corpus: Corpus, path: str | Path, format: str = "jsonl") -> None:
@@ -288,18 +412,18 @@ def save_corpus(corpus: Corpus, path: str | Path, format: str = "jsonl") -> None
             for doc in corpus.documents:
                 obj = {"doc_id": doc.doc_id, "journal": doc.journal_id,
                        "year": doc.pub_year, "type": doc.doc_type,
-                       "nref": doc.ref_count, "refs": [r.raw for r in doc.refs]}
+                       "nref": doc.ref_count, "refs": doc.refs}
                 fh.write(json.dumps(obj, ensure_ascii=False) + "\n")
     elif format == "tsv":
         with open(path, "w", encoding="utf-8", newline="\n") as fh:
             fh.write("\t".join(CORPUS_TSV_HEADER) + "\n")
             for doc in corpus.documents:
                 for ref in doc.refs:
-                    if ";" in ref.raw or "\t" in ref.raw:
+                    if ";" in ref or "\t" in ref:
                         raise CorpusFormatError(
-                            f"reference {ref.raw!r} cannot be stored in TSV; "
+                            f"reference {ref!r} cannot be stored in TSV; "
                             "use the JSONL format")
-                refs = ";".join(r.raw for r in doc.refs)
+                refs = ";".join(doc.refs)
                 fh.write("\t".join([doc.doc_id, doc.journal_id, str(doc.pub_year),
                                     doc.doc_type, str(doc.ref_count), refs]) + "\n")
     else:
@@ -397,16 +521,10 @@ def merge_journal_parts(corpus: Corpus, journals: JournalTable
     keep = [j for j in journals if j.journal_id not in merged_ids]
     new_table = JournalTable(keep + merged)
 
-    new_docs = [
-        Document(doc_id=d.doc_id, journal_id=remap.get(d.journal_id, d.journal_id),
-                 pub_year=d.pub_year, doc_type=d.doc_type, refs=d.refs,
-                 ref_count=d.ref_count)
-        for d in corpus.documents
-    ]
-    new_corpus = Corpus(census_year=corpus.census_year, documents=new_docs,
-                        source_format=corpus.source_format,
-                        load_errors=list(corpus.load_errors),
-                        load_warnings=list(corpus.load_warnings))
+    new_corpus = copy.copy(corpus)  # shares every column but the journal
+    new_corpus.doc_journals = [remap.get(j, j) for j in corpus.doc_journals]
+    new_corpus.load_errors = list(corpus.load_errors)
+    new_corpus.load_warnings = list(corpus.load_warnings)
     return new_corpus, new_table
 
 
@@ -417,8 +535,6 @@ def validate_corpus(corpus: Corpus, journals: JournalTable,
     ``matched + unmatched + invalid`` partitions ``total_refs``; fractions
     are computed against ``total_refs``.
     """
-    import numpy as np
-
     from . import refmatch
 
     if ref_table is None:
@@ -435,7 +551,7 @@ def validate_corpus(corpus: Corpus, journals: JournalTable,
     unknown_docs = int((np.asarray(ref_table.doc_journal_index) < 0).sum())
 
     return ValidationReport(
-        total_docs=len(corpus.documents), total_refs=total_refs,
+        total_docs=len(corpus.doc_ids), total_refs=total_refs,
         matched_refs=matched, unmatched_venue_refs=unmatched,
         invalid_year_refs=invalid, pre1900_refs=pre1900,
         future_year_refs=future, unknown_journal_docs=unknown_docs)

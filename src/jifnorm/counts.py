@@ -146,7 +146,7 @@ def count_citations(corpus: Corpus, journals: JournalTable, w: WindowSpec,
     if bad.any():
         i = int(np.argmax(bad))
         raise CountError(
-            f"document {corpus.documents[i].doc_id!r} declares NRef "
+            f"document {corpus.doc_ids[i]!r} declares NRef "
             f"{int(ref_table.doc_ref_count[i])} below its in-window "
             f"reference count {int(k[i])}")
 

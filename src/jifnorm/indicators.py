@@ -10,6 +10,7 @@ excluded from downstream percentile and variance runs.
 
 from __future__ import annotations
 
+from collections import Counter
 from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Optional
@@ -97,19 +98,19 @@ def compute_denominator(journals: JournalTable, window: str, census_year: int,
     declared counts at all, item counts are derived from the corpus's own
     documents of the given citable types, when a corpus is supplied.
     """
-    derived: dict[tuple[str, int], int] = {}
+    derived: Counter[tuple[str, int]] = Counter()
     if corpus is not None:
-        for doc in corpus.documents:
-            if doc.doc_type in citable_types:
-                key = (doc.journal_id, doc.pub_year)
-                derived[key] = derived.get(key, 0) + 1
+        derived.update(
+            (journal, year) for journal, year, doc_type
+            in zip(corpus.doc_journals, corpus.pub_years.tolist(), corpus.doc_types)
+            if doc_type in citable_types)
     years = window_years(window, census_year)
     values: dict[str, int] = {}
     for j in journals:
         if j.items_by_year:
             total = sum(j.items_by_year.get(y, 0) for y in years)
         else:
-            total = sum(derived.get((j.journal_id, y), 0) for y in years)
+            total = sum(derived[j.journal_id, y] for y in years)
         values[j.journal_id] = total
     return DenominatorTable(window=window, values=values)
 

@@ -8,7 +8,7 @@ Two raw layouts are accepted, documented bit-exactly:
 * Structured layout ``VENUE|YEAR`` — exactly one ``|`` with a non-empty
   venue side.
 
-A year token is parseable only if it is exactly four digits; anything
+A year token is parseable only if it is exactly four ASCII digits; anything
 else (including two-digit fragments such as ``18``) yields
 ``invalid_format``. Parseable years are then classified: below 1900 as
 ``pre1900``, beyond the census year as ``future``, otherwise ``valid``.
@@ -20,12 +20,13 @@ Misses are reported as unmatched, never guessed.
 
 from __future__ import annotations
 
+from array import array
 from dataclasses import dataclass
 from typing import Optional
 
 import numpy as np
 
-from .corpus import Corpus, JournalTable
+from .corpus import Corpus, JournalTable, id_table
 
 YEAR_VALID = "valid"
 YEAR_INVALID = "invalid_format"
@@ -68,6 +69,26 @@ def classify_year(year: int, census_year: Optional[int]) -> str:
     return YEAR_VALID
 
 
+def _split_reference(raw: str) -> tuple[str, str]:
+    """The layout rules: the venue token (not yet normalized) and the
+    stripped year token of one raw string."""
+    if "|" in raw and raw.count("|") == 1:
+        left, _, right = raw.partition("|")
+        if not left.strip():
+            return "", ""
+        return left, right.strip()
+    tokens = raw.split(",", 3)
+    n = len(tokens)
+    return tokens[2] if n > 2 else "", tokens[1].strip() if n > 1 else ""
+
+
+def _year_of_token(token: str) -> Optional[int]:
+    """The year rule: exactly four ASCII digits, else unparseable."""
+    if len(token) == 4 and token.isascii() and token.isdigit():
+        return int(token)
+    return None
+
+
 def parse_reference(raw: str, census_year: Optional[int] = None) -> CitedRef:
     """Extract (venue, year) from one raw reference string.
 
@@ -76,27 +97,9 @@ def parse_reference(raw: str, census_year: Optional[int] = None) -> CitedRef:
     """
     if not raw:
         raise ValueError("empty reference string")
-    venue = ""
-    year_token = ""
-    if raw.count("|") == 1:
-        left, _, right = raw.partition("|")
-        if left.strip():
-            venue = left
-            year_token = right.strip()
-        else:
-            year_token = ""
-    else:
-        tokens = [t.strip() for t in raw.split(",")]
-        if len(tokens) > 1:
-            year_token = tokens[1]
-        if len(tokens) > 2:
-            venue = tokens[2]
-    if len(year_token) == 4 and year_token.isdigit():
-        year = int(year_token)
-        status = classify_year(year, census_year)
-    else:
-        year = None
-        status = YEAR_INVALID
+    venue, year_token = _split_reference(raw)
+    year = _year_of_token(year_token)
+    status = YEAR_INVALID if year is None else classify_year(year, census_year)
     return CitedRef(venue_abbrev=normalize_venue(venue), year=year,
                     year_status=status)
 
@@ -131,41 +134,45 @@ class RefTable:
 def match_corpus(corpus: Corpus, journals: JournalTable) -> RefTable:
     """Parse and match every reference into the columnar table.
 
-    Matching is deterministic and total: parse results are memoized per
-    distinct raw string, so processing order cannot change the outcome.
+    Each distinct string of the corpus is split once; each distinct venue
+    token is then normalized and looked up once, and each distinct year
+    token classified once. The per-reference rows are gathered from those
+    results through the corpus's reference ids, so processing order cannot
+    change the outcome.
     """
     journal_ids = journals.journal_ids
     journal_pos = {jid: i for i, jid in enumerate(journal_ids)}
-    census = corpus.census_year
 
-    n_refs = sum(len(d.refs) for d in corpus.documents)
-    doc_index = np.empty(n_refs, dtype=np.int64)
-    journal_index = np.empty(n_refs, dtype=np.int32)
-    year = np.zeros(n_refs, dtype=np.int32)
-    status = np.empty(n_refs, dtype=np.uint8)
-    n_docs = len(corpus.documents)
-    doc_journal_index = np.empty(n_docs, dtype=np.int32)
-    doc_ref_count = np.empty(n_docs, dtype=np.int64)
+    venue_code = id_table()   # distinct venue token -> code
+    year_code = id_table()    # distinct year token -> code
+    venue_of_string = array("i")
+    year_of_string = array("i")
+    for raw in corpus.ref_strings:
+        venue, year_token = _split_reference(raw)
+        venue_of_string.append(venue_code[venue])
+        year_of_string.append(year_code[year_token])
 
-    # memo: raw string -> (journal position, year, status code)
-    memo: dict[str, tuple[int, int, int]] = {}
-    row = 0
-    for di, doc in enumerate(corpus.documents):
-        doc_journal_index[di] = journal_pos.get(doc.journal_id, -1)
-        doc_ref_count[di] = doc.ref_count
-        for ref in doc.refs:
-            hit = memo.get(ref.raw)
-            if hit is None:
-                parsed = parse_reference(ref.raw, census)
-                jid = journals.abbrev_index.get(parsed.venue_abbrev)
-                hit = (journal_pos[jid] if jid is not None else -1,
-                       parsed.year or 0, _STATUS_CODE[parsed.year_status])
-                memo[ref.raw] = hit
-            doc_index[row] = di
-            journal_index[row], year[row], status[row] = hit
-            row += 1
+    venue_journal = np.array(
+        [journal_pos.get(journals.abbrev_index.get(normalize_venue(v)), -1)
+         for v in venue_code], dtype=np.int32)
+    years = [_year_of_token(t) for t in year_code]
+    year_value = np.array([y or 0 for y in years], dtype=np.int32)
+    year_status = np.array(
+        [STATUS_INVALID if y is None
+         else _STATUS_CODE[classify_year(y, corpus.census_year)] for y in years],
+        dtype=np.uint8)
 
+    ref_ids = corpus.ref_ids
+    venue_of_ref = np.frombuffer(venue_of_string, dtype=np.intc)[ref_ids]
+    year_of_ref = np.frombuffer(year_of_string, dtype=np.intc)[ref_ids]
+    n_docs = len(corpus.doc_ids)
+    doc_index = np.repeat(np.arange(n_docs, dtype=np.int64),
+                          np.diff(corpus.ref_offsets))
+    doc_journal_index = np.array([journal_pos.get(j, -1)
+                                  for j in corpus.doc_journals], dtype=np.int32)
     return RefTable(journal_ids=journal_ids, doc_index=doc_index,
-                    journal_index=journal_index, year=year, status=status,
+                    journal_index=venue_journal[venue_of_ref],
+                    year=year_value[year_of_ref],
+                    status=year_status[year_of_ref],
                     doc_journal_index=doc_journal_index,
-                    doc_ref_count=doc_ref_count, n_docs=n_docs)
+                    doc_ref_count=corpus.ref_counts, n_docs=n_docs)

@@ -23,7 +23,7 @@ from typing import Optional
 
 import numpy as np
 
-from .corpus import Corpus, Document, Journal, JournalTable, RawReference
+from .corpus import Corpus, Journal, JournalTable
 from .stats import FieldScheme
 
 WINDOW_LENGTH = {"two_year": 2, "five_year": 5}
@@ -215,17 +215,19 @@ def generate_corpus(cfg: SynthConfig
         field_members[spec.field_code] = members
         field_probs[spec.field_code] = w / w.sum()
 
-    # shared reference objects: slot 0 per journal holds the invalid-year
-    # variant, slots 1..years_back hold one object per cited age
+    # the string pool: slot 0 per journal holds the invalid-year variant,
+    # slots 1..years_back one string per cited age
     slots = yb + 1
-    ref_pool: list[RawReference] = []
+    ref_strings: list[str] = []
     for jid in ordered_ids:
         abbrev = table.by_id[jid].abbreviations[0]
-        ref_pool.append(RawReference(f"{abbrev}|18"))
-        ref_pool.extend(RawReference(f"{abbrev}|{census - age}")
-                        for age in range(1, yb + 1))
+        ref_strings.append(f"{abbrev}|18")
+        ref_strings.extend(f"{abbrev}|{census - age}" for age in range(1, yb + 1))
 
-    documents: list[Document] = []
+    doc_ids: list[str] = []
+    doc_journals: list[str] = []
+    ref_counts: list[np.ndarray] = []
+    ref_ids: list[np.ndarray] = []
 
     for ji, jid in enumerate(ordered_ids):
         spec = spec_of[jid]
@@ -249,19 +251,19 @@ def generate_corpus(cfg: SynthConfig
         invalid = (rng.random(total) < cfg.invalid_ref_rate
                    if cfg.invalid_ref_rate > 0 else np.zeros(total, dtype=bool))
 
-        keys = targets * slots + np.where(invalid, 0, ages)
-        flat_refs = [ref_pool[k] for k in keys]
-        starts = np.zeros(n_docs + 1, dtype=np.int64)
-        np.cumsum(nrefs, out=starts[1:])
-        for di in range(n_docs):
-            documents.append(Document(
-                doc_id=f"{jid}-D{di:05d}", journal_id=jid, pub_year=census,
-                doc_type="article",
-                refs=flat_refs[starts[di]:starts[di + 1]],
-                ref_count=int(nrefs[di])))
+        ref_ids.append(targets * slots + np.where(invalid, 0, ages))
+        ref_counts.append(nrefs)
+        doc_ids.extend(f"{jid}-D{di:05d}" for di in range(n_docs))
+        doc_journals.extend([jid] * n_docs)
 
-    corpus = Corpus(census_year=census, documents=documents,
-                    source_format="jsonl")
+    counts = np.concatenate(ref_counts)
+    offsets = np.zeros(counts.size + 1, dtype=np.int64)
+    np.cumsum(counts, out=offsets[1:])
+    corpus = Corpus.from_columns(
+        census, doc_ids=doc_ids, doc_journals=doc_journals,
+        pub_years=np.full(counts.size, census), doc_types=["article"] * counts.size,
+        ref_counts=counts, ref_offsets=offsets, ref_ids=np.concatenate(ref_ids),
+        ref_strings=ref_strings)
 
     scheme = FieldScheme(name="synthetic",
                          assignment={jid: spec_of[jid].field_code

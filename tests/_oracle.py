@@ -96,7 +96,7 @@ def parse(raw, census):
             ytok = toks[1]
         if len(toks) > 2:
             venue = toks[2]
-    if len(ytok) == 4 and ytok.isdigit():
+    if len(ytok) == 4 and ytok.isascii() and ytok.isdigit():
         year = int(ytok)
         if year < 1900:
             status = "pre1900"

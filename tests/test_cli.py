@@ -57,6 +57,21 @@ def test_validate_fixture(tmp_path, fixture_paths, oracle):
     assert all(len(h) == 64 for h in manifest["inputs"].values())
 
 
+def test_validate_non_ascii_year_digits_are_invalid(tmp_path, fixture_paths):
+    corpus = tmp_path / "c.jsonl"
+    corpus.write_text(json.dumps({"doc_id": "X1", "journal": "J01", "year": 2010,
+                                  "type": "article", "nref": 1,
+                                  "refs": ["J A|\u00b2\u00b2\u00b2\u00b2"]}) + "\n",
+                      encoding="utf-8")
+    code = run(["validate", corpus, "--journals", fixture_paths["journals"],
+                "--census-year", CENSUS, "--out", tmp_path / "out"])
+    assert code == 0
+    cells = dict(row.split("\t")[:2] for row in
+                 read(tmp_path / "out" / "validation.tsv").splitlines()[1:])
+    assert cells["total_refs"] == "1"
+    assert cells["invalid_year_refs"] == "1"
+
+
 def test_validate_missing_file_exit_2(tmp_path, fixture_paths):
     code = run(["validate", tmp_path / "nope.jsonl",
                 "--journals", fixture_paths["journals"],

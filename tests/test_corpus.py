@@ -3,9 +3,9 @@ import json
 import pytest
 
 from jifnorm import (Corpus, CorpusFormatError, Document, Journal,
-                     JournalTable, JournalTableError, RawReference,
-                     load_corpus, load_journals, merge_journal_parts,
-                     save_corpus, validate_corpus)
+                     JournalTable, JournalTableError, load_corpus,
+                     load_journals, merge_journal_parts, save_corpus,
+                     validate_corpus)
 from jifnorm.counts import FRACTIONAL, INTEGER, WindowSpec, count_citations
 
 from conftest import CENSUS
@@ -87,10 +87,29 @@ def test_mistyped_jsonl_fields_are_record_errors(tmp_path):
     assert len(corpus.load_errors) == 3
     assert not corpus.documents and not corpus.load_warnings
     for bad in ({"nref": True}, {"year": 2010.0}, {"refs": ["J A|2008", 7]},
-                {"type": 5}):
+                {"type": 5}, {"journal": None}, {"journal": 1}, {"doc_id": 7},
+                {"doc_id": None}):
         path.write_text(json.dumps(dict(good, **bad)) + "\n", encoding="utf-8")
         corpus = load_corpus(path, census_year=CENSUS)
         assert len(corpus.load_errors) == 1 and not corpus.documents, bad
+
+
+def test_nref_beyond_int64_is_record_error(tmp_path):
+    too_big, largest = 2**63, 2**63 - 1
+    jsonl = tmp_path / "c.jsonl"
+    jsonl.write_text("".join(
+        json.dumps({"doc_id": f"X{n}", "journal": "J01", "year": 2010,
+                    "type": "article", "nref": n, "refs": ["J A|2008"]}) + "\n"
+        for n in (too_big, 10**19, largest)), encoding="utf-8")
+    tsv = tmp_path / "c.tsv"
+    tsv.write_text("\t".join(["doc_id", "journal", "year", "type", "nref", "refs"])
+                   + "".join(f"\nX{n}\tJ01\t2010\tarticle\t{n}\tJ A|2008"
+                             for n in (too_big, 10**19, largest)) + "\n",
+                   encoding="utf-8")
+    for path in (jsonl, tsv):
+        corpus = load_corpus(path, census_year=CENSUS)
+        assert len(corpus.load_errors) == 2, path
+        assert [d.ref_count for d in corpus.documents] == [largest]
 
 
 def test_nref_below_reference_list_is_record_error(tmp_path):
@@ -190,10 +209,24 @@ def test_validation_matches_line_level_oracle(fixture_paths, merged_fixture):
     assert report.future_year_refs == tally["future"]
 
 
+def test_repeated_reference_string_is_stored_once(tmp_path):
+    docs = [Document(f"d{i}", "A", 2010, "article", ["J A|2008", f"J B|200{i}"], 2)
+            for i in range(3)]
+    corpus = Corpus(2010, docs)
+    assert corpus.ref_strings.count("J A|2008") == 1
+    assert len(corpus.ref_strings) == 4 and corpus.ref_ids.size == 6
+    assert list(corpus.documents) == docs
+    out = tmp_path / "c.jsonl"
+    save_corpus(corpus, out)
+    back = load_corpus(out, census_year=2010)
+    assert back.ref_strings.count("J A|2008") == 1
+    assert back == corpus
+
+
 def test_all_valid_corpus_has_full_match_fraction():
     journals = JournalTable([Journal("A", "A", ["J A"], "F", {})])
     docs = [Document(f"d{i}", "A", 2010, "article",
-                     [RawReference("J A|2008")], 1) for i in range(5)]
+                     ["J A|2008"], 1) for i in range(5)]
     corpus = Corpus(2010, docs)
     report = validate_corpus(corpus, journals)
     assert report.fraction(report.matched_refs) == 1.0

@@ -1,8 +1,7 @@
 import numpy as np
 import pytest
 
-from jifnorm import (Corpus, Document, Journal, JournalTable, RawReference,
-                     load_corpus)
+from jifnorm import Corpus, Document, Journal, JournalTable, load_corpus
 from jifnorm.counts import (CountError, CountMode, FRACTIONAL, FRACTIONAL_PLUS,
                             INTEGER, WindowSpec, count_citations, variable_id)
 
@@ -19,8 +18,7 @@ def oracle(data_dir):
 def _one_doc(refs, nref=None):
     journals = JournalTable([Journal("A", "A", ["J A"], "F", {}),
                              Journal("B", "B", ["J B"], "F", {})])
-    doc = Document("d1", "A", 2010, "article",
-                   [RawReference(r) for r in refs],
+    doc = Document("d1", "A", 2010, "article", refs,
                    nref if nref is not None else len(refs))
     return Corpus(2010, [doc]), journals
 

@@ -2,8 +2,10 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from jifnorm import (Journal, JournalTable, classify_year, match_corpus,
-                     match_venue, normalize_venue, parse_reference)
+from jifnorm import (Corpus, Document, Journal, JournalTable, classify_year,
+                     match_corpus, match_venue, normalize_venue,
+                     parse_reference)
+from jifnorm.refmatch import STATUS_FUTURE, STATUS_INVALID, STATUS_PRE1900, STATUS_VALID
 
 
 @pytest.fixture()
@@ -43,6 +45,17 @@ def test_parse_structured_layout():
 def test_parse_future_year_needs_census():
     assert parse_reference("A, 2011, V", census_year=2010).year_status == "future"
     assert parse_reference("A, 2011, V").year_status == "valid"
+
+
+@pytest.mark.parametrize("raw", [
+    "J A|\u00b2\u2070\u2070\u2078",   # superscript digits
+    "J A|\u0662\u0660\u0660\u0668",   # Arabic-Indic digits
+    "SMITH J, \uff12\uff10\uff10\uff18, J A"])  # full-width digits
+def test_parse_year_needs_ascii_digits(raw):
+    ref = parse_reference(raw, census_year=2010)
+    assert ref.year_status == "invalid_format"
+    assert ref.year is None
+    assert ref.venue_abbrev == "J A"
 
 
 def test_parse_short_strings():
@@ -90,8 +103,8 @@ def test_match_corpus_is_order_independent(fixture_paths, raw_fixture):
     from conftest import CENSUS
     corpus, journals = raw_fixture
     t1 = match_corpus(corpus, journals)
-    corpus2 = load_corpus(fixture_paths["corpus"], census_year=CENSUS)
-    corpus2.documents = list(reversed(corpus2.documents))
+    loaded = load_corpus(fixture_paths["corpus"], census_year=CENSUS)
+    corpus2 = Corpus(CENSUS, list(reversed(loaded.documents)))
     t2 = match_corpus(corpus2, journals)
     # same multiset of (journal, year, status) rows either way
     rows1 = sorted(zip(t1.journal_index.tolist(), t1.year.tolist(),
@@ -115,5 +128,47 @@ def test_matched_never_exceeds_parseable(raw_fixture):
     t = match_corpus(corpus, journals)
     matched = int((t.journal_index >= 0).sum())
     with_venue = sum(1 for d in corpus.documents for r in d.refs
-                     if parse_reference(r.raw).venue_abbrev)
+                     if parse_reference(r).venue_abbrev)
     assert matched <= with_venue
+
+
+_STATUS = {"valid": STATUS_VALID, "invalid_format": STATUS_INVALID,
+           "pre1900": STATUS_PRE1900, "future": STATUS_FUTURE}
+# free text of layout pieces, arbitrary characters and ASCII and non-ASCII
+# digits, alone or placed in either layout
+_PIECE = st.one_of(
+    st.sampled_from(list("|, ") + ["J A", "j a.", "B", "18", "2008", "1899",
+                                   "2011", "\u00b2", "\u0662", "\uff10"]),
+    st.characters(), st.sampled_from("0123456789"))
+_TEXT = st.lists(_PIECE, max_size=6).map("".join)
+_YEAR = st.one_of(st.sampled_from(["2008", " 2009 ", "1899", "2011", "18",
+                                   "\u00b2\u2070\u2070\u2078",
+                                   "\u0662\u0660\u0660\u0668"]), _TEXT)
+_REF_TEXT = st.one_of(
+    st.lists(_PIECE, min_size=1, max_size=12).map("".join),
+    st.tuples(st.one_of(st.sampled_from(["J A", " j  a. ", "B"]), _TEXT),
+              _YEAR).map("|".join),
+    st.tuples(_TEXT, _YEAR, st.one_of(st.sampled_from(["J A", "b;"]), _TEXT),
+              _TEXT).map(", ".join))
+
+
+@given(st.lists(_REF_TEXT, min_size=1, max_size=12))
+@settings(max_examples=300, deadline=None)
+def test_ref_table_rows_equal_parse_reference(refs):
+    """Each row of the memoized table equals parse_reference plus the
+    abbreviation lookup of the same string."""
+    journals = JournalTable([Journal("A", "A", ["J A"], "F", {}),
+                             Journal("B", "B", ["B"], "F", {})])
+    half = len(refs) // 2
+    corpus = Corpus(2010, [Document("d1", "A", 2010, "article", refs[:half], half),
+                           Document("d2", "B", 2010, "article", refs[half:],
+                                    len(refs) - half)])
+    table = match_corpus(corpus, journals)
+    assert table.status.size == len(refs)
+    for row, raw in enumerate(refs):
+        parsed = parse_reference(raw, 2010)
+        jid = journals.abbrev_index.get(parsed.venue_abbrev)
+        expected = table.journal_ids.index(jid) if jid is not None else -1
+        assert table.journal_index[row] == expected, raw
+        assert table.year[row] == (parsed.year or 0), raw
+        assert table.status[row] == _STATUS[parsed.year_status], raw
