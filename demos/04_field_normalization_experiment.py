@@ -17,7 +17,7 @@ component collapses and the permutation test goes silent.
 
 import numpy as np
 
-from jifnorm import (WindowSpec, analyze_indicator, compute_denominator,
+from jifnorm import (WindowSpec, analyze_indicators, compute_denominator,
                      count_citations, generate_corpus, match_corpus, quasi_if,
                      variance_reduction)
 from jifnorm.counts import FRACTIONAL, INTEGER
@@ -55,10 +55,10 @@ for spec in cfg.fields:
     print(f"  {spec.field_code:6} {ic:10.3f} {fc:12.4f}")
 
 print("\nbetween-field variance components (permutation p at 1999 draws):")
-results = {}
-for name in ("IF5-IC", "IF5-FC"):
-    results[name] = analyze_indicator(tables[name], scheme, n_perm=1999, seed=42)
-    r = results[name]
+names = ("IF5-IC", "IF5-FC")
+results = dict(zip(names, analyze_indicators([tables[n] for n in names], scheme,
+                                             n_perm=1999, seed=42)))
+for name, r in results.items():
     print(f"  {name}: sigma2_between={r.sigma2_between:.6g} "
           f"sigma2_within={r.sigma2_within:.6g} eta2={r.eta2:.4f} "
           f"p={r.perm_p:.4g}")

@@ -35,7 +35,7 @@ from .indicators import (DEFAULT_CITABLE_TYPES, IndicatorError, IndicatorTable,
                          read_indicator_table)
 from .percentile import PercentileError, build_percentiles
 from .refmatch import match_corpus
-from .stats import StatsError, analyze_indicator, variance_reduction
+from .stats import StatsError, analyze_indicators, variance_reduction
 from .synthgen import SynthConfigError
 
 FATAL_ERRORS = (CorpusFormatError, JournalTableError, CountError,
@@ -393,10 +393,8 @@ def cmd_varcomp(settings: Settings) -> int:
     paths = [Path(p) for p in settings.args.indicators]
     tables = _load_varcomp_tables(paths)
     warnings: list[str] = []
-    results = []
-    for table in tables:
-        results.append(analyze_indicator(table, scheme, statistic=statistic,
-                                         n_perm=n_perm, seed=seed))
+    results = analyze_indicators(tables, scheme, statistic=statistic,
+                                 n_perm=n_perm, seed=seed)
 
     note = ("method: one-way moment-estimator variance components with "
             "label-permutation significance; components are on the raw "

@@ -285,19 +285,10 @@ class ValidationReport:
         return rows
 
 
-def _coerce_doc_type(value: str, warnings: list[str], where: str) -> str:
-    if not isinstance(value, str):
-        raise ValueError(f"type {value!r} is not a string")
-    value = value.strip().lower()
-    if value in DOC_TYPES:
-        return value
-    warnings.append(f"{where}: unknown doc_type {value!r} mapped to 'other'")
-    return "other"
-
-
 def _check_record(doc_id, journal, year, doc_type, nref, refs,
-                  census_year: int, where: str, warnings: list[str]) -> str:
-    """Raise ValueError for a malformed record; return its document type."""
+                  census_year: int) -> str:
+    """Raise ValueError for a malformed record; return its document type,
+    stripped and lower-cased but not yet checked against ``DOC_TYPES``."""
     if not isinstance(doc_id, str):
         raise ValueError(f"doc_id {doc_id!r} is not a string")
     if not isinstance(journal, str):
@@ -325,7 +316,9 @@ def _check_record(doc_id, journal, year, doc_type, nref, refs,
                 raise ValueError("empty reference string")
     if nref < len(refs):
         raise ValueError(f"nref {nref} smaller than reference list ({len(refs)})")
-    return _coerce_doc_type(doc_type, warnings, where)
+    if not isinstance(doc_type, str):
+        raise ValueError(f"type {doc_type!r} is not a string")
+    return doc_type.strip().lower()
 
 
 def load_corpus(path: str | Path, format: str = "auto",
@@ -353,6 +346,11 @@ def load_corpus(path: str | Path, format: str = "auto",
             errors.append(f"{where}: duplicate doc_id {doc_id!r}")
             return
         seen_ids.add(doc_id)
+        # only an accepted record may warn
+        if doc_type not in DOC_TYPES:
+            warnings.append(f"{where}: unknown doc_type {doc_type!r} "
+                            "mapped to 'other'")
+            doc_type = "other"
         builder.add(doc_id, journal, year, doc_type, nref, refs)
 
     if format == "jsonl":
@@ -368,8 +366,7 @@ def load_corpus(path: str | Path, format: str = "auto",
                     doc_type = obj.get("type", "other")
                     nref, refs = obj["nref"], obj.get("refs", [])
                     doc_type = _check_record(doc_id, journal, year, doc_type,
-                                             nref, refs, census_year, where,
-                                             warnings)
+                                             nref, refs, census_year)
                 except (json.JSONDecodeError, KeyError, TypeError, ValueError) as exc:
                     errors.append(f"{where}: {exc}")
                     continue
@@ -394,7 +391,7 @@ def load_corpus(path: str | Path, format: str = "auto",
             try:
                 year, nref = int(year), int(nref)
                 doc_type = _check_record(doc_id, journal, year, doc_type, nref,
-                                         refs, census_year, where, warnings)
+                                         refs, census_year)
             except ValueError as exc:
                 errors.append(f"{where}: {exc}")
                 continue

@@ -142,14 +142,15 @@ def average_ranks(x: Sequence[float]) -> np.ndarray:
     xa = np.asarray(x, dtype=np.float64)
     order = np.argsort(xa, kind="stable")
     xs = xa[order]
+    # a run of equal values starts where a value differs from the one
+    # before; NaN differs from everything, so each NaN is its own run
+    new_run = np.ones(xa.size, dtype=bool)
+    new_run[1:] = xs[1:] != xs[:-1]
+    starts = np.flatnonzero(new_run)
+    lengths = np.diff(np.r_[starts, xa.size])
     ranks = np.empty(xa.size, dtype=np.float64)
-    i = 0
-    while i < xa.size:
-        j = i
-        while j + 1 < xa.size and xs[j + 1] == xs[i]:
-            j += 1
-        ranks[order[i:j + 1]] = (i + j) / 2.0 + 1.0
-        i = j + 1
+    # run [i, j] gets (i + j) / 2 + 1 with j = i + length - 1
+    ranks[order] = np.repeat((2 * starts + lengths - 1) / 2.0 + 1.0, lengths)
     return ranks
 
 
@@ -210,6 +211,10 @@ def correlation_matrix(tables: list[IndicatorTable]) -> CorrelationMatrix:
                              undefined_pairs=undefined)
 
 
+def _ss_between(sizes: np.ndarray, sums: np.ndarray, mean: float) -> float:
+    return float((sizes * (sums / sizes - mean) ** 2).sum())
+
+
 def _group_ss(values: np.ndarray, labels: np.ndarray, k: int
               ) -> tuple[float, float, np.ndarray]:
     """(SS_between, SS_total, group sizes) for integer labels 0..k-1."""
@@ -217,8 +222,7 @@ def _group_ss(values: np.ndarray, labels: np.ndarray, k: int
     sums = np.bincount(labels, weights=values, minlength=k)
     mean = values.mean()
     ss_total = float(((values - mean) ** 2).sum())
-    ss_between = float((n * (sums / n - mean) ** 2).sum())
-    return ss_between, ss_total, n
+    return _ss_between(n, sums, mean), ss_total, n
 
 
 def eta_squared(values: dict[str, float], scheme: FieldScheme) -> float:
@@ -268,9 +272,8 @@ def varcomp_moments(values: dict[str, float], scheme: FieldScheme,
                          dispersion_by_field=dispersion)
 
 
-def _perm_stat(values: np.ndarray, labels: np.ndarray, k: int,
-               statistic: str, n0: float, n_total: int) -> float:
-    ss_between, ss_total, _ = _group_ss(values, labels, k)
+def _perm_stat(ss_between: float, ss_total: float, k: int, statistic: str,
+               n0: float, n_total: int) -> float:
     if statistic == "eta2":
         return ss_between / ss_total if ss_total > 0 else 0.0
     ms_within = (ss_total - ss_between) / (n_total - k)
@@ -278,47 +281,59 @@ def _perm_stat(values: np.ndarray, labels: np.ndarray, k: int,
     return max(0.0, (ms_between - ms_within) / n0)
 
 
-def permutation_test(values: dict[str, float], scheme: FieldScheme,
-                     statistic: str = "eta2", n_perm: int = 999,
-                     seed: int = 0) -> float:
-    """Right-tailed label-permutation p-value for the field effect.
+def permutation_test(value_maps: Sequence[dict[str, float]],
+                     scheme: FieldScheme, statistic: str = "eta2",
+                     n_perm: int = 999, seed: int = 0) -> list[float]:
+    """Right-tailed label-permutation p-value for the field effect of each
+    value map, in input order.
 
-    Field labels are shuffled uniformly; permutation i draws from
-    seed-sequence child i.
+    Field labels are shuffled uniformly; permutation i of a table with n
+    journals draws from seed-sequence child i, so a map's p-value does not
+    depend on the other maps. A shuffle's swaps depend on n alone, so one
+    draw of n positions per child serves every table of that size.
     """
     if statistic not in ("eta2", "sigma2_between"):
         raise StatsError(f"unknown permutation statistic {statistic!r}")
     if n_perm < 999:
         raise StatsError("n_perm must be at least 999")
-    v, g, retained, _ = scheme.group_arrays(values)
-    k = len(retained)
-    if k < 2:
-        raise StatsError("need at least 2 retained fields")
-    n_total = v.size
-    sizes = np.bincount(g, minlength=k).astype(np.float64)
-    n0 = (n_total - float((sizes ** 2).sum()) / n_total) / (k - 1)
+    tables = []
+    for values in value_maps:
+        v, g, retained, _ = scheme.group_arrays(values)
+        k = len(retained)
+        if k < 2:
+            raise StatsError("need at least 2 retained fields")
+        n_total = v.size
+        ss_between, ss_total, sizes = _group_ss(v, g, k)
+        n0 = (n_total - float((sizes ** 2).sum()) / n_total) / (k - 1)
+        observed = _perm_stat(ss_between, ss_total, k, statistic, n0, n_total)
+        tables.append((v, g, k, sizes, v.mean(), ss_total, n0, observed))
 
-    observed = _perm_stat(v, g, k, statistic, n0, n_total)
-    children = np.random.SeedSequence(seed).spawn(n_perm)
+    lengths = {v.size for v, *_ in tables}
+    exceed = [0] * len(tables)
+    for child in np.random.SeedSequence(seed).spawn(n_perm):
+        orders = {n: np.random.default_rng(child).permutation(n)
+                  for n in lengths}
+        for i, (v, g, k, sizes, mean, ss_total, n0, observed) in enumerate(tables):
+            sums = np.bincount(g[orders[v.size]], weights=v, minlength=k)
+            stat = _perm_stat(_ss_between(sizes, sums, mean), ss_total, k,
+                              statistic, n0, v.size)
+            if stat >= observed:
+                exceed[i] += 1
+    return [(1 + e) / (n_perm + 1) for e in exceed]
 
-    exceed = 0
-    for child in children:
-        labels = np.random.default_rng(child).permutation(g)
-        if _perm_stat(v, labels, k, statistic, n0, n_total) >= observed:
-            exceed += 1
-    return (1 + exceed) / (n_perm + 1)
 
-
-def analyze_indicator(indicator: IndicatorTable, scheme: FieldScheme,
-                      statistic: str = "eta2", n_perm: int = 999,
-                      seed: int = 0) -> VarCompResult:
-    """Variance components plus permutation significance for one indicator."""
-    result = varcomp_moments(indicator.values, scheme,
-                             indicator_id=indicator.indicator_id)
-    result.perm_p = permutation_test(indicator.values, scheme,
-                                     statistic=statistic, n_perm=n_perm,
-                                     seed=seed)
-    return result
+def analyze_indicators(tables: Sequence[IndicatorTable], scheme: FieldScheme,
+                       statistic: str = "eta2", n_perm: int = 999,
+                       seed: int = 0) -> list[VarCompResult]:
+    """Variance components plus permutation significance for each
+    indicator, in input order."""
+    results = [varcomp_moments(t.values, scheme, indicator_id=t.indicator_id)
+               for t in tables]
+    p_values = permutation_test([t.values for t in tables], scheme,
+                                statistic=statistic, n_perm=n_perm, seed=seed)
+    for result, p in zip(results, p_values):
+        result.perm_p = p
+    return results
 
 
 def variance_reduction(reference: VarCompResult, alternative: VarCompResult

@@ -17,7 +17,7 @@ from jifnorm.counts import (FRACTIONAL, FRACTIONAL_PLUS, INTEGER, WindowSpec,
 from jifnorm.indicators import IndicatorTable, compute_denominator, fc_over_p, quasi_if
 from jifnorm.percentile import build_percentiles, percentile_rank, pr6_class, top_share
 from jifnorm.refmatch import match_corpus
-from jifnorm.stats import (FieldScheme, analyze_indicator, eta_squared,
+from jifnorm.stats import (FieldScheme, analyze_indicators, eta_squared,
                            pearson, permutation_test, spearman,
                            varcomp_moments, variance_reduction)
 from jifnorm.synthgen import FieldSpec, SynthConfig, generate_corpus
@@ -70,9 +70,10 @@ def big_synth():
                                     else "two_year", 2010)
         tables[name] = quasi_if(counts, denom)
 
-    results = {name: analyze_indicator(tables[name], scheme, statistic="eta2",
-                                       n_perm=1999, seed=271)
-               for name in ("IF5-IC", "IF5-FC")}
+    names = ("IF5-IC", "IF5-FC")
+    results = dict(zip(names, analyze_indicators(
+        [tables[name] for name in names], scheme, statistic="eta2",
+        n_perm=1999, seed=271)))
     elapsed = time.perf_counter() - t0
     return {"corpus": corpus, "journals": journals, "ref_table": ref_table,
             "scheme": scheme, "tables": tables, "results": results,
@@ -325,12 +326,12 @@ def test_criterion_8_invariance_suite(big_synth):
                          min_group_size=1)
     base_eta = eta_squared(vmap, scheme)
     base_sigma = varcomp_moments(vmap, scheme).sigma2_between
-    base_p = permutation_test(vmap, scheme, seed=12)
+    base_p = permutation_test([vmap], scheme, seed=12)[0]
     scaled = {j: 2.5 * v + 40.0 for j, v in vmap.items()}
     assert eta_squared(scaled, scheme) == pytest.approx(base_eta, rel=1e-10)
     assert varcomp_moments(scaled, scheme).sigma2_between == pytest.approx(
         2.5 ** 2 * base_sigma, rel=1e-10)
-    assert permutation_test(scaled, scheme, seed=12) == base_p
+    assert permutation_test([scaled], scheme, seed=12)[0] == base_p
 
     # quasi impact factor rank order under numerator scaling
     from jifnorm.counts import CountTable

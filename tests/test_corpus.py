@@ -71,6 +71,25 @@ def test_doc_type_coercion_warns(tmp_path):
     assert corpus.load_warnings
 
 
+def test_rejected_duplicate_leaves_no_coercion_warning(tmp_path):
+    """Only an accepted record may warn: a duplicate doc_id with an unknown
+    type is one load error and nothing else, in JSONL and in TSV."""
+    recs = [{"doc_id": "E0", "journal": "J01", "year": 2010, "type": t,
+             "nref": 0, "refs": []} for t in ("article", "weird")]
+    jsonl = tmp_path / "c.jsonl"
+    jsonl.write_text("".join(json.dumps(r) + "\n" for r in recs),
+                     encoding="utf-8")
+    tsv = tmp_path / "c.tsv"
+    tsv.write_text("doc_id\tjournal\tyear\ttype\tnref\trefs\n"
+                   "E0\tJ01\t2010\tarticle\t0\t\n"
+                   "E0\tJ01\t2010\tweird\t0\t\n", encoding="utf-8")
+    for path, line in ((jsonl, 2), (tsv, 3)):
+        corpus = load_corpus(path, census_year=CENSUS)
+        assert corpus.load_errors == [f"{path.name}:{line}: duplicate doc_id 'E0'"]
+        assert corpus.load_warnings == []
+        assert [d.doc_type for d in corpus.documents] == ["article"]
+
+
 def test_mistyped_jsonl_fields_are_record_errors(tmp_path):
     """JSONL values keep their JSON types: no string is split into
     characters and no float or bool is truncated to an integer."""

@@ -1,0 +1,75 @@
+"""The benchmark's tracer (perfbench/tracer.py) wraps public functions of
+the package by name. A refactor that renames one of them must fail here,
+not first in the benchmark: traced and untraced runs of the same command
+must agree on exit code and output bytes, and the spans must name the
+wrapped layers."""
+
+import json
+import os
+import subprocess
+import sys
+from pathlib import Path
+
+import pytest
+
+from jifnorm.cli import main
+
+from conftest import CENSUS
+
+ROOT = Path(__file__).resolve().parent.parent
+
+
+def _env():
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        [str(ROOT / "src")] + ([env["PYTHONPATH"]] if env.get("PYTHONPATH")
+                               else []))
+    return env
+
+
+def _run(prefix, args):
+    proc = subprocess.run(prefix + [str(a) for a in args], cwd=ROOT, env=_env(),
+                          capture_output=True, text=True, timeout=120)
+    return proc.returncode, proc.stdout, proc.stderr
+
+
+def _dir_bytes(path):
+    return {p.name: p.read_bytes() for p in sorted(path.iterdir())}
+
+
+@pytest.fixture(scope="module")
+def tables(tmp_path_factory, fixture_paths):
+    out = tmp_path_factory.mktemp("indicators")
+    code = main(["indicators", str(fixture_paths["corpus"]),
+                 "--journals", str(fixture_paths["journals"]),
+                 "--census-year", str(CENSUS), "--percentiles",
+                 "--out", str(out)])
+    assert code in (0, 1)
+    return out
+
+
+@pytest.mark.parametrize("command,spans", [
+    ("varcomp", {"stats.permutation", "stats.moments"}),
+    ("correlate", {"stats.correlation"}),
+])
+def test_tracer_runs_command_unchanged(tmp_path, tables, fixture_paths,
+                                       command, spans):
+    inputs = [tables / "IF2-IC.tsv", tables / "IF5-FC.tsv",
+              tables / "percentiles.tsv"]
+    if command == "varcomp":
+        args = ["varcomp", *inputs, "--fields", fixture_paths["fields"],
+                "--min-group-size", 2, "--n-perm", 999, "--seed", 3]
+    else:
+        args = ["correlate", *inputs[:2]]
+    plain = _run([sys.executable, "-m", "jifnorm"],
+                 args + ["--out", tmp_path / "plain"])
+    spans_path = tmp_path / "spans.json"
+    traced = _run([sys.executable, str(ROOT / "perfbench" / "tracer.py"),
+                   str(spans_path)], args + ["--out", tmp_path / "traced"])
+
+    assert plain[0] in (0, 1), plain[2]
+    assert traced == plain
+    assert _dir_bytes(tmp_path / "traced") == _dir_bytes(tmp_path / "plain")
+    record = json.loads(spans_path.read_text(encoding="utf-8"))
+    assert record["exit"] == plain[0]
+    assert spans <= {name for name, _, _ in record["spans"]}

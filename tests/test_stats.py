@@ -5,8 +5,8 @@ import pytest
 import scipy.stats
 
 from jifnorm.indicators import IndicatorTable
-from jifnorm.stats import (FieldScheme, StatsError, VarCompResult,
-                           analyze_indicator, average_ranks,
+from jifnorm.stats import (FieldScheme, StatsError, VarCompResult, _group_ss,
+                           analyze_indicators, average_ranks,
                            correlation_matrix, eta_squared, ks_normality,
                            pearson, permutation_test, spearman,
                            varcomp_moments, variance_reduction)
@@ -69,6 +69,47 @@ def brute_varcomp(values, groups):
     return max(0.0, (ms_between - ms_within) / n0), ms_within
 
 
+def loop_average_ranks(x):
+    """Run-by-run average ranks: the loop that ``average_ranks`` replaced."""
+    xa = np.asarray(x, dtype=np.float64)
+    order = np.argsort(xa, kind="stable")
+    xs = xa[order]
+    ranks = np.empty(xa.size, dtype=np.float64)
+    i = 0
+    while i < xa.size:
+        j = i
+        while j + 1 < xa.size and xs[j + 1] == xs[i]:
+            j += 1
+        ranks[order[i:j + 1]] = (i + j) / 2.0 + 1.0
+        i = j + 1
+    return ranks
+
+
+def loop_permutation_p(values, scheme, statistic, n_perm, seed):
+    """One table at a time, every statistic recomputed from scratch: the
+    per-table loop that the shared-draw ``permutation_test`` replaced."""
+    v, g, retained, _ = scheme.group_arrays(values)
+    k = len(retained)
+    n_total = v.size
+    sizes = np.bincount(g, minlength=k).astype(np.float64)
+    n0 = (n_total - float((sizes ** 2).sum()) / n_total) / (k - 1)
+
+    def stat(labels):
+        ss_between, ss_total, _ = _group_ss(v, labels, k)
+        if statistic == "eta2":
+            return ss_between / ss_total if ss_total > 0 else 0.0
+        ms_within = (ss_total - ss_between) / (n_total - k)
+        ms_between = ss_between / (k - 1)
+        return max(0.0, (ms_between - ms_within) / n0)
+
+    observed = stat(g)
+    exceed = 0
+    for child in np.random.SeedSequence(seed).spawn(n_perm):
+        if stat(np.random.default_rng(child).permutation(g)) >= observed:
+            exceed += 1
+    return (1 + exceed) / (n_perm + 1)
+
+
 def _scheme(groups, min_group_size=1):
     return FieldScheme("test", {f"J{i:04d}": g for i, g in enumerate(groups)},
                        min_group_size=min_group_size)
@@ -125,6 +166,24 @@ def test_average_ranks_against_scipy():
     for _ in range(20):
         x = np.round(rng.normal(size=30), 1)
         assert np.allclose(average_ranks(x), scipy.stats.rankdata(x))
+
+
+def test_average_ranks_equals_loop_oracle():
+    rng = np.random.default_rng(17)
+    cases = [np.array([]), np.array([3.5]), np.array([np.nan]),
+             np.array([np.nan, np.nan, 1.0, 1.0]), np.array([2.0, -0.0, 0.0])]
+    for _ in range(200):
+        n = int(rng.integers(1, 80))
+        x = rng.integers(0, int(rng.integers(1, 6)), size=n).astype(np.float64)
+        if rng.random() < 0.5:
+            x[rng.random(n) < 0.2] = np.nan
+        cases.append(x)
+    cases.append(np.round(rng.normal(size=5000), 1))
+    for x in cases:
+        got = average_ranks(x)
+        want = loop_average_ranks(x)
+        assert got.dtype == want.dtype and got.shape == want.shape
+        assert np.array_equal(got, want)
 
 
 # --- correlation matrix ------------------------------------------------------
@@ -260,7 +319,7 @@ def test_dispersion_by_field_is_var_over_mean():
 def test_permutation_perfect_separation():
     values = _values([0.0, 0.1, 0.05, 10.0, 10.1, 10.05] * 3)
     groups = (["A"] * 3 + ["B"] * 3) * 3
-    p = permutation_test(values, _scheme(groups), n_perm=999, seed=1)
+    p = permutation_test([values], _scheme(groups), n_perm=999, seed=1)[0]
     assert p == pytest.approx(1.0 / 1000.0)
 
 
@@ -268,7 +327,7 @@ def test_permutation_null_is_insignificant():
     rng = np.random.default_rng(88)
     values = _values(rng.normal(size=120))
     groups = [f"G{i % 4}" for i in range(120)]
-    p = permutation_test(values, _scheme(groups), n_perm=999, seed=5)
+    p = permutation_test([values], _scheme(groups), n_perm=999, seed=5)[0]
     assert p > 0.05
 
 
@@ -277,10 +336,10 @@ def test_permutation_determinism_and_thread_independence():
     values = _values(rng.normal(size=60))
     groups = [f"G{i % 3}" for i in range(60)]
     scheme = _scheme(groups)
-    p1 = permutation_test(values, scheme, n_perm=999, seed=42)
-    p2 = permutation_test(values, scheme, n_perm=999, seed=42)
+    p1 = permutation_test([values], scheme, n_perm=999, seed=42)[0]
+    p2 = permutation_test([values], scheme, n_perm=999, seed=42)[0]
     assert p1 == p2
-    assert permutation_test(values, scheme, n_perm=999, seed=43) != p1
+    assert permutation_test([values], scheme, n_perm=999, seed=43)[0] != p1
 
 
 def test_permutation_statistics_agree():
@@ -291,14 +350,67 @@ def test_permutation_statistics_agree():
         values = _values(rng.normal(size=48) + np.repeat([0, 0.8, 1.6], 16))
         groups = [f"G{i}" for i in range(3) for _ in range(16)]
         scheme = _scheme(groups)
-        p_eta = permutation_test(values, scheme, "eta2", 999, seed)
-        p_sig = permutation_test(values, scheme, "sigma2_between", 999, seed)
+        p_eta = permutation_test([values], scheme, "eta2", 999, seed)[0]
+        p_sig = permutation_test([values], scheme, "sigma2_between", 999, seed)[0]
         assert p_eta == p_sig
 
 
 def test_permutation_requires_999():
     with pytest.raises(StatsError):
-        permutation_test(_values([1, 2, 3, 4]), _scheme(list("AABB")), n_perm=99)
+        permutation_test([_values([1, 2, 3, 4])], _scheme(list("AABB")), n_perm=99)
+
+
+@pytest.mark.parametrize("dtype", [np.int8, np.int64])
+def test_shuffle_swaps_depend_on_length_only(dtype):
+    """The numpy property the shared draws rest on: permuting an array
+    equals indexing it with a permutation of its positions drawn from the
+    same child."""
+    children = np.random.SeedSequence(2024).spawn(5)
+    rng = np.random.default_rng(3)
+    for n in (1, 2, 7, 100, 3705):
+        g = rng.integers(0, 11, size=n).astype(dtype)
+        for child in children:
+            shuffled = np.random.default_rng(child).permutation(g)
+            order = np.random.default_rng(child).permutation(n)
+            assert shuffled.dtype == g.dtype
+            assert np.array_equal(shuffled, g[order])
+
+
+def _mixed_size_maps():
+    """Tables of several sizes over one 64-journal, 4-field scheme: real
+    values, PR6-like integer classes with heavy ties, and subsets with
+    undefined journals left out."""
+    rng = np.random.default_rng(91)
+    groups = [f"G{i % 4}" for i in range(64)]
+    shift = np.array([0.0, 0.3, 0.6, 0.9])[np.arange(64) % 4]
+    full = _values(rng.normal(size=64) + shift)
+    pr6 = _values(np.clip(np.round(rng.normal(3.5, 1.2, 64) + shift), 1, 6))
+    pr6_null = _values(rng.integers(1, 7, size=64))
+    subset = {j: v for j, v in full.items() if int(j[1:]) % 5}
+    pr6_subset = {j: v for j, v in pr6.items() if int(j[1:]) % 3}
+    return (_scheme(groups),
+            [full, pr6, subset, pr6_null, pr6_subset, dict(subset)])
+
+
+@pytest.mark.parametrize("statistic", ["eta2", "sigma2_between"])
+def test_shared_draws_equal_per_table_loop(statistic):
+    scheme, maps = _mixed_size_maps()
+    assert len({len(m) for m in maps}) == 3
+    got = permutation_test(maps, scheme, statistic, 999, seed=8)
+    want = [loop_permutation_p(m, scheme, statistic, 999, 8) for m in maps]
+    assert got == want
+    assert len(set(want)) > 2
+
+
+def test_joint_call_equals_one_call_per_table_in_any_order():
+    scheme, maps = _mixed_size_maps()
+    alone = [permutation_test([m], scheme, seed=21)[0] for m in maps]
+    rng = np.random.default_rng(4)
+    for _ in range(3):
+        order = rng.permutation(len(maps))
+        joint = permutation_test([maps[i] for i in order], scheme, seed=21)
+        assert joint == [alone[i] for i in order]
+    assert permutation_test([], scheme, seed=21) == []
 
 
 # --- variance reduction -------------------------------------------------------
@@ -350,7 +462,7 @@ def test_field_effect_measures_affine_invariance():
     scheme = _scheme(groups)
     base_eta = eta_squared(_values(values), scheme)
     base_vc = varcomp_moments(_values(values), scheme)
-    base_p = permutation_test(_values(values), scheme, seed=3)
+    base_p = permutation_test([_values(values)], scheme, seed=3)[0]
 
     shifted = _values(values + 100.0)
     assert eta_squared(shifted, scheme) == pytest.approx(base_eta, abs=1e-12)
@@ -361,7 +473,7 @@ def test_field_effect_measures_affine_invariance():
     assert eta_squared(scaled, scheme) == pytest.approx(base_eta, abs=1e-12)
     assert varcomp_moments(scaled, scheme).sigma2_between == pytest.approx(
         16.0 * base_vc.sigma2_between, rel=1e-10)
-    assert permutation_test(scaled, scheme, seed=3) == base_p
+    assert permutation_test([scaled], scheme, seed=3)[0] == base_p
 
     # reductions computed after transforming both tables are unchanged
     alt = rng.normal(size=60) + np.repeat([0.0, 0.5, 1.0], 20)
@@ -420,7 +532,7 @@ def test_ks_guards():
 def test_analyze_indicator_fills_everything(merged_fixture):
     table = IndicatorTable("X", _values(np.arange(40.0)))
     scheme = _scheme([f"G{i % 2}" for i in range(40)])
-    result = analyze_indicator(table, scheme, n_perm=999, seed=0)
+    [result] = analyze_indicators([table], scheme, n_perm=999, seed=0)
     assert result.indicator_id == "X"
     assert 0.0 < result.perm_p <= 1.0
     assert result.groups_used == 2

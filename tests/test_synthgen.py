@@ -6,7 +6,7 @@ from jifnorm import (load_corpus, load_journals, match_corpus, save_corpus,
 from jifnorm.counts import (FRACTIONAL, FRACTIONAL_PLUS, INTEGER, WindowSpec,
                             count_citations)
 from jifnorm.indicators import compute_denominator, quasi_if
-from jifnorm.stats import analyze_indicator
+from jifnorm.stats import analyze_indicators
 from jifnorm.synthgen import (FieldSpec, SynthConfig, SynthConfigError,
                               expected_fractional_rate, generate_corpus,
                               load_synth_config)
@@ -203,8 +203,8 @@ def test_identical_fields_show_no_field_effect():
         count_citations(corpus, journals, WindowSpec("five_year", 2010), INTEGER),
         compute_denominator(journals, "five_year", 2010))
     from jifnorm.indicators import IndicatorTable
-    result = analyze_indicator(
-        IndicatorTable("IF5-IC", table.values), scheme, n_perm=999, seed=4)
+    [result] = analyze_indicators(
+        [IndicatorTable("IF5-IC", table.values)], scheme, n_perm=999, seed=4)
     assert result.perm_p > 0.001
 
 
