@@ -30,7 +30,7 @@ from .refmatch import (CitedRef, RefTable, classify_year, match_corpus,
                        match_venue, normalize_venue, parse_reference)
 from .stats import (CorrelationMatrix, FieldScheme, StatsError, VarCompResult,
                     analyze_indicators, average_ranks, correlation_matrix,
-                    eta_squared, ks_normality, load_field_scheme, pearson,
+                    ks_normality, load_field_scheme, pearson,
                     permutation_test, save_field_scheme, scheme_from_journals,
                     spearman, varcomp_moments, variance_reduction)
 from .synthgen import (FieldSpec, GroundTruth, SynthConfig, SynthConfigError,

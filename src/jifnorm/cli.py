@@ -15,6 +15,7 @@ from __future__ import annotations
 import argparse
 import hashlib
 import json
+import os
 import sys
 from pathlib import Path
 
@@ -30,7 +31,7 @@ from .counts import (CountError, CountMode, FRACTIONAL, FRACTIONAL_PLUS,
                      INTEGER, WindowSpec, count_citations)
 from .indicators import (DEFAULT_CITABLE_TYPES, IndicatorError, IndicatorTable,
                          compute_denominator, count_indicator,
-                         denominator_indicator, fc_over_p,
+                         denominator_indicator, derived_item_counts, fc_over_p,
                          import_external_indicator, quasi_if,
                          read_indicator_table)
 from .percentile import PercentileError, build_percentiles
@@ -81,12 +82,22 @@ def _read_config(path: str | None) -> dict[str, str]:
     return values
 
 
+def _available_cpus() -> int:
+    if hasattr(os, "sched_getaffinity"):
+        return len(os.sched_getaffinity(0))
+    return os.cpu_count() or 1
+
+
 class Settings:
     """Flag values merged over config-file values (flags win)."""
 
     def __init__(self, args: argparse.Namespace):
         self.args = args
         self.config = _read_config(getattr(args, "config", None))
+        threads = self.get("threads", None, int)
+        if threads is not None and threads < 1:
+            raise CliError("--threads must be >= 1")
+        self.threads = threads or _available_cpus()
 
     def get(self, key: str, default=None, cast=str):
         flag = getattr(self.args, key, None)
@@ -143,7 +154,8 @@ def _load_inputs(settings: Settings, corpus_path: str
     journals_path = settings.require("journals")
     fmt = settings.get("format", "auto")
     journals = corpus_mod.load_journals(journals_path)
-    corpus = corpus_mod.load_corpus(corpus_path, format=fmt, census_year=census)
+    corpus = corpus_mod.load_corpus(corpus_path, format=fmt, census_year=census,
+                                    threads=settings.threads)
     warnings = list(corpus.load_warnings)
     warnings += corpus.load_errors
     corpus, journals = corpus_mod.merge_journal_parts(corpus, journals)
@@ -195,10 +207,11 @@ def compute_all_tables(corpus, journals, citable_types,
                     for kind, mode in COUNT_VARIABLES]
     by_id = {t.variable_id: t for t in count_tables}
 
-    denom2 = compute_denominator(journals, "two_year", census, citable_types, corpus)
-    denom5 = compute_denominator(journals, "five_year", census, citable_types, corpus)
+    items = derived_item_counts(corpus, journals, citable_types)
+    denom2 = compute_denominator(journals, "two_year", census, item_counts=items)
+    denom5 = compute_denominator(journals, "five_year", census, item_counts=items)
     denom_census = compute_denominator(journals, "census_only", census,
-                                       citable_types, corpus)
+                                       item_counts=items)
 
     derived = [
         quasi_if(by_id["TC-IC2"], denom2),
@@ -478,7 +491,9 @@ def build_parser() -> argparse.ArgumentParser:
     common.add_argument("--out", help="output directory (default .)")
     common.add_argument("--seed", type=int)
     common.add_argument("--threads", type=int,
-                        help="accepted and ignored; every command runs serially")
+                        help="processes that read the corpus in validate and "
+                             "indicators (default: available CPUs); other "
+                             "commands are serial; outputs do not depend on it")
     common.add_argument("--citable-types", dest="citable_types",
                         help="comma-separated doc types counted as citable")
     common.add_argument("--min-group-size", dest="min_group_size", type=int)

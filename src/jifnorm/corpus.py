@@ -2,9 +2,11 @@
 
 A corpus is a census year's worth of citing documents, each carrying its
 raw cited-reference strings. It is stored column by column: one entry per
-document in each per-document column, and one int id per reference into
-the corpus's table of distinct reference strings. Two on-disk formats are
-supported:
+document in each per-document column, and one int slot per reference into
+a table of reference strings, each split once into venue and year tokens.
+A file is read in byte ranges that start at line boundaries, each parsed
+by its own process when more than one is asked for. Two on-disk formats
+are supported:
 
 * JSONL: one object per line with keys ``doc_id``, ``journal``, ``year``,
   ``type``, ``nref``, ``refs`` (array of strings).
@@ -22,10 +24,12 @@ from __future__ import annotations
 import copy
 import json
 import sys
+from array import array
 from collections import defaultdict
-from collections.abc import Iterable, Sequence
-from dataclasses import dataclass
-from itertools import repeat
+from collections.abc import Iterable, Iterator, Sequence
+from dataclasses import dataclass, field
+from functools import cached_property
+from itertools import islice, repeat
 from pathlib import Path
 from typing import TYPE_CHECKING, Optional
 
@@ -41,6 +45,8 @@ DOC_TYPES = frozenset({"article", "review", "letter", "other"})
 CORPUS_TSV_HEADER = ["doc_id", "journal", "year", "type", "nref", "refs"]
 
 NREF_MAX = 2**63 - 1  # declared reference counts are stored as int64
+
+_MIN_RANGE_BYTES = 4 << 20  # a corpus file is read in ranges of at least this
 
 
 class CorpusFormatError(Exception):
@@ -76,35 +82,133 @@ def id_table() -> defaultdict[str, int]:
     return table
 
 
-class _ColumnBuilder:
-    """Appends documents to per-document lists and interns each reference
-    string to an id in first-seen order."""
+def _string_columns(strings: list[str]) -> dict:
+    """Slot columns for a list of reference strings: the strings joined and
+    their lengths, and the codes of each one's venue token and year token,
+    from one ``_split_reference`` per string."""
+    from .refmatch import _split_reference
+
+    venue_ids, year_ids = id_table(), id_table()
+    slot_venue, slot_year = array("i"), array("i")
+    for raw in strings:
+        venue, year = _split_reference(raw)
+        slot_venue.append(venue_ids[venue])
+        slot_year.append(year_ids[year])
+    return dict(slot_text="".join(strings),
+                slot_lens=array("i", map(len, strings)),
+                slot_venue=slot_venue, slot_year=slot_year,
+                venue_tokens=list(venue_ids), year_tokens=list(year_ids))
+
+
+@dataclass
+class _Chunk:
+    """The columns of one part of a corpus: one byte range of a file, or a
+    whole corpus once the parts are joined.
+
+    Per document: ``doc_ids``, ``doc_journals``, ``pub_years``,
+    ``doc_types``, ``ref_counts`` and ``doc_lines`` (line number, 0 when not
+    read from a file), plus ``ref_offsets``, one longer. Per reference:
+    ``ref_slots``, an index into the part's string slots. Per slot: its text
+    (``slot_text`` cut at ``slot_lens``) and its ``slot_venue`` and
+    ``slot_year`` codes into ``venue_tokens`` and ``year_tokens``. Messages
+    are ``(line, text)`` pairs in line order.
+    """
+
+    doc_ids: list[str]
+    doc_journals: list[str]
+    pub_years: Sequence[int]
+    doc_types: list[str]
+    ref_counts: Sequence[int]
+    ref_offsets: Sequence[int]
+    ref_slots: Sequence[int]
+    slot_text: str
+    slot_lens: Sequence[int]
+    slot_venue: Sequence[int]
+    slot_year: Sequence[int]
+    venue_tokens: list[str]
+    year_tokens: list[str]
+    doc_lines: Sequence[int]
+    errors: list[tuple[int, str]] = field(default_factory=list)
+    warnings: list[tuple[int, str]] = field(default_factory=list)
+    n_lines: int = 0
+
+
+class _ChunkBuilder:
+    """Appends documents column by column and interns each reference string
+    to a slot in first-seen order."""
 
     def __init__(self):
         self.doc_ids: list[str] = []
         self.doc_journals: list[str] = []
-        self.pub_years: list[int] = []
+        self.pub_years = array("q")
         self.doc_types: list[str] = []
-        self.ref_counts: list[int] = []
-        self.ref_offsets: list[int] = [0]
-        self.ref_ids: list[int] = []
-        self.string_ids = id_table()
+        self.ref_counts = array("q")
+        self.doc_lines = array("q")
+        self.ref_offsets = array("q", [0])
+        self.ref_slots: list[int] = []
+        self.slot_ids = id_table()
 
     def add(self, doc_id: str, journal: str, year: int, doc_type: str,
-            nref: int, refs: list[str]) -> None:
+            nref: int, refs: list[str], line: int = 0) -> None:
         self.doc_ids.append(doc_id)
         self.doc_journals.append(journal)
         self.pub_years.append(year)
         self.doc_types.append(doc_type)
         self.ref_counts.append(nref)
-        self.ref_ids += map(self.string_ids.__getitem__, refs)
-        self.ref_offsets.append(len(self.ref_ids))
+        self.doc_lines.append(line)
+        self.ref_slots += map(self.slot_ids.__getitem__, refs)
+        self.ref_offsets.append(len(self.ref_slots))
 
-    def columns(self) -> dict:
-        return dict(doc_ids=self.doc_ids, doc_journals=self.doc_journals,
-                    pub_years=self.pub_years, doc_types=self.doc_types,
-                    ref_counts=self.ref_counts, ref_offsets=self.ref_offsets,
-                    ref_ids=self.ref_ids, ref_strings=list(self.string_ids))
+    def finish(self, **messages) -> _Chunk:
+        return _Chunk(doc_ids=self.doc_ids, doc_journals=self.doc_journals,
+                      pub_years=self.pub_years, doc_types=self.doc_types,
+                      ref_counts=self.ref_counts, ref_offsets=self.ref_offsets,
+                      ref_slots=np.array(self.ref_slots, dtype=np.int32),
+                      doc_lines=self.doc_lines,
+                      **_string_columns(list(self.slot_ids)), **messages)
+
+
+def _join(chunks: list[_Chunk]) -> _Chunk:
+    """One part from parts in file order: line numbers shifted by the lines
+    of the parts before, slots and references concatenated, and the venue
+    and year token tables merged and the slot codes renumbered into them."""
+    venue_ids, year_ids = id_table(), id_table()
+    doc_ids, doc_journals, doc_types = [], [], []
+    errors, warnings = [], []
+    arrays: dict[str, list[np.ndarray]] = defaultdict(list)
+    line_base = ref_base = slot_base = 0
+    for c in chunks:
+        doc_ids += c.doc_ids
+        doc_journals += c.doc_journals
+        doc_types += c.doc_types
+        errors += [(line + line_base, text) for line, text in c.errors]
+        warnings += [(line + line_base, text) for line, text in c.warnings]
+        arrays["pub_years"].append(np.asarray(c.pub_years, dtype=np.int64))
+        arrays["ref_counts"].append(np.asarray(c.ref_counts, dtype=np.int64))
+        arrays["doc_lines"].append(
+            np.asarray(c.doc_lines, dtype=np.int64) + line_base)
+        arrays["ref_offsets"].append(
+            np.asarray(c.ref_offsets, dtype=np.int64)[1:] + ref_base)
+        arrays["ref_slots"].append(
+            np.asarray(c.ref_slots, dtype=np.int32) + slot_base)
+        arrays["slot_lens"].append(np.asarray(c.slot_lens, dtype=np.int32))
+        for tokens, ids, codes, key in (
+                (c.venue_tokens, venue_ids, c.slot_venue, "slot_venue"),
+                (c.year_tokens, year_ids, c.slot_year, "slot_year")):
+            renumber = np.fromiter(map(ids.__getitem__, tokens),
+                                   dtype=np.int32, count=len(tokens))
+            arrays[key].append(renumber[np.asarray(codes, dtype=np.intp)])
+        line_base += c.n_lines
+        ref_base += len(c.ref_slots)
+        slot_base += len(c.slot_lens)
+    arrays["ref_offsets"].insert(0, np.zeros(1, np.int64))
+    joined = {key: np.concatenate(parts) for key, parts in arrays.items()}
+    return _Chunk(doc_ids=doc_ids, doc_journals=doc_journals,
+                  doc_types=doc_types,
+                  slot_text="".join(c.slot_text for c in chunks),
+                  venue_tokens=list(venue_ids), year_tokens=list(year_ids),
+                  errors=errors, warnings=warnings, n_lines=line_base,
+                  **joined)
 
 
 class Corpus:
@@ -113,52 +217,92 @@ class Corpus:
     Per document, in input order: ``doc_ids``, ``doc_journals`` (the citing
     journal), ``pub_years``, ``doc_types``, ``ref_counts`` (declared NRef)
     and ``ref_offsets``, one longer than the others: the references of
-    document ``i`` are ``ref_ids[ref_offsets[i]:ref_offsets[i + 1]]``, ids
-    into ``ref_strings``, the table of distinct reference strings.
+    document ``i`` are rows ``ref_offsets[i]:ref_offsets[i + 1]`` of the
+    per-reference columns.
+
+    Each reference is an index into string slots (``ref_slots``); every
+    slot holds one reference string, split once into a venue token and a
+    year token whose codes are ``slot_venue`` and ``slot_year``, indices into
+    the distinct ``venue_tokens`` and ``year_tokens``. A string seen in
+    several byte ranges of a corpus file has a slot per range, and a slot
+    may be used by no reference; ``ref_strings`` (the distinct strings the
+    references use, in first-seen order) and ``ref_ids`` (one index into
+    it per reference) are built on first access.
 
     ``Corpus(census_year, documents)`` builds the columns from ``Document``
     objects; ``documents`` is a read-only sequence that builds each
     ``Document`` on access. Two corpora are equal when their documents
-    are, whatever ids their strings got.
+    are, whatever slots their strings got.
     """
 
     def __init__(self, census_year: int, documents: Iterable[Document],
                  source_format: str = "jsonl",
                  load_errors: Optional[list[str]] = None,
                  load_warnings: Optional[list[str]] = None):
-        builder = _ColumnBuilder()
+        builder = _ChunkBuilder()
         for d in documents:
             builder.add(d.doc_id, d.journal_id, d.pub_year, d.doc_type,
                         d.ref_count, d.refs)
         self._store(census_year, source_format, load_errors, load_warnings,
-                    **builder.columns())
+                    _join([builder.finish()]))
 
     @classmethod
     def from_columns(cls, census_year: int, *, source_format: str = "jsonl",
                      load_errors: Optional[list[str]] = None,
                      load_warnings: Optional[list[str]] = None,
-                     **columns) -> "Corpus":
-        """A corpus over given columns, named as the attributes are."""
+                     ref_ids, ref_strings, **columns) -> "Corpus":
+        """A corpus over given per-document columns, named as the
+        attributes are, and references given as ``ref_ids`` into the list
+        ``ref_strings``."""
         corpus = cls.__new__(cls)
+        chunk = _Chunk(ref_slots=ref_ids,
+                       doc_lines=np.zeros(len(columns["doc_ids"]), np.int64),
+                       **columns, **_string_columns(list(ref_strings)))
         corpus._store(census_year, source_format, load_errors, load_warnings,
-                      **columns)
+                      _join([chunk]))
         return corpus
 
-    def _store(self, census_year, source_format, load_errors, load_warnings, *,
-               doc_ids, doc_journals, pub_years, doc_types, ref_counts,
-               ref_offsets, ref_ids, ref_strings) -> None:
+    def _store(self, census_year, source_format, load_errors, load_warnings,
+               joined: _Chunk) -> None:
         self.census_year = census_year
         self.source_format = source_format
         self.load_errors = [] if load_errors is None else load_errors
         self.load_warnings = [] if load_warnings is None else load_warnings
-        self.doc_ids = doc_ids
-        self.doc_journals = doc_journals
-        self.pub_years = np.asarray(pub_years, dtype=np.int64)
-        self.doc_types = doc_types
-        self.ref_counts = np.asarray(ref_counts, dtype=np.int64)
-        self.ref_offsets = np.asarray(ref_offsets, dtype=np.int64)
-        self.ref_ids = np.asarray(ref_ids, dtype=np.int32)
-        self.ref_strings = ref_strings
+        self.doc_ids = joined.doc_ids
+        self.doc_journals = joined.doc_journals
+        self.pub_years = joined.pub_years
+        self.doc_types = joined.doc_types
+        self.ref_counts = joined.ref_counts
+        self.ref_offsets = joined.ref_offsets
+        self.ref_slots = joined.ref_slots
+        self.slot_venue = joined.slot_venue
+        self.slot_year = joined.slot_year
+        self.venue_tokens = joined.venue_tokens
+        self.year_tokens = joined.year_tokens
+        self._slot_text = joined.slot_text
+        self._slot_lens = joined.slot_lens
+
+    @cached_property
+    def _slot_strings(self) -> list[str]:
+        ends = np.cumsum(self._slot_lens, dtype=np.int64).tolist()
+        text = self._slot_text
+        return [text[a:b] for a, b in zip([0] + ends, ends)]
+
+    @cached_property
+    def _interned(self) -> tuple[list[str], np.ndarray]:
+        table = id_table()
+        refs = map(self._slot_strings.__getitem__, self.ref_slots.tolist())
+        ids = np.fromiter(map(table.__getitem__, refs), dtype=np.int32,
+                          count=self.ref_slots.size)
+        return list(table), ids
+
+    @property
+    def ref_strings(self) -> list[str]:
+        return self._interned[0]
+
+    @property
+    def ref_ids(self) -> np.ndarray:
+        return self._interned[1]
 
     @property
     def documents(self) -> "_DocumentView":
@@ -186,10 +330,11 @@ class _DocumentView(Sequence):
             return [self[i] for i in range(len(self))[index]]
         i = range(len(self))[index]
         c = self._corpus
-        ids = c.ref_ids[c.ref_offsets[i]:c.ref_offsets[i + 1]].tolist()
+        strings = c._slot_strings
+        slots = c.ref_slots[c.ref_offsets[i]:c.ref_offsets[i + 1]].tolist()
         return Document(doc_id=c.doc_ids[i], journal_id=c.doc_journals[i],
                         pub_year=int(c.pub_years[i]), doc_type=c.doc_types[i],
-                        refs=[c.ref_strings[k] for k in ids],
+                        refs=[strings[k] for k in slots],
                         ref_count=int(c.ref_counts[i]))
 
     def __eq__(self, other: object) -> bool:
@@ -321,10 +466,220 @@ def _check_record(doc_id, journal, year, doc_type, nref, refs,
     return doc_type.strip().lower()
 
 
+def _check_jsonl(line: str, census_year: int) -> Optional[tuple]:
+    """The checked record on a JSONL line, None for a blank or comment
+    line."""
+    line = line.strip()
+    if not line or line.startswith("#"):
+        return None
+    obj = json.loads(line)
+    doc_id, journal, year = obj["doc_id"], obj["journal"], obj["year"]
+    doc_type = obj.get("type", "other")
+    nref, refs = obj["nref"], obj.get("refs", [])
+    doc_type = _check_record(doc_id, journal, year, doc_type, nref, refs,
+                             census_year)
+    return doc_id, journal, year, doc_type, nref, refs
+
+
+def _check_tsv(line: str, census_year: int) -> Optional[tuple]:
+    """The checked record on a TSV line, None for a blank or comment line."""
+    if not line or line.startswith("#"):
+        return None
+    fields = line.split("\t")
+    if len(fields) != 6:
+        raise ValueError(f"expected 6 columns, got {len(fields)}")
+    doc_id, journal, year, doc_type, nref, refs_joined = fields
+    refs = [r for r in refs_joined.split(";") if r] if refs_joined else []
+    year, nref = int(year), int(nref)
+    doc_type = _check_record(doc_id, journal, year, doc_type, nref, refs,
+                             census_year)
+    return doc_id, journal, year, doc_type, nref, refs
+
+
+def _decoded_lines(raw: bytes) -> Sequence[str]:
+    """The text lines of one ``\\n``-ended run of UTF-8 bytes, without their
+    ends; like text mode's universal newlines, ``\\r\\n`` and a lone ``\\r``
+    also end a line."""
+    line = raw.decode("utf-8")
+    if "\r" in line:
+        line = line.replace("\r\n", "\n").replace("\r", "\n")
+        return line.removesuffix("\n").split("\n")
+    return (line.removesuffix("\n"),)
+
+
+def _range_lines(path: Path, start: int, end: int) -> Iterator[str]:
+    """The text lines of bytes ``[start, end)`` of a file; ``start`` and
+    ``end`` lie just after a ``\\n`` or at an end of the file."""
+    with open(path, "rb") as fh:
+        fh.seek(start)
+        left = end - start
+        while left > 0:
+            raw = fh.readline(left)
+            if not raw:
+                break
+            left -= len(raw)
+            yield from _decoded_lines(raw)
+
+
+def _tsv_header(path: Path) -> tuple[int, int]:
+    """Check a TSV corpus's header, its first line that is neither blank
+    nor a comment; return its line number and the byte offset just after
+    the ``\\n``-ended run of bytes that holds it."""
+    with open(path, "rb") as fh:
+        lineno = 0
+        for raw in fh:
+            for line in _decoded_lines(raw):
+                lineno += 1
+                if not line or line.startswith("#"):
+                    continue
+                header = line.split("\t")
+                if header != CORPUS_TSV_HEADER:
+                    raise CorpusFormatError(
+                        f"{path}: malformed TSV header {header!r}, "
+                        f"expected {CORPUS_TSV_HEADER!r}")
+                return lineno, fh.tell()
+    raise CorpusFormatError(f"{path}: empty TSV corpus")
+
+
+def _byte_ranges(path: Path, first: int, n: int) -> list[tuple[int, int]]:
+    """At most ``n`` consecutive byte ranges that cover the file, each one
+    after the first starting just after a ``\\n`` at or beyond ``first``."""
+    size = path.stat().st_size
+    cuts = [0]
+    with open(path, "rb") as fh:
+        for i in range(1, n):
+            fh.seek(max(first + (size - first) * i // n, cuts[-1]))
+            fh.readline()
+            if fh.tell() >= size:
+                break
+            cuts.append(fh.tell())
+    cuts.append(size)
+    return list(zip(cuts, cuts[1:]))
+
+
+def _parse_range(path: Path, format: str, start: int, end: int, skip: int,
+                 census_year: int) -> _Chunk:
+    """Read, check and column the records on the lines of bytes
+    ``[start, end)``, whose first ``skip`` lines are not records (a TSV
+    header). Line numbers count from the range's first line."""
+    check = _check_jsonl if format == "jsonl" else _check_tsv
+    builder = _ChunkBuilder()
+    errors: list[tuple[int, str]] = []
+    warnings: list[tuple[int, str]] = []
+    lineno = skip
+    lines = islice(_range_lines(path, start, end), skip, None)
+    for lineno, line in enumerate(lines, start=skip + 1):
+        try:
+            record = check(line, census_year)
+        except (KeyError, TypeError, ValueError) as exc:
+            errors.append((lineno, str(exc)))
+            continue
+        if record is None:
+            continue
+        doc_id, journal, year, doc_type, nref, refs = record
+        if doc_type not in DOC_TYPES:
+            warnings.append((lineno, f"unknown doc_type {doc_type!r} "
+                                     "mapped to 'other'"))
+            doc_type = "other"
+        builder.add(doc_id, journal, year, doc_type, nref, refs, lineno)
+    return builder.finish(errors=errors, warnings=warnings, n_lines=lineno)
+
+
+def _range_worker(conn, args: tuple) -> None:
+    """Worker process body: send ``(True, chunk)`` or ``(False, error)``."""
+    try:
+        result = (True, _parse_range(*args))
+    except Exception as exc:  # handed to the parent, which raises it
+        result = (False, exc)
+    conn.send(result)
+    conn.close()
+
+
+def _parse_ranges(path: Path, ranges: list[tuple], format: str, skip: int,
+                  census_year: int) -> list[_Chunk]:
+    """Parse each byte range: the first in this process, every other one in
+    a forked worker process. Fork, not spawn: a worker needs no state but
+    its arguments, and it starts without importing the package again."""
+    jobs = [(path, format, start, end, skip if i == 0 else 0, census_year)
+            for i, (start, end) in enumerate(ranges)]
+    if len(jobs) == 1:
+        return [_parse_range(*jobs[0])]
+    import multiprocessing
+
+    context = multiprocessing.get_context("fork")
+    sys.stdout.flush()  # else a worker would write the buffered text again
+    sys.stderr.flush()
+    workers = []
+    try:
+        for job in jobs[1:]:
+            receiver, sender = context.Pipe(duplex=False)
+            process = context.Process(target=_range_worker,
+                                      args=(sender, job), daemon=True)
+            process.start()
+            sender.close()
+            workers.append((process, receiver))
+        chunks = [_parse_range(*jobs[0])]
+        for process, receiver in workers:
+            try:
+                ok, result = receiver.recv()
+            except EOFError:
+                process.join()
+                raise OSError(f"a process reading {path.name} exited with "
+                              f"code {process.exitcode}") from None
+            if not ok:
+                raise result
+            chunks.append(result)
+    except BaseException:
+        for process, _ in workers:
+            process.terminate()
+        raise
+    finally:
+        for process, receiver in workers:
+            process.join()
+            receiver.close()
+    return chunks
+
+
+def _reject_duplicates(joined: _Chunk) -> None:
+    """Reject every record whose ``doc_id`` an earlier line holds: record a
+    load error at its line, and drop its columns, its references and its
+    warning."""
+    ids = joined.doc_ids
+    if len(set(ids)) == len(ids):
+        return
+    seen: set[str] = set()
+    keep = np.ones(len(ids), dtype=bool)
+    for i, doc_id in enumerate(ids):
+        if doc_id in seen:
+            keep[i] = False
+        seen.add(doc_id)
+    rejected = np.flatnonzero(~keep)
+    lines = joined.doc_lines[rejected].tolist()
+    joined.errors = sorted(
+        joined.errors + [(line, f"duplicate doc_id {ids[i]!r}")
+                         for line, i in zip(lines, rejected.tolist())])
+    dropped = set(lines)
+    joined.warnings = [w for w in joined.warnings if w[0] not in dropped]
+    counts = np.diff(joined.ref_offsets)
+    joined.ref_slots = joined.ref_slots[np.repeat(keep, counts)]
+    joined.ref_offsets = np.concatenate(
+        [np.zeros(1, np.int64), np.cumsum(counts[keep])])
+    for name in ("doc_ids", "doc_journals", "doc_types"):
+        column = getattr(joined, name)
+        setattr(joined, name, [v for v, k in zip(column, keep.tolist()) if k])
+    for name in ("pub_years", "ref_counts", "doc_lines"):
+        setattr(joined, name, getattr(joined, name)[keep])
+
+
 def load_corpus(path: str | Path, format: str = "auto",
-                census_year: int = 0) -> Corpus:
+                census_year: int = 0, threads: int = 1) -> Corpus:
     """Load a corpus file; malformed records are skipped and recorded in
-    ``Corpus.load_errors``, a malformed TSV header is fatal."""
+    ``Corpus.load_errors``, a malformed TSV header is fatal.
+
+    The file is read as ``min(threads, size // 4 MiB)`` byte ranges (at
+    least one), each by its own process; the corpus, its messages and
+    their order do not depend on how many.
+    """
     path = Path(path)
     if not path.is_file():
         raise CorpusFormatError(f"corpus file not found: {path}")
@@ -334,72 +689,20 @@ def load_corpus(path: str | Path, format: str = "auto",
         raise CorpusFormatError(f"unknown corpus format {format!r}")
     if census_year < 1900:
         raise CorpusFormatError(f"census_year {census_year} must be >= 1900")
+    if threads < 1:
+        raise ValueError(f"threads {threads} must be >= 1")
 
-    builder = _ColumnBuilder()
-    errors: list[str] = []
-    warnings: list[str] = []
-    seen_ids: set[str] = set()
+    skip, first = _tsv_header(path) if format == "tsv" else (0, 0)
+    n = max(1, min(threads, path.stat().st_size // _MIN_RANGE_BYTES))
+    ranges = _byte_ranges(path, first, n)
+    joined = _join(_parse_ranges(path, ranges, format, skip, census_year))
+    _reject_duplicates(joined)
     name = path.name
-
-    def add(doc_id, journal, year, doc_type, nref, refs, where: str) -> None:
-        if doc_id in seen_ids:
-            errors.append(f"{where}: duplicate doc_id {doc_id!r}")
-            return
-        seen_ids.add(doc_id)
-        # only an accepted record may warn
-        if doc_type not in DOC_TYPES:
-            warnings.append(f"{where}: unknown doc_type {doc_type!r} "
-                            "mapped to 'other'")
-            doc_type = "other"
-        builder.add(doc_id, journal, year, doc_type, nref, refs)
-
-    if format == "jsonl":
-        with open(path, encoding="utf-8") as fh:
-            for lineno, line in enumerate(fh, start=1):
-                line = line.strip()
-                if not line or line.startswith("#"):
-                    continue
-                where = f"{name}:{lineno}"
-                try:
-                    obj = json.loads(line)
-                    doc_id, journal, year = obj["doc_id"], obj["journal"], obj["year"]
-                    doc_type = obj.get("type", "other")
-                    nref, refs = obj["nref"], obj.get("refs", [])
-                    doc_type = _check_record(doc_id, journal, year, doc_type,
-                                             nref, refs, census_year)
-                except (json.JSONDecodeError, KeyError, TypeError, ValueError) as exc:
-                    errors.append(f"{where}: {exc}")
-                    continue
-                add(doc_id, journal, year, doc_type, nref, refs, where)
-    else:
-        rows = iter_rows(path)
-        try:
-            _, header = next(rows)
-        except StopIteration:
-            raise CorpusFormatError(f"{path}: empty TSV corpus") from None
-        if header != CORPUS_TSV_HEADER:
-            raise CorpusFormatError(
-                f"{path}: malformed TSV header {header!r}, "
-                f"expected {CORPUS_TSV_HEADER!r}")
-        for lineno, fields in rows:
-            where = f"{name}:{lineno}"
-            if len(fields) != 6:
-                errors.append(f"{where}: expected 6 columns, got {len(fields)}")
-                continue
-            doc_id, journal, year, doc_type, nref, refs_joined = fields
-            refs = [r for r in refs_joined.split(";") if r] if refs_joined else []
-            try:
-                year, nref = int(year), int(nref)
-                doc_type = _check_record(doc_id, journal, year, doc_type, nref,
-                                         refs, census_year)
-            except ValueError as exc:
-                errors.append(f"{where}: {exc}")
-                continue
-            add(doc_id, journal, year, doc_type, nref, refs, where)
-
-    return Corpus.from_columns(census_year, source_format=format,
-                               load_errors=errors, load_warnings=warnings,
-                               **builder.columns())
+    errors = [f"{name}:{line}: {text}" for line, text in joined.errors]
+    warnings = [f"{name}:{line}: {text}" for line, text in joined.warnings]
+    corpus = Corpus.__new__(Corpus)
+    corpus._store(census_year, format, errors, warnings, joined)
+    return corpus
 
 
 def save_corpus(corpus: Corpus, path: str | Path, format: str = "jsonl") -> None:
@@ -552,8 +855,3 @@ def validate_corpus(corpus: Corpus, journals: JournalTable,
         matched_refs=matched, unmatched_venue_refs=unmatched,
         invalid_year_refs=invalid, pre1900_refs=pre1900,
         future_year_refs=future, unknown_journal_docs=unknown_docs)
-
-
-def print_validation(report: ValidationReport, stream=sys.stdout) -> None:
-    for row in report.to_rows():
-        stream.write("\t".join(row).rstrip("\t") + "\n")

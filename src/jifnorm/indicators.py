@@ -88,29 +88,45 @@ def window_years(window: str, census_year: int) -> range:
     return range(census_year, census_year + 1)
 
 
+def derived_item_counts(corpus: Corpus, journals: JournalTable,
+                        citable_types: frozenset[str] = DEFAULT_CITABLE_TYPES
+                        ) -> Counter[tuple[str, int]]:
+    """Documents of the citable types per (journal, publication year) in
+    the corpus, for the journals that declare no ``items_by_year``; empty
+    when every journal declares its counts."""
+    undeclared = {j.journal_id for j in journals if not j.items_by_year}
+    if not undeclared:
+        return Counter()
+    return Counter(
+        (journal, year) for journal, year, doc_type
+        in zip(corpus.doc_journals, corpus.pub_years.tolist(), corpus.doc_types)
+        if journal in undeclared and doc_type in citable_types)
+
+
 def compute_denominator(journals: JournalTable, window: str, census_year: int,
                         citable_types: frozenset[str] = DEFAULT_CITABLE_TYPES,
-                        corpus: Optional[Corpus] = None) -> DenominatorTable:
+                        corpus: Optional[Corpus] = None, *,
+                        item_counts: Optional[Counter[tuple[str, int]]] = None
+                        ) -> DenominatorTable:
     """Sum citable items over the window's years.
 
     Declared ``items_by_year`` counts are used as-is (they are citable
     counts by definition of the journal master). For journals with no
     declared counts at all, item counts are derived from the corpus's own
-    documents of the given citable types, when a corpus is supplied.
+    documents of the given citable types, when a corpus is supplied;
+    ``item_counts`` from :func:`derived_item_counts` stands in for the
+    corpus, so several windows can share one pass over it.
     """
-    derived: Counter[tuple[str, int]] = Counter()
-    if corpus is not None:
-        derived.update(
-            (journal, year) for journal, year, doc_type
-            in zip(corpus.doc_journals, corpus.pub_years.tolist(), corpus.doc_types)
-            if doc_type in citable_types)
+    if item_counts is None:
+        item_counts = (Counter() if corpus is None
+                       else derived_item_counts(corpus, journals, citable_types))
     years = window_years(window, census_year)
     values: dict[str, int] = {}
     for j in journals:
         if j.items_by_year:
             total = sum(j.items_by_year.get(y, 0) for y in years)
         else:
-            total = sum(derived[j.journal_id, y] for y in years)
+            total = sum(item_counts[j.journal_id, y] for y in years)
         values[j.journal_id] = total
     return DenominatorTable(window=window, values=values)
 

@@ -20,13 +20,12 @@ Misses are reported as unmatched, never guessed.
 
 from __future__ import annotations
 
-from array import array
 from dataclasses import dataclass
 from typing import Optional
 
 import numpy as np
 
-from .corpus import Corpus, JournalTable, id_table
+from .corpus import Corpus, JournalTable
 
 YEAR_VALID = "valid"
 YEAR_INVALID = "invalid_format"
@@ -134,45 +133,33 @@ class RefTable:
 def match_corpus(corpus: Corpus, journals: JournalTable) -> RefTable:
     """Parse and match every reference into the columnar table.
 
-    Each distinct string of the corpus is split once; each distinct venue
-    token is then normalized and looked up once, and each distinct year
-    token classified once. The per-reference rows are gathered from those
-    results through the corpus's reference ids, so processing order cannot
-    change the outcome.
+    The corpus split each of its strings once when it was built; here each
+    distinct venue token is normalized and looked up once, and each
+    distinct year token classified once. The per-reference rows are
+    gathered from those results through the slot codes, so processing
+    order cannot change the outcome.
     """
     journal_ids = journals.journal_ids
     journal_pos = {jid: i for i, jid in enumerate(journal_ids)}
-
-    venue_code = id_table()   # distinct venue token -> code
-    year_code = id_table()    # distinct year token -> code
-    venue_of_string = array("i")
-    year_of_string = array("i")
-    for raw in corpus.ref_strings:
-        venue, year_token = _split_reference(raw)
-        venue_of_string.append(venue_code[venue])
-        year_of_string.append(year_code[year_token])
-
     venue_journal = np.array(
         [journal_pos.get(journals.abbrev_index.get(normalize_venue(v)), -1)
-         for v in venue_code], dtype=np.int32)
-    years = [_year_of_token(t) for t in year_code]
+         for v in corpus.venue_tokens], dtype=np.int32)
+    years = [_year_of_token(t) for t in corpus.year_tokens]
     year_value = np.array([y or 0 for y in years], dtype=np.int32)
     year_status = np.array(
         [STATUS_INVALID if y is None
          else _STATUS_CODE[classify_year(y, corpus.census_year)] for y in years],
         dtype=np.uint8)
 
-    ref_ids = corpus.ref_ids
-    venue_of_ref = np.frombuffer(venue_of_string, dtype=np.intc)[ref_ids]
-    year_of_ref = np.frombuffer(year_of_string, dtype=np.intc)[ref_ids]
+    slots = corpus.ref_slots
     n_docs = len(corpus.doc_ids)
     doc_index = np.repeat(np.arange(n_docs, dtype=np.int64),
                           np.diff(corpus.ref_offsets))
     doc_journal_index = np.array([journal_pos.get(j, -1)
                                   for j in corpus.doc_journals], dtype=np.int32)
     return RefTable(journal_ids=journal_ids, doc_index=doc_index,
-                    journal_index=venue_journal[venue_of_ref],
-                    year=year_value[year_of_ref],
-                    status=year_status[year_of_ref],
+                    journal_index=venue_journal[corpus.slot_venue][slots],
+                    year=year_value[corpus.slot_year][slots],
+                    status=year_status[corpus.slot_year][slots],
                     doc_journal_index=doc_journal_index,
                     doc_ref_count=corpus.ref_counts, n_docs=n_docs)

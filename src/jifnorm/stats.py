@@ -225,17 +225,6 @@ def _group_ss(values: np.ndarray, labels: np.ndarray, k: int
     return _ss_between(n, sums, mean), ss_total, n
 
 
-def eta_squared(values: dict[str, float], scheme: FieldScheme) -> float:
-    """Share of the total sum of squares explained by field membership."""
-    v, g, retained, _ = scheme.group_arrays(values)
-    if len(retained) < 2:
-        raise StatsError("need at least 2 retained fields")
-    ss_between, ss_total, _ = _group_ss(v, g, len(retained))
-    if ss_total == 0.0:
-        raise StatsError("eta squared undefined: zero total sum of squares")
-    return ss_between / ss_total
-
-
 def varcomp_moments(values: dict[str, float], scheme: FieldScheme,
                     indicator_id: str = "") -> VarCompResult:
     """One-way random-effects variance components by the method of moments.

@@ -17,7 +17,7 @@ from jifnorm.counts import (FRACTIONAL, FRACTIONAL_PLUS, INTEGER, WindowSpec,
 from jifnorm.indicators import IndicatorTable, compute_denominator, fc_over_p, quasi_if
 from jifnorm.percentile import build_percentiles, percentile_rank, pr6_class, top_share
 from jifnorm.refmatch import match_corpus
-from jifnorm.stats import (FieldScheme, analyze_indicators, eta_squared,
+from jifnorm.stats import (FieldScheme, analyze_indicators,
                            pearson, permutation_test, spearman,
                            varcomp_moments, variance_reduction)
 from jifnorm.synthgen import FieldSpec, SynthConfig, generate_corpus
@@ -216,7 +216,7 @@ def test_criterion_6_statistics_oracles():
         vmap = {f"J{j:04d}": v for j, v in enumerate(values)}
         scheme = FieldScheme("t", {f"J{j:04d}": g for j, g in enumerate(groups)},
                              min_group_size=1)
-        assert abs(eta_squared(vmap, scheme)
+        assert abs(varcomp_moments(vmap, scheme).eta2
                    - brute_eta2(values, groups)) < 1e-10
         result = varcomp_moments(vmap, scheme)
         b_between, b_within = brute_varcomp(values, groups)
@@ -324,11 +324,12 @@ def test_criterion_8_invariance_suite(big_synth):
     vmap = {f"J{i:04d}": float(v) for i, v in enumerate(base_vals)}
     scheme = FieldScheme("t", {f"J{i:04d}": g for i, g in enumerate(groups)},
                          min_group_size=1)
-    base_eta = eta_squared(vmap, scheme)
+    base_eta = varcomp_moments(vmap, scheme).eta2
     base_sigma = varcomp_moments(vmap, scheme).sigma2_between
     base_p = permutation_test([vmap], scheme, seed=12)[0]
     scaled = {j: 2.5 * v + 40.0 for j, v in vmap.items()}
-    assert eta_squared(scaled, scheme) == pytest.approx(base_eta, rel=1e-10)
+    assert varcomp_moments(scaled, scheme).eta2 == pytest.approx(base_eta,
+                                                                 rel=1e-10)
     assert varcomp_moments(scaled, scheme).sigma2_between == pytest.approx(
         2.5 ** 2 * base_sigma, rel=1e-10)
     assert permutation_test([scaled], scheme, seed=12)[0] == base_p

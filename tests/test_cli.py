@@ -402,3 +402,58 @@ def test_console_entry_point_runs():
                           capture_output=True, text=True)
     assert proc.returncode == 0
     assert proc.stdout.strip()
+
+
+@pytest.mark.parametrize("threads", [0, -3])
+@pytest.mark.parametrize("source", ["flag", "config"])
+def test_threads_below_one_exit_2(tmp_path, fixture_paths, capsys, threads,
+                                  source):
+    args = ["indicators", fixture_paths["corpus"],
+            "--journals", fixture_paths["journals"],
+            "--census-year", CENSUS, "--out", tmp_path / "out"]
+    if source == "flag":
+        args += ["--threads", threads]
+    else:
+        conf = tmp_path / "run.cfg"
+        conf.write_text(f"threads = {threads}\n", encoding="utf-8")
+        args += ["--config", conf]
+    assert run(args) == 2
+    assert capsys.readouterr().err == "error: --threads must be >= 1\n"
+    assert not (tmp_path / "out").exists()
+
+
+def test_threads_beyond_ranges_start_no_worker(tmp_path, fixture_paths,
+                                               monkeypatch, capsys):
+    """The fixture is far below one range's minimum size, so it is read as
+    one range by this process, whatever --threads asks for."""
+    import multiprocessing
+
+    def no_worker(*args, **kwargs):
+        raise AssertionError("a worker process was started")
+
+    monkeypatch.setattr(multiprocessing, "get_context", no_worker)
+    results = {}
+    for threads in (1, 64):
+        out = tmp_path / str(threads)
+        code = run(["indicators", fixture_paths["corpus"],
+                    "--journals", fixture_paths["journals"],
+                    "--census-year", CENSUS, "--percentiles",
+                    "--threads", threads, "--out", out])
+        results[threads] = code, capsys.readouterr().err, dir_bytes(out)
+    assert results[1][0] == 1
+    assert results[64] == results[1]
+
+
+def test_varcomp_imports_no_multiprocessing(tmp_path, indicator_dir,
+                                            fixture_paths):
+    script = ("import sys\nfrom jifnorm.cli import main\n"
+              "code = main(sys.argv[1:])\n"
+              "assert 'multiprocessing' not in sys.modules\n"
+              "sys.exit(code)\n")
+    proc = subprocess.run(
+        [sys.executable, "-c", script, "varcomp",
+         str(indicator_dir / "IF5-FC.tsv"), str(indicator_dir / "IF2-IC.tsv"),
+         "--fields", str(fixture_paths["fields"]), "--min-group-size", "2",
+         "--n-perm", "999", "--out", str(tmp_path)],
+        capture_output=True, text=True)
+    assert proc.returncode in (0, 1), proc.stderr

@@ -5,7 +5,8 @@ from jifnorm.counts import (FRACTIONAL, FRACTIONAL_PLUS, INTEGER, WindowSpec,
                             count_citations)
 from jifnorm.indicators import (DenominatorTable, IndicatorError,
                                 IndicatorTable, compute_denominator,
-                                fc_over_p, quasi_if, read_indicator_table)
+                                derived_item_counts, fc_over_p, quasi_if,
+                                read_indicator_table)
 
 from conftest import CENSUS
 from _oracle import full_pipeline
@@ -36,12 +37,19 @@ def test_denominator_derived_from_corpus_when_undeclared(merged_fixture):
             j = j
     j05 = journals.by_id["J05"]
     saved = j05.items_by_year
+    assert not derived_item_counts(corpus, journals)  # all declared
     j05.items_by_year = {}
     try:
         dc = compute_denominator(journals, "census_only", CENSUS,
                                  corpus=corpus)
         # J05 has 4 census-year docs of citable types (3 articles + 1 review)
         assert dc.values["J05"] == 4
+        items = derived_item_counts(corpus, journals)
+        assert {journal for journal, _ in items} == {"J05"}
+        assert items["J05", CENSUS] == 4
+        shared = compute_denominator(journals, "census_only", CENSUS,
+                                     item_counts=items)
+        assert shared == dc
         no_corpus = compute_denominator(journals, "census_only", CENSUS)
         assert no_corpus.values["J05"] == 0
     finally:

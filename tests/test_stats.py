@@ -7,7 +7,7 @@ import scipy.stats
 from jifnorm.indicators import IndicatorTable
 from jifnorm.stats import (FieldScheme, StatsError, VarCompResult, _group_ss,
                            analyze_indicators, average_ranks,
-                           correlation_matrix, eta_squared, ks_normality,
+                           correlation_matrix, ks_normality,
                            pearson, permutation_test, spearman,
                            varcomp_moments, variance_reduction)
 
@@ -235,16 +235,18 @@ def test_matrix_intersection_and_degenerate():
 
 def test_eta2_extremes():
     equal_means = _values([1.0, 2.0, 3.0, 1.0, 2.0, 3.0])
-    assert eta_squared(equal_means, _scheme(list("AAABBB"))) == pytest.approx(0.0)
+    assert varcomp_moments(equal_means,
+                           _scheme(list("AAABBB"))).eta2 == pytest.approx(0.0)
     separated = _values([1.0, 1.0, 5.0, 5.0])
-    assert eta_squared(separated, _scheme(list("AABB"))) == pytest.approx(1.0)
+    assert varcomp_moments(separated,
+                           _scheme(list("AABB"))).eta2 == pytest.approx(1.0)
 
 
 def test_eta2_three_group_oracle():
     rng = np.random.default_rng(17)
     values = rng.normal(size=30)
     groups = list("ABC") * 10
-    got = eta_squared(_values(values), _scheme(groups))
+    got = varcomp_moments(_values(values), _scheme(groups)).eta2
     assert got == pytest.approx(brute_eta2(list(values), groups), abs=1e-12)
 
 
@@ -460,17 +462,19 @@ def test_field_effect_measures_affine_invariance():
     values = rng.normal(size=60) + np.repeat([0.0, 1.0, 2.0], 20)
     groups = [f"G{i}" for i in range(3) for _ in range(20)]
     scheme = _scheme(groups)
-    base_eta = eta_squared(_values(values), scheme)
+    base_eta = varcomp_moments(_values(values), scheme).eta2
     base_vc = varcomp_moments(_values(values), scheme)
     base_p = permutation_test([_values(values)], scheme, seed=3)[0]
 
     shifted = _values(values + 100.0)
-    assert eta_squared(shifted, scheme) == pytest.approx(base_eta, abs=1e-12)
+    assert varcomp_moments(shifted, scheme).eta2 == pytest.approx(base_eta,
+                                                                  abs=1e-12)
     assert varcomp_moments(shifted, scheme).sigma2_between == pytest.approx(
         base_vc.sigma2_between, abs=1e-10)
 
     scaled = _values(4.0 * values - 9.0)
-    assert eta_squared(scaled, scheme) == pytest.approx(base_eta, abs=1e-12)
+    assert varcomp_moments(scaled, scheme).eta2 == pytest.approx(base_eta,
+                                                                 abs=1e-12)
     assert varcomp_moments(scaled, scheme).sigma2_between == pytest.approx(
         16.0 * base_vc.sigma2_between, rel=1e-10)
     assert permutation_test([scaled], scheme, seed=3)[0] == base_p
