@@ -407,7 +407,8 @@ def cmd_varcomp(settings: Settings) -> int:
     tables = _load_varcomp_tables(paths)
     warnings: list[str] = []
     results = analyze_indicators(tables, scheme, statistic=statistic,
-                                 n_perm=n_perm, seed=seed)
+                                 n_perm=n_perm, seed=seed,
+                                 threads=settings.threads)
 
     note = ("method: one-way moment-estimator variance components with "
             "label-permutation significance; components are on the raw "
@@ -492,8 +493,10 @@ def build_parser() -> argparse.ArgumentParser:
     common.add_argument("--seed", type=int)
     common.add_argument("--threads", type=int,
                         help="processes that read the corpus in validate and "
-                             "indicators (default: available CPUs); other "
-                             "commands are serial; outputs do not depend on it")
+                             "indicators and run the permutation test in "
+                             "varcomp, in blocks of seed-sequence children "
+                             "(default: available CPUs); correlate, rank and "
+                             "synth are serial; outputs do not depend on it")
     common.add_argument("--citable-types", dest="citable_types",
                         help="comma-separated doc types counted as citable")
     common.add_argument("--min-group-size", dest="min_group_size", type=int)

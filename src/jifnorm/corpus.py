@@ -16,14 +16,14 @@ are supported:
 The journal master is a headerless TSV with columns ``journal_id``,
 ``full_name``, ``abbrevs`` (``|``-joined), ``field``, ``merge_group``,
 followed by any number of ``year=count`` pairs giving citable-item counts.
-``#``-prefixed lines are comments in all formats.
+``#``-prefixed lines are comments in all formats, and a UTF-8 byte-order
+mark that opens a corpus file is ignored.
 """
 
 from __future__ import annotations
 
 import copy
 import json
-import sys
 from array import array
 from collections import defaultdict
 from collections.abc import Iterable, Iterator, Sequence
@@ -35,6 +35,7 @@ from typing import TYPE_CHECKING, Optional
 
 import numpy as np
 
+from ._fork import run_forked
 from ._tsv import iter_rows
 
 if TYPE_CHECKING:  # pragma: no cover
@@ -496,11 +497,14 @@ def _check_tsv(line: str, census_year: int) -> Optional[tuple]:
     return doc_id, journal, year, doc_type, nref, refs
 
 
-def _decoded_lines(raw: bytes) -> Sequence[str]:
+def _decoded_lines(raw: bytes, file_start: bool = False) -> Sequence[str]:
     """The text lines of one ``\\n``-ended run of UTF-8 bytes, without their
     ends; like text mode's universal newlines, ``\\r\\n`` and a lone ``\\r``
-    also end a line."""
+    also end a line. At ``file_start`` a byte-order mark is dropped after
+    decoding, so a codec error's position still counts it."""
     line = raw.decode("utf-8")
+    if file_start:
+        line = line.removeprefix("\ufeff")
     if "\r" in line:
         line = line.replace("\r\n", "\n").replace("\r", "\n")
         return line.removesuffix("\n").split("\n")
@@ -513,12 +517,14 @@ def _range_lines(path: Path, start: int, end: int) -> Iterator[str]:
     with open(path, "rb") as fh:
         fh.seek(start)
         left = end - start
+        file_start = start == 0
         while left > 0:
             raw = fh.readline(left)
             if not raw:
                 break
             left -= len(raw)
-            yield from _decoded_lines(raw)
+            yield from _decoded_lines(raw, file_start)
+            file_start = False
 
 
 def _tsv_header(path: Path) -> tuple[int, int]:
@@ -528,7 +534,7 @@ def _tsv_header(path: Path) -> tuple[int, int]:
     with open(path, "rb") as fh:
         lineno = 0
         for raw in fh:
-            for line in _decoded_lines(raw):
+            for line in _decoded_lines(raw, lineno == 0):
                 lineno += 1
                 if not line or line.startswith("#"):
                     continue
@@ -571,7 +577,8 @@ def _parse_range(path: Path, format: str, start: int, end: int, skip: int,
     for lineno, line in enumerate(lines, start=skip + 1):
         try:
             record = check(line, census_year)
-        except (KeyError, TypeError, ValueError) as exc:
+        # a JSONL line nested past the recursion limit is a record error too
+        except (KeyError, TypeError, ValueError, RecursionError) as exc:
             errors.append((lineno, str(exc)))
             continue
         if record is None:
@@ -583,61 +590,6 @@ def _parse_range(path: Path, format: str, start: int, end: int, skip: int,
             doc_type = "other"
         builder.add(doc_id, journal, year, doc_type, nref, refs, lineno)
     return builder.finish(errors=errors, warnings=warnings, n_lines=lineno)
-
-
-def _range_worker(conn, args: tuple) -> None:
-    """Worker process body: send ``(True, chunk)`` or ``(False, error)``."""
-    try:
-        result = (True, _parse_range(*args))
-    except Exception as exc:  # handed to the parent, which raises it
-        result = (False, exc)
-    conn.send(result)
-    conn.close()
-
-
-def _parse_ranges(path: Path, ranges: list[tuple], format: str, skip: int,
-                  census_year: int) -> list[_Chunk]:
-    """Parse each byte range: the first in this process, every other one in
-    a forked worker process. Fork, not spawn: a worker needs no state but
-    its arguments, and it starts without importing the package again."""
-    jobs = [(path, format, start, end, skip if i == 0 else 0, census_year)
-            for i, (start, end) in enumerate(ranges)]
-    if len(jobs) == 1:
-        return [_parse_range(*jobs[0])]
-    import multiprocessing
-
-    context = multiprocessing.get_context("fork")
-    sys.stdout.flush()  # else a worker would write the buffered text again
-    sys.stderr.flush()
-    workers = []
-    try:
-        for job in jobs[1:]:
-            receiver, sender = context.Pipe(duplex=False)
-            process = context.Process(target=_range_worker,
-                                      args=(sender, job), daemon=True)
-            process.start()
-            sender.close()
-            workers.append((process, receiver))
-        chunks = [_parse_range(*jobs[0])]
-        for process, receiver in workers:
-            try:
-                ok, result = receiver.recv()
-            except EOFError:
-                process.join()
-                raise OSError(f"a process reading {path.name} exited with "
-                              f"code {process.exitcode}") from None
-            if not ok:
-                raise result
-            chunks.append(result)
-    except BaseException:
-        for process, _ in workers:
-            process.terminate()
-        raise
-    finally:
-        for process, receiver in workers:
-            process.join()
-            receiver.close()
-    return chunks
 
 
 def _reject_duplicates(joined: _Chunk) -> None:
@@ -694,8 +646,10 @@ def load_corpus(path: str | Path, format: str = "auto",
 
     skip, first = _tsv_header(path) if format == "tsv" else (0, 0)
     n = max(1, min(threads, path.stat().st_size // _MIN_RANGE_BYTES))
-    ranges = _byte_ranges(path, first, n)
-    joined = _join(_parse_ranges(path, ranges, format, skip, census_year))
+    jobs = [(path, format, start, end, skip if i == 0 else 0, census_year)
+            for i, (start, end) in enumerate(_byte_ranges(path, first, n))]
+    joined = _join(run_forked(_parse_range, jobs,
+                              f"a process reading {path.name}"))
     _reject_duplicates(joined)
     name = path.name
     errors = [f"{name}:{line}: {text}" for line, text in joined.errors]

@@ -24,9 +24,15 @@ from typing import Optional, Sequence
 
 import numpy as np
 
+from ._fork import run_forked
 from ._tsv import iter_rows, write_rows
 from .corpus import JournalTable
 from .indicators import IndicatorTable
+
+
+# a block of the permutation test permutes at least this many labels,
+# summed over its permutations and tables
+_MIN_PERM_WORK = 1 << 22
 
 
 class StatsError(Exception):
@@ -270,21 +276,46 @@ def _perm_stat(ss_between: float, ss_total: float, k: int, statistic: str,
     return max(0.0, (ms_between - ms_within) / n0)
 
 
+def _perm_block(tables: list[tuple], statistic: str, seed: int, first: int,
+                stop: int) -> list[int]:
+    """Per-table exceedance counts over permutations ``first..stop-1``;
+    permutation i draws from child i of the ``seed`` seed sequence."""
+    lengths = {v.size for v, *_ in tables}
+    exceed = [0] * len(tables)
+    for i in range(first, stop):
+        child = np.random.SeedSequence(seed, spawn_key=(i,))
+        orders = {n: np.random.default_rng(child).permutation(n)
+                  for n in lengths}
+        for t, (v, g, k, sizes, mean, ss_total, n0, observed) in enumerate(tables):
+            sums = np.bincount(g[orders[v.size]], weights=v, minlength=k)
+            stat = _perm_stat(_ss_between(sizes, sums, mean), ss_total, k,
+                              statistic, n0, v.size)
+            if stat >= observed:
+                exceed[t] += 1
+    return exceed
+
+
 def permutation_test(value_maps: Sequence[dict[str, float]],
                      scheme: FieldScheme, statistic: str = "eta2",
-                     n_perm: int = 999, seed: int = 0) -> list[float]:
+                     n_perm: int = 999, seed: int = 0,
+                     threads: int = 1) -> list[float]:
     """Right-tailed label-permutation p-value for the field effect of each
     value map, in input order.
 
     Field labels are shuffled uniformly; permutation i of a table with n
     journals draws from seed-sequence child i, so a map's p-value does not
     depend on the other maps. A shuffle's swaps depend on n alone, so one
-    draw of n positions per child serves every table of that size.
+    draw of n positions per child serves every table of that size. The
+    permutations are cut into at most ``threads`` contiguous blocks, each
+    run by its own process when there is enough work; their exceedance
+    counts are summed, so the p-values do not depend on ``threads``.
     """
     if statistic not in ("eta2", "sigma2_between"):
         raise StatsError(f"unknown permutation statistic {statistic!r}")
     if n_perm < 999:
         raise StatsError("n_perm must be at least 999")
+    if threads < 1:
+        raise StatsError(f"threads {threads} must be >= 1")
     tables = []
     for values in value_maps:
         v, g, retained, _ = scheme.group_arrays(values)
@@ -297,29 +328,26 @@ def permutation_test(value_maps: Sequence[dict[str, float]],
         observed = _perm_stat(ss_between, ss_total, k, statistic, n0, n_total)
         tables.append((v, g, k, sizes, v.mean(), ss_total, n0, observed))
 
-    lengths = {v.size for v, *_ in tables}
-    exceed = [0] * len(tables)
-    for child in np.random.SeedSequence(seed).spawn(n_perm):
-        orders = {n: np.random.default_rng(child).permutation(n)
-                  for n in lengths}
-        for i, (v, g, k, sizes, mean, ss_total, n0, observed) in enumerate(tables):
-            sums = np.bincount(g[orders[v.size]], weights=v, minlength=k)
-            stat = _perm_stat(_ss_between(sizes, sums, mean), ss_total, k,
-                              statistic, n0, v.size)
-            if stat >= observed:
-                exceed[i] += 1
-    return [(1 + e) / (n_perm + 1) for e in exceed]
+    work = n_perm * sum(v.size for v, *_ in tables)
+    blocks = max(1, min(threads, work // _MIN_PERM_WORK))
+    cuts = [n_perm * b // blocks for b in range(blocks + 1)]
+    jobs = [(tables, statistic, seed, first, stop)
+            for first, stop in zip(cuts, cuts[1:])]
+    counts = run_forked(_perm_block, jobs, "a permutation process")
+    return [(1 + sum(c)) / (n_perm + 1) for c in zip(*counts)]
 
 
 def analyze_indicators(tables: Sequence[IndicatorTable], scheme: FieldScheme,
                        statistic: str = "eta2", n_perm: int = 999,
-                       seed: int = 0) -> list[VarCompResult]:
+                       seed: int = 0, threads: int = 1) -> list[VarCompResult]:
     """Variance components plus permutation significance for each
-    indicator, in input order."""
+    indicator, in input order; ``threads`` bounds the processes of the
+    permutation test."""
     results = [varcomp_moments(t.values, scheme, indicator_id=t.indicator_id)
                for t in tables]
     p_values = permutation_test([t.values for t in tables], scheme,
-                                statistic=statistic, n_perm=n_perm, seed=seed)
+                                statistic=statistic, n_perm=n_perm, seed=seed,
+                                threads=threads)
     for result, p in zip(results, p_values):
         result.perm_p = p
     return results

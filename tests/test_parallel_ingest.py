@@ -215,3 +215,93 @@ def test_undecodable_byte_in_any_range_is_fatal(tmp_path, capsys, bad_line):
     assert capsys.readouterr().err.startswith(
         "error: 'utf-8' codec can't decode byte 0xff in position ")
     assert multiprocessing.active_children() == []
+
+
+def _validate(path, threads, out):
+    code = main(["validate", str(path), "--threads", str(threads),
+                 "--journals", str(DATA / "fixture_journals.tsv"),
+                 "--census-year", str(CENSUS), "--out", str(out)])
+    return code, {p.name: p.read_bytes() for p in sorted(out.iterdir())}
+
+
+def test_deep_nesting_is_a_record_error(tmp_path, capsys):
+    """A line nested past the recursion limit is a load error at its line,
+    in the parent's range or in a worker's, and ends like any other."""
+    records = [_record(f"D{i}") for i in range(1500)]
+    deep = '{"doc_id": "DEEP", "x": ' + "[" * 100_000 + "]" * 100_000 + "}"
+    broken = '{"doc_id": "DEEP", "x": '
+    paths = {}
+    for name, line in (("deep", deep), ("broken", broken)):
+        paths[name] = tmp_path / f"{name}.jsonl"
+        paths[name].write_text("\n".join(records + [line, _record("LAST")])
+                               + "\n", encoding="utf-8")
+    assert corpus_mod._byte_ranges(paths["deep"], 0, 2)[1][0] < len(
+        "\n".join(records))
+    results = {}
+    for threads in (1, 2):
+        corpus = load_corpus(paths["deep"], census_year=CENSUS, threads=threads)
+        [error] = corpus.load_errors
+        assert error.startswith("deep.jsonl:1501: maximum recursion depth "
+                                "exceeded")
+        assert len(corpus.documents) == 1501
+        assert corpus.documents[-1].doc_id == "LAST"
+        for name, path in paths.items():
+            results[name, threads] = (
+                *_validate(path, threads, tmp_path / f"{name}{threads}"),
+                capsys.readouterr().err)
+    assert results["deep", 1] == results["deep", 2]
+    assert results["deep", 1][0] == results["broken", 1][0] == 1
+    assert "deep.jsonl:1501: maximum recursion depth" in results["deep", 1][2]
+
+
+BOM = b"\xef\xbb\xbf"
+
+
+@pytest.mark.parametrize("name", ["hand_jsonl", "hand_tsv"])
+def test_byte_order_mark_at_file_start_is_ignored(inputs, tmp_path, name):
+    path = inputs[name][0]
+    marked = tmp_path / path.name
+    marked.write_bytes(BOM + path.read_bytes())
+    for threads in (1, 2):
+        base, base_table = _read(path, threads)
+        corpus, table = _read(marked, threads)
+        assert corpus.load_errors == base.load_errors
+        assert corpus.load_warnings == base.load_warnings
+        assert corpus.documents == base.documents
+        for attr in TABLE_ARRAYS:
+            assert np.array_equal(getattr(table, attr),
+                                  getattr(base_table, attr)), attr
+
+
+def test_byte_order_mark_before_tsv_header(tmp_path):
+    path = tmp_path / "marked.tsv"
+    rows = ["\t".join(corpus_mod.CORPUS_TSV_HEADER)] + [
+        "\t".join([f"B{i}", "J01", str(CENSUS), "article", "1",
+                   "GAMMA CHEM REV|2009"]) for i in range(12)]
+    path.write_bytes(BOM + "\n".join(rows).encode("utf-8"))
+    assert corpus_mod._tsv_header(path) == (1, len(BOM) + len(rows[0]) + 1)
+    for threads in (1, 2):
+        corpus = load_corpus(path, census_year=CENSUS, threads=threads)
+        assert corpus.load_errors == []
+        assert [d.doc_id for d in corpus.documents] == [
+            f"B{i}" for i in range(12)]
+
+
+def test_byte_order_mark_elsewhere_is_kept(tmp_path):
+    """Only the mark at byte 0 is dropped: one at a later line's start is
+    that record's error, and a codec error's position counts the first."""
+    lines = [(_record(f"M{i}") + "\n").encode() for i in range(20)]
+    lines[12] = BOM + lines[12]
+    path = tmp_path / "later.jsonl"
+    path.write_bytes(b"".join(lines))
+    for threads in (1, 2):
+        corpus = load_corpus(path, census_year=CENSUS, threads=threads)
+        assert corpus.load_errors == [
+            "later.jsonl:13: Unexpected UTF-8 BOM (decode using utf-8-sig): "
+            "line 1 column 1 (char 0)"]
+        assert len(corpus.documents) == 19
+    path.write_bytes(BOM + b'{"doc_id": "\xff"}\n' + b"".join(lines[:12]))
+    for threads in (1, 2):
+        with pytest.raises(UnicodeDecodeError) as info:
+            load_corpus(path, census_year=CENSUS, threads=threads)
+        assert info.value.start == len(BOM) + 12
