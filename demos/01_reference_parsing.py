@@ -12,6 +12,7 @@ stays unmatched and is reported as such.
 
 from jifnorm import (Journal, JournalTable, match_venue, normalize_venue,
                      parse_reference)
+from jifnorm.refmatch import STATUS_NAMES
 
 CENSUS = 2010
 
@@ -28,7 +29,7 @@ print("parse results (census year %d):" % CENSUS)
 for raw in examples:
     ref = parse_reference(raw, census_year=CENSUS)
     print(f"  {raw!r:50} -> venue={ref.venue_abbrev!r:18} "
-          f"year={ref.year!s:5} status={ref.year_status}")
+          f"year={ref.year!s:5} status={STATUS_NAMES[ref.year_status]}")
 
 # Normalization uppercases, collapses interior whitespace, and strips
 # trailing punctuation, and it is idempotent, so both sides of a lookup

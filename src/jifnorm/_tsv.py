@@ -1,23 +1,54 @@
-"""Small shared helpers for TSV reading/writing.
+"""Small shared helpers for reading and writing TSV and key=value files.
 
-All files are UTF-8 with LF line endings. Lines whose first character is
-``#`` are comments and are skipped on input.
+All files are UTF-8 with LF line endings; a byte-order mark that opens a
+file is ignored on input. Lines whose first character is ``#`` are
+comments and are skipped on input.
 """
 
 from __future__ import annotations
 
+from contextlib import contextmanager
 from pathlib import Path
-from typing import Iterable, Iterator
+from typing import Iterable, Iterator, TextIO
+
+
+@contextmanager
+def _open_text(path: str | Path) -> Iterator[TextIO]:
+    """A UTF-8 text file opened for reading, past a byte-order mark at its
+    start."""
+    with open(path, encoding="utf-8") as fh:
+        if fh.read(1) != "\ufeff":
+            fh.seek(0)
+        yield fh
 
 
 def iter_rows(path: str | Path) -> Iterator[tuple[int, list[str]]]:
     """Yield (1-based line number, fields) for every non-comment, non-blank line."""
-    with open(path, encoding="utf-8") as fh:
+    with _open_text(path) as fh:
         for lineno, line in enumerate(fh, start=1):
             line = line.rstrip("\n").rstrip("\r")
             if not line or line.startswith("#"):
                 continue
             yield lineno, line.split("\t")
+
+
+def iter_key_values(path: str | Path, error: type[Exception]
+                    ) -> Iterator[tuple[int, str, str]]:
+    """Yield (1-based line number, key, value) for every ``key=value`` line
+    of a config file, both sides stripped; blank and comment lines are
+    skipped. A missing file or a line without ``=`` raises ``error``."""
+    path = Path(path)
+    if not path.is_file():
+        raise error(f"config file not found: {path}")
+    with _open_text(path) as fh:
+        for lineno, line in enumerate(fh, start=1):
+            line = line.strip()
+            if not line or line.startswith("#"):
+                continue
+            key, sep, value = line.partition("=")
+            if not sep:
+                raise error(f"{path.name}:{lineno}: expected key=value")
+            yield lineno, key.strip(), value.strip()
 
 
 def write_rows(path: str | Path, header: list[str], rows: Iterable[Iterable[str]],

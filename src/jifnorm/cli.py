@@ -25,7 +25,7 @@ from . import indicators as ind_mod
 from . import percentile as pct_mod
 from . import stats as stats_mod
 from . import synthgen
-from ._tsv import iter_rows, write_rows
+from ._tsv import iter_key_values, iter_rows, write_rows
 from .corpus import CorpusFormatError, JournalTableError
 from .counts import (CountError, CountMode, FRACTIONAL, FRACTIONAL_PLUS,
                      INTEGER, WindowSpec, count_citations)
@@ -66,20 +66,7 @@ def _cast_bool(value: str) -> bool:
 def _read_config(path: str | None) -> dict[str, str]:
     if not path:
         return {}
-    p = Path(path)
-    if not p.is_file():
-        raise CliError(f"config file not found: {p}")
-    values: dict[str, str] = {}
-    with open(p, encoding="utf-8") as fh:
-        for lineno, line in enumerate(fh, start=1):
-            line = line.strip()
-            if not line or line.startswith("#"):
-                continue
-            key, sep, value = line.partition("=")
-            if not sep:
-                raise CliError(f"{p.name}:{lineno}: expected key=value")
-            values[key.strip()] = value.strip()
-    return values
+    return {key: value for _, key, value in iter_key_values(path, CliError)}
 
 
 def _available_cpus() -> int:
@@ -357,13 +344,8 @@ def _load_varcomp_tables(paths: list[Path]) -> list[IndicatorTable]:
     """Indicator files, plus percentile files expanded into :PR100/:PR6."""
     tables: list[IndicatorTable] = []
     for path in paths:
-        with open(path, encoding="utf-8") as fh:
-            header = ""
-            for line in fh:
-                if line.strip() and not line.startswith("#"):
-                    header = line.rstrip("\n")
-                    break
-        if header.split("\t")[:4] == ["journal_id", "indicator_id", "pr100", "pr6"]:
+        header = next((fields for _, fields in iter_rows(path)), [])
+        if header[:4] == ["journal_id", "indicator_id", "pr100", "pr6"]:
             # one (PR100, PR6) pair per indicator_id, in file order
             pairs: dict[str, tuple[dict[str, float], dict[str, float]]] = {}
             for _, fields in iter_rows(path):

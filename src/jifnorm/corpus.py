@@ -226,9 +226,7 @@ class Corpus:
     year token whose codes are ``slot_venue`` and ``slot_year``, indices into
     the distinct ``venue_tokens`` and ``year_tokens``. A string seen in
     several byte ranges of a corpus file has a slot per range, and a slot
-    may be used by no reference; ``ref_strings`` (the distinct strings the
-    references use, in first-seen order) and ``ref_ids`` (one index into
-    it per reference) are built on first access.
+    may be used by no reference.
 
     ``Corpus(census_year, documents)`` builds the columns from ``Document``
     objects; ``documents`` is a read-only sequence that builds each
@@ -251,14 +249,13 @@ class Corpus:
     def from_columns(cls, census_year: int, *, source_format: str = "jsonl",
                      load_errors: Optional[list[str]] = None,
                      load_warnings: Optional[list[str]] = None,
-                     ref_ids, ref_strings, **columns) -> "Corpus":
-        """A corpus over given per-document columns, named as the
-        attributes are, and references given as ``ref_ids`` into the list
-        ``ref_strings``."""
+                     slot_strings: list[str], **columns) -> "Corpus":
+        """A corpus over given per-document columns and ``ref_slots``,
+        named as the attributes are, whose slot ``i`` holds
+        ``slot_strings[i]``."""
         corpus = cls.__new__(cls)
-        chunk = _Chunk(ref_slots=ref_ids,
-                       doc_lines=np.zeros(len(columns["doc_ids"]), np.int64),
-                       **columns, **_string_columns(list(ref_strings)))
+        chunk = _Chunk(doc_lines=np.zeros(len(columns["doc_ids"]), np.int64),
+                       **columns, **_string_columns(slot_strings))
         corpus._store(census_year, source_format, load_errors, load_warnings,
                       _join([chunk]))
         return corpus
@@ -288,22 +285,6 @@ class Corpus:
         ends = np.cumsum(self._slot_lens, dtype=np.int64).tolist()
         text = self._slot_text
         return [text[a:b] for a, b in zip([0] + ends, ends)]
-
-    @cached_property
-    def _interned(self) -> tuple[list[str], np.ndarray]:
-        table = id_table()
-        refs = map(self._slot_strings.__getitem__, self.ref_slots.tolist())
-        ids = np.fromiter(map(table.__getitem__, refs), dtype=np.int32,
-                          count=self.ref_slots.size)
-        return list(table), ids
-
-    @property
-    def ref_strings(self) -> list[str]:
-        return self._interned[0]
-
-    @property
-    def ref_ids(self) -> np.ndarray:
-        return self._interned[1]
 
     @property
     def documents(self) -> "_DocumentView":
@@ -802,7 +783,7 @@ def validate_corpus(corpus: Corpus, journals: JournalTable,
     unmatched = int((parseable & (ref_table.journal_index < 0)).sum())
     pre1900 = int((status == refmatch.STATUS_PRE1900).sum())
     future = int((status == refmatch.STATUS_FUTURE).sum())
-    unknown_docs = int((np.asarray(ref_table.doc_journal_index) < 0).sum())
+    unknown_docs = sum(j not in journals.by_id for j in corpus.doc_journals)
 
     return ValidationReport(
         total_docs=len(corpus.doc_ids), total_refs=total_refs,

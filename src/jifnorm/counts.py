@@ -136,18 +136,20 @@ def count_citations(corpus: Corpus, journals: JournalTable, w: WindowSpec,
         ref_table = match_corpus(corpus, journals)
 
     n_journals = len(ref_table.journal_ids)
+    offsets = corpus.ref_offsets
     valid = ref_table.status == STATUS_VALID
     inwin = valid & (ref_table.year >= w.lo) & (ref_table.year <= w.hi)
 
-    # k = valid in-window references per citing document (matched or not)
-    k = np.bincount(ref_table.doc_index[inwin], minlength=ref_table.n_docs)
+    # k = valid in-window references per citing document (matched or not):
+    # differences of the running in-window count at the reference offsets
+    k = np.diff(np.concatenate(([0], np.cumsum(inwin)))[offsets])
     contributing = int((k > 0).sum())
-    bad = ref_table.doc_ref_count < k
+    bad = corpus.ref_counts < k
     if bad.any():
         i = int(np.argmax(bad))
         raise CountError(
             f"document {corpus.doc_ids[i]!r} declares NRef "
-            f"{int(ref_table.doc_ref_count[i])} below its in-window "
+            f"{int(corpus.ref_counts[i])} below its in-window "
             f"reference count {int(k[i])}")
 
     counted = inwin & (ref_table.journal_index >= 0)
@@ -159,14 +161,14 @@ def count_citations(corpus: Corpus, journals: JournalTable, w: WindowSpec,
         return CountTable(window=w, mode=mode, values=values,
                           contributing_docs=contributing)
 
-    per_doc = k if mode.fraction_base == "in_window" else ref_table.doc_ref_count
+    per_doc = k if mode.fraction_base == "in_window" else corpus.ref_counts
     # count references exactly per (journal, divisor) pair, then add one
     # count/divisor term per pair in ascending-divisor order
     divisors, code = np.unique(per_doc, return_inverse=True)
     n_div = divisors.size
-    pairs, refs_per_pair = np.unique(
-        jidx.astype(np.int64) * n_div + code[ref_table.doc_index[counted]],
-        return_counts=True)
+    ref_code = np.repeat(code, np.diff(offsets))[counted]
+    pairs, refs_per_pair = np.unique(jidx.astype(np.int64) * n_div + ref_code,
+                                     return_counts=True)
     totals = np.bincount(pairs // n_div,
                          weights=refs_per_pair / divisors[pairs % n_div],
                          minlength=n_journals)

@@ -104,22 +104,18 @@ def derived_item_counts(corpus: Corpus, journals: JournalTable,
 
 
 def compute_denominator(journals: JournalTable, window: str, census_year: int,
-                        citable_types: frozenset[str] = DEFAULT_CITABLE_TYPES,
-                        corpus: Optional[Corpus] = None, *,
-                        item_counts: Optional[Counter[tuple[str, int]]] = None
+                        *, item_counts: Optional[Counter[tuple[str, int]]] = None
                         ) -> DenominatorTable:
     """Sum citable items over the window's years.
 
     Declared ``items_by_year`` counts are used as-is (they are citable
-    counts by definition of the journal master). For journals with no
-    declared counts at all, item counts are derived from the corpus's own
-    documents of the given citable types, when a corpus is supplied;
-    ``item_counts`` from :func:`derived_item_counts` stands in for the
-    corpus, so several windows can share one pass over it.
+    counts by definition of the journal master). Journals with no declared
+    counts at all take theirs from ``item_counts``, the corpus's documents
+    of the citable types as :func:`derived_item_counts` tallies them, so
+    several windows can share one pass over the corpus; without it they
+    count 0.
     """
-    if item_counts is None:
-        item_counts = (Counter() if corpus is None
-                       else derived_item_counts(corpus, journals, citable_types))
+    item_counts = item_counts or Counter()
     years = window_years(window, census_year)
     values: dict[str, int] = {}
     for j in journals:

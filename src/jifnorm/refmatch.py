@@ -10,8 +10,10 @@ Two raw layouts are accepted, documented bit-exactly:
 
 A year token is parseable only if it is exactly four ASCII digits; anything
 else (including two-digit fragments such as ``18``) yields
-``invalid_format``. Parseable years are then classified: below 1900 as
-``pre1900``, beyond the census year as ``future``, otherwise ``valid``.
+``STATUS_INVALID``. Parseable years are then classified: below 1900 as
+``STATUS_PRE1900``, beyond the census year as ``STATUS_FUTURE``, otherwise
+``STATUS_VALID``. A status is one of these codes everywhere;
+``STATUS_NAMES[code]`` is its display name.
 
 Venue resolution is exact-match only, on normalized strings (uppercased,
 interior whitespace collapsed, trailing ``.,;:`` punctuation stripped).
@@ -27,18 +29,12 @@ import numpy as np
 
 from .corpus import Corpus, JournalTable
 
-YEAR_VALID = "valid"
-YEAR_INVALID = "invalid_format"
-YEAR_PRE1900 = "pre1900"
-YEAR_FUTURE = "future"
-
 STATUS_VALID = 0
 STATUS_INVALID = 1
 STATUS_PRE1900 = 2
 STATUS_FUTURE = 3
 
-_STATUS_CODE = {YEAR_VALID: STATUS_VALID, YEAR_INVALID: STATUS_INVALID,
-                YEAR_PRE1900: STATUS_PRE1900, YEAR_FUTURE: STATUS_FUTURE}
+STATUS_NAMES = ("valid", "invalid_format", "pre1900", "future")
 
 _TRAILING_PUNCT = " .,;:"
 
@@ -47,12 +43,12 @@ _TRAILING_PUNCT = " .,;:"
 class CitedRef:
     """Parse result for one raw reference string.
 
-    ``year`` is present iff ``year_status != invalid_format``.
+    ``year`` is present iff ``year_status != STATUS_INVALID``.
     """
 
     venue_abbrev: str
     year: Optional[int]
-    year_status: str
+    year_status: int
 
 
 def normalize_venue(s: str) -> str:
@@ -60,12 +56,12 @@ def normalize_venue(s: str) -> str:
     return " ".join(s.split()).upper().rstrip(_TRAILING_PUNCT)
 
 
-def classify_year(year: int, census_year: Optional[int]) -> str:
+def classify_year(year: int, census_year: Optional[int]) -> int:
     if year < 1900:
-        return YEAR_PRE1900
+        return STATUS_PRE1900
     if census_year is not None and year > census_year:
-        return YEAR_FUTURE
-    return YEAR_VALID
+        return STATUS_FUTURE
+    return STATUS_VALID
 
 
 def _split_reference(raw: str) -> tuple[str, str]:
@@ -91,14 +87,14 @@ def _year_of_token(token: str) -> Optional[int]:
 def parse_reference(raw: str, census_year: Optional[int] = None) -> CitedRef:
     """Extract (venue, year) from one raw reference string.
 
-    Without a ``census_year`` the ``future`` classification cannot be
-    applied and post-census years come back ``valid``.
+    Without a ``census_year`` the ``STATUS_FUTURE`` classification cannot
+    be applied and post-census years come back ``STATUS_VALID``.
     """
     if not raw:
         raise ValueError("empty reference string")
     venue, year_token = _split_reference(raw)
     year = _year_of_token(year_token)
-    status = YEAR_INVALID if year is None else classify_year(year, census_year)
+    status = STATUS_INVALID if year is None else classify_year(year, census_year)
     return CitedRef(venue_abbrev=normalize_venue(venue), year=year,
                     year_status=status)
 
@@ -115,19 +111,18 @@ def match_venue(venue_abbrev: str, journals: JournalTable) -> Optional[str]:
 class RefTable:
     """Columnar view of every reference in a corpus, after parse + match.
 
-    One row per reference, in (document order, reference order). This is
-    what the counting engine consumes; building it once and reusing it
-    across windows and counting modes avoids re-parsing.
+    One row per reference, in (document order, reference order), and
+    nothing per document: the references of document ``i`` are rows
+    ``corpus.ref_offsets[i]:corpus.ref_offsets[i + 1]``, and its journal
+    and declared NRef stay in the corpus's own columns. This is what the
+    counting engine consumes; building it once and reusing it across
+    windows and counting modes avoids re-parsing.
     """
 
     journal_ids: list[str]
-    doc_index: np.ndarray       # int64, row -> position in corpus.documents
     journal_index: np.ndarray   # int32, row -> journal position, -1 unmatched
     year: np.ndarray            # int32, 0 where the year is unparseable
     status: np.ndarray          # uint8, STATUS_* codes
-    doc_journal_index: np.ndarray  # int32 per document, -1 unknown journal
-    doc_ref_count: np.ndarray      # int64 per document, declared NRef
-    n_docs: int
 
 
 def match_corpus(corpus: Corpus, journals: JournalTable) -> RefTable:
@@ -147,19 +142,11 @@ def match_corpus(corpus: Corpus, journals: JournalTable) -> RefTable:
     years = [_year_of_token(t) for t in corpus.year_tokens]
     year_value = np.array([y or 0 for y in years], dtype=np.int32)
     year_status = np.array(
-        [STATUS_INVALID if y is None
-         else _STATUS_CODE[classify_year(y, corpus.census_year)] for y in years],
-        dtype=np.uint8)
+        [STATUS_INVALID if y is None else classify_year(y, corpus.census_year)
+         for y in years], dtype=np.uint8)
 
     slots = corpus.ref_slots
-    n_docs = len(corpus.doc_ids)
-    doc_index = np.repeat(np.arange(n_docs, dtype=np.int64),
-                          np.diff(corpus.ref_offsets))
-    doc_journal_index = np.array([journal_pos.get(j, -1)
-                                  for j in corpus.doc_journals], dtype=np.int32)
-    return RefTable(journal_ids=journal_ids, doc_index=doc_index,
+    return RefTable(journal_ids=journal_ids,
                     journal_index=venue_journal[corpus.slot_venue][slots],
                     year=year_value[corpus.slot_year][slots],
-                    status=year_status[corpus.slot_year][slots],
-                    doc_journal_index=doc_journal_index,
-                    doc_ref_count=corpus.ref_counts, n_docs=n_docs)
+                    status=year_status[corpus.slot_year][slots])

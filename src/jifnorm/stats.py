@@ -221,14 +221,33 @@ def _ss_between(sizes: np.ndarray, sums: np.ndarray, mean: float) -> float:
     return float((sizes * (sums / sizes - mean) ** 2).sum())
 
 
-def _group_ss(values: np.ndarray, labels: np.ndarray, k: int
-              ) -> tuple[float, float, np.ndarray]:
-    """(SS_between, SS_total, group sizes) for integer labels 0..k-1."""
-    n = np.bincount(labels, minlength=k).astype(np.float64)
-    sums = np.bincount(labels, weights=values, minlength=k)
-    mean = values.mean()
-    ss_total = float(((values - mean) ** 2).sum())
-    return _ss_between(n, sums, mean), ss_total, n
+def _one_way(values: dict[str, float], scheme: FieldScheme) -> tuple:
+    """Group a value map by field and split its sum of squares: (values,
+    integer labels, retained fields, excluded fields, SS_between, SS_total,
+    group sizes, n0), with n0 = (N - sum(n_i^2)/N) / (k - 1)."""
+    v, g, retained, excluded = scheme.group_arrays(values)
+    k = len(retained)
+    if k < 2:
+        raise StatsError("need at least 2 retained fields")
+    n_total = v.size
+    sizes = np.bincount(g, minlength=k).astype(np.float64)
+    sums = np.bincount(g, weights=v, minlength=k)
+    mean = v.mean()
+    ss_total = float(((v - mean) ** 2).sum())
+    n0 = (n_total - float((sizes ** 2).sum()) / n_total) / (k - 1)
+    return (v, g, retained, excluded, _ss_between(sizes, sums, mean), ss_total,
+            sizes, n0)
+
+
+def _perm_stat(ss_between: float, ss_total: float, k: int, statistic: str,
+               n0: float, n_total: int) -> float:
+    """eta2 = SS_between / SS_total (0 when SS_total is 0), or sigma2_between
+    = (MS_between - MS_within) / n0 clamped at zero."""
+    if statistic == "eta2":
+        return ss_between / ss_total if ss_total > 0 else 0.0
+    ms_within = (ss_total - ss_between) / (n_total - k)
+    ms_between = ss_between / (k - 1)
+    return max(0.0, (ms_between - ms_within) / n0)
 
 
 def varcomp_moments(values: dict[str, float], scheme: FieldScheme,
@@ -239,18 +258,9 @@ def varcomp_moments(values: dict[str, float], scheme: FieldScheme,
     (MS_between - MS_within) / n0 clamped at zero, with
     n0 = (N - sum(n_i^2)/N) / (k - 1).
     """
-    v, g, retained, excluded = scheme.group_arrays(values)
-    k = len(retained)
-    if k < 2:
-        raise StatsError("need at least 2 retained fields")
-    n_total = v.size
-    ss_between, ss_total, sizes = _group_ss(v, g, k)
-    ss_within = ss_total - ss_between
-    ms_within = ss_within / (n_total - k)
-    ms_between = ss_between / (k - 1)
-    n0 = (n_total - float((sizes ** 2).sum()) / n_total) / (k - 1)
-    sigma2_between = max(0.0, (ms_between - ms_within) / n0)
-    eta2 = ss_between / ss_total if ss_total > 0 else 0.0
+    v, g, retained, excluded, ss_between, ss_total, _, n0 = _one_way(values,
+                                                                      scheme)
+    k, n_total = len(retained), v.size
 
     dispersion: dict[str, float] = {}
     for i, code in enumerate(retained):
@@ -259,21 +269,14 @@ def varcomp_moments(values: dict[str, float], scheme: FieldScheme,
         var = float(group.var(ddof=1)) if group.size > 1 else 0.0
         dispersion[code] = var / mean if mean != 0.0 else float("nan")
 
-    return VarCompResult(indicator_id=indicator_id,
-                         sigma2_between=sigma2_between,
-                         sigma2_within=ms_within, eta2=eta2,
-                         groups_used=k, n_journals=n_total,
-                         excluded_fields=excluded,
-                         dispersion_by_field=dispersion)
-
-
-def _perm_stat(ss_between: float, ss_total: float, k: int, statistic: str,
-               n0: float, n_total: int) -> float:
-    if statistic == "eta2":
-        return ss_between / ss_total if ss_total > 0 else 0.0
-    ms_within = (ss_total - ss_between) / (n_total - k)
-    ms_between = ss_between / (k - 1)
-    return max(0.0, (ms_between - ms_within) / n0)
+    return VarCompResult(
+        indicator_id=indicator_id,
+        sigma2_between=_perm_stat(ss_between, ss_total, k, "sigma2_between",
+                                  n0, n_total),
+        sigma2_within=(ss_total - ss_between) / (n_total - k),
+        eta2=_perm_stat(ss_between, ss_total, k, "eta2", n0, n_total),
+        groups_used=k, n_journals=n_total, excluded_fields=excluded,
+        dispersion_by_field=dispersion)
 
 
 def _perm_block(tables: list[tuple], statistic: str, seed: int, first: int,
@@ -318,14 +321,10 @@ def permutation_test(value_maps: Sequence[dict[str, float]],
         raise StatsError(f"threads {threads} must be >= 1")
     tables = []
     for values in value_maps:
-        v, g, retained, _ = scheme.group_arrays(values)
+        v, g, retained, _, ss_between, ss_total, sizes, n0 = _one_way(values,
+                                                                      scheme)
         k = len(retained)
-        if k < 2:
-            raise StatsError("need at least 2 retained fields")
-        n_total = v.size
-        ss_between, ss_total, sizes = _group_ss(v, g, k)
-        n0 = (n_total - float((sizes ** 2).sum()) / n_total) / (k - 1)
-        observed = _perm_stat(ss_between, ss_total, k, statistic, n0, n_total)
+        observed = _perm_stat(ss_between, ss_total, k, statistic, n0, v.size)
         tables.append((v, g, k, sizes, v.mean(), ss_total, n0, observed))
 
     work = n_perm * sum(v.size for v, *_ in tables)

@@ -23,6 +23,7 @@ from typing import Optional
 
 import numpy as np
 
+from ._tsv import iter_key_values, write_rows
 from .corpus import Corpus, Journal, JournalTable
 from .stats import FieldScheme
 
@@ -101,7 +102,6 @@ class GroundTruth:
     expected_fc_rate: Optional[dict[str, dict[str, float]]] = None
 
     def save(self, out_dir: str | Path) -> None:
-        from ._tsv import write_rows
         out = Path(out_dir)
         write_rows(out / "ground_truth_journals.tsv",
                    ["journal_id", "quality"],
@@ -217,23 +217,23 @@ def generate_corpus(cfg: SynthConfig
 
     # the string pool: slot 0 per journal holds the invalid-year variant,
     # slots 1..years_back one string per cited age
-    slots = yb + 1
-    ref_strings: list[str] = []
+    per_journal = yb + 1
+    slot_strings: list[str] = []
     for jid in ordered_ids:
         abbrev = table.by_id[jid].abbreviations[0]
-        ref_strings.append(f"{abbrev}|18")
-        ref_strings.extend(f"{abbrev}|{census - age}" for age in range(1, yb + 1))
+        slot_strings.append(f"{abbrev}|18")
+        slot_strings.extend(f"{abbrev}|{census - age}" for age in range(1, yb + 1))
 
     doc_ids: list[str] = []
     doc_journals: list[str] = []
     ref_counts: list[np.ndarray] = []
-    ref_ids: list[np.ndarray] = []
+    ref_slots: list[np.ndarray] = []
 
     for ji, jid in enumerate(ordered_ids):
         spec = spec_of[jid]
         rng = np.random.default_rng(children[ji + 1])
-        n_docs = spec.papers_per_journal_per_year
-        nrefs = np.maximum(rng.poisson(spec.mean_ref_len, n_docs), 1)
+        n_papers = spec.papers_per_journal_per_year
+        nrefs = np.maximum(rng.poisson(spec.mean_ref_len, n_papers), 1)
         total = int(nrefs.sum())
 
         ages = rng.choice(np.arange(1, yb + 1), size=total,
@@ -251,10 +251,10 @@ def generate_corpus(cfg: SynthConfig
         invalid = (rng.random(total) < cfg.invalid_ref_rate
                    if cfg.invalid_ref_rate > 0 else np.zeros(total, dtype=bool))
 
-        ref_ids.append(targets * slots + np.where(invalid, 0, ages))
+        ref_slots.append(targets * per_journal + np.where(invalid, 0, ages))
         ref_counts.append(nrefs)
-        doc_ids.extend(f"{jid}-D{di:05d}" for di in range(n_docs))
-        doc_journals.extend([jid] * n_docs)
+        doc_ids.extend(f"{jid}-D{di:05d}" for di in range(n_papers))
+        doc_journals.extend([jid] * n_papers)
 
     counts = np.concatenate(ref_counts)
     offsets = np.zeros(counts.size + 1, dtype=np.int64)
@@ -262,8 +262,8 @@ def generate_corpus(cfg: SynthConfig
     corpus = Corpus.from_columns(
         census, doc_ids=doc_ids, doc_journals=doc_journals,
         pub_years=np.full(counts.size, census), doc_types=["article"] * counts.size,
-        ref_counts=counts, ref_offsets=offsets, ref_ids=np.concatenate(ref_ids),
-        ref_strings=ref_strings)
+        ref_counts=counts, ref_offsets=offsets,
+        ref_slots=np.concatenate(ref_slots), slot_strings=slot_strings)
 
     scheme = FieldScheme(name="synthetic",
                          assignment={jid: spec_of[jid].field_code
@@ -289,36 +289,26 @@ def load_synth_config(path: str | Path) -> SynthConfig:
     top: dict[str, object] = {}
     per_field: dict[str, dict[str, object]] = {}
     path = Path(path)
-    if not path.is_file():
-        raise SynthConfigError(f"config file not found: {path}")
-    with open(path, encoding="utf-8") as fh:
-        for lineno, line in enumerate(fh, start=1):
-            line = line.strip()
-            if not line or line.startswith("#"):
-                continue
-            key, sep, value = line.partition("=")
-            if not sep:
-                raise SynthConfigError(f"{path.name}:{lineno}: expected key=value")
-            key, value = key.strip(), value.strip()
-            if key.startswith("field."):
-                parts = key.split(".")
-                if len(parts) != 3 or parts[2] not in _FIELD_KEYS:
-                    raise SynthConfigError(
-                        f"{path.name}:{lineno}: unknown field key {key!r}")
-                _, code, param = parts
-                try:
-                    per_field.setdefault(code, {})[param] = _FIELD_KEYS[param](value)
-                except ValueError:
-                    raise SynthConfigError(
-                        f"{path.name}:{lineno}: bad value {value!r}") from None
-            elif key in _TOP_KEYS:
-                try:
-                    top[key] = _TOP_KEYS[key](value)
-                except ValueError:
-                    raise SynthConfigError(
-                        f"{path.name}:{lineno}: bad value {value!r}") from None
-            else:
-                raise SynthConfigError(f"{path.name}:{lineno}: unknown key {key!r}")
+    for lineno, key, value in iter_key_values(path, SynthConfigError):
+        if key.startswith("field."):
+            parts = key.split(".")
+            if len(parts) != 3 or parts[2] not in _FIELD_KEYS:
+                raise SynthConfigError(
+                    f"{path.name}:{lineno}: unknown field key {key!r}")
+            _, code, param = parts
+            try:
+                per_field.setdefault(code, {})[param] = _FIELD_KEYS[param](value)
+            except ValueError:
+                raise SynthConfigError(
+                    f"{path.name}:{lineno}: bad value {value!r}") from None
+        elif key in _TOP_KEYS:
+            try:
+                top[key] = _TOP_KEYS[key](value)
+            except ValueError:
+                raise SynthConfigError(
+                    f"{path.name}:{lineno}: bad value {value!r}") from None
+        else:
+            raise SynthConfigError(f"{path.name}:{lineno}: unknown key {key!r}")
     if "census_year" not in top:
         raise SynthConfigError(f"{path.name}: census_year is required")
     fields = []

@@ -232,13 +232,15 @@ def test_repeated_reference_string_is_stored_once(tmp_path):
     docs = [Document(f"d{i}", "A", 2010, "article", ["J A|2008", f"J B|200{i}"], 2)
             for i in range(3)]
     corpus = Corpus(2010, docs)
-    assert corpus.ref_strings.count("J A|2008") == 1
-    assert len(corpus.ref_strings) == 4 and corpus.ref_ids.size == 6
+    # one slot per distinct string; the three "J A|2008" references share one
+    assert corpus.slot_venue.size == 4 and corpus.ref_slots.size == 6
+    assert len(set(corpus.ref_slots[0::2].tolist())) == 1
     assert list(corpus.documents) == docs
     out = tmp_path / "c.jsonl"
     save_corpus(corpus, out)
     back = load_corpus(out, census_year=2010)
-    assert back.ref_strings.count("J A|2008") == 1
+    assert back.slot_venue.size == 4
+    assert len(set(back.ref_slots[0::2].tolist())) == 1
     assert back == corpus
 
 

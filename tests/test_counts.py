@@ -1,12 +1,15 @@
 import numpy as np
 import pytest
+from hypothesis import example, given, settings, strategies as st
 
-from jifnorm import Corpus, Document, Journal, JournalTable, load_corpus
+from jifnorm import (Corpus, Document, Journal, JournalTable, load_corpus,
+                     match_corpus)
+from jifnorm.cli import COUNT_VARIABLES
 from jifnorm.counts import (CountError, CountMode, FRACTIONAL, FRACTIONAL_PLUS,
                             INTEGER, WindowSpec, count_citations, variable_id)
 
 from conftest import CENSUS
-from _oracle import full_pipeline
+from _oracle import count as oracle_count, full_pipeline
 
 
 @pytest.fixture(scope="module")
@@ -181,3 +184,64 @@ def test_count_table_tsv_round_digits(merged_fixture, tmp_path):
                               INTEGER)
     integer.to_tsv(out)
     assert "." not in out.read_text().splitlines()[1].split("\t")[3]
+
+
+# --- k from the corpus's reference offsets ----------------------------------
+
+_ORACLE_JOURNALS = {"A": {"abbrevs": ["J A"]}, "B": {"abbrevs": ["J B"]}}
+# matched, unmatched, out-of-window, pre-1900, post-census and unparseable
+# years, in both layouts
+_REFS = st.sampled_from([
+    "J A|2009", "J A|2008", "J B|2007", "J B|2005", "J A|2004", "J B|1950",
+    "J A|2010", "UNKNOWN|2009", "UNKNOWN|2006", "J A|1899", "J B|2011",
+    "J A|18", "SMITH, 2008, J B, V1", "DOE, 2006, J A", "X, 2009, NOWHERE",
+    "ANON"])
+_DOCS = st.lists(st.tuples(st.lists(_REFS, max_size=6),
+                           st.integers(0, 3)), max_size=8)
+
+
+@given(_DOCS)
+@example([])
+@settings(max_examples=150, deadline=None)
+def test_counts_equal_oracle_with_empty_reference_lists(docs):
+    """All 8 count variables equal the oracle's, with the first, a middle
+    and the last document citing nothing."""
+    if docs:
+        for i in {0, len(docs) // 2, len(docs) - 1}:
+            docs[i] = ([], docs[i][1])
+    corpus = Corpus(CENSUS, [
+        Document(f"d{i}", "A", CENSUS, "article", refs, len(refs) + extra)
+        for i, (refs, extra) in enumerate(docs)])
+    journals = JournalTable([Journal("A", "A", ["J A"], "F", {}),
+                             Journal("B", "B", ["J B"], "F", {})])
+    oracle_docs = [{"refs": refs, "nref": len(refs) + extra}
+                   for refs, extra in docs]
+    ref_table = match_corpus(corpus, journals)
+    for kind, mode in COUNT_VARIABLES:
+        table = count_citations(corpus, journals, WindowSpec(kind, CENSUS),
+                                mode, ref_table=ref_table)
+        expected, contributing = oracle_count(
+            oracle_docs, _ORACLE_JOURNALS, CENSUS, kind, mode.label)
+        assert table.contributing_docs == contributing, (kind, mode.label)
+        assert set(table.values) == set(expected)
+        for jid, v in expected.items():
+            got = table.values[jid]
+            if mode is INTEGER:
+                assert type(got) is int and got == v, (kind, jid)
+            else:
+                assert type(got) is float, (kind, mode.label, jid)
+                assert got == pytest.approx(float(v), rel=1e-12, abs=0), (
+                    kind, mode.label, jid)
+
+
+def test_nref_below_in_window_count_names_its_document():
+    docs = [Document("d0", "A", CENSUS, "article", [], 0),
+            Document("d1", "A", CENSUS, "article", ["J A|2009"], 1),
+            Document("d2", "A", CENSUS, "article", ["J A|2009", "J B|2008"], 1),
+            Document("d3", "A", CENSUS, "article", [], 0)]
+    journals = JournalTable([Journal("A", "A", ["J A"], "F", {}),
+                             Journal("B", "B", ["J B"], "F", {})])
+    with pytest.raises(CountError, match="document 'd2' declares NRef 1 below "
+                                         "its in-window reference count 2"):
+        count_citations(Corpus(CENSUS, docs), journals,
+                        WindowSpec("two_year", CENSUS), FRACTIONAL)

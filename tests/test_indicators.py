@@ -41,7 +41,8 @@ def test_denominator_derived_from_corpus_when_undeclared(merged_fixture):
     j05.items_by_year = {}
     try:
         dc = compute_denominator(journals, "census_only", CENSUS,
-                                 corpus=corpus)
+                                 item_counts=derived_item_counts(corpus,
+                                                                 journals))
         # J05 has 4 census-year docs of citable types (3 articles + 1 review)
         assert dc.values["J05"] == 4
         items = derived_item_counts(corpus, journals)

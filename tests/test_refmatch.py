@@ -1,11 +1,11 @@
-import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from jifnorm import (Corpus, Document, Journal, JournalTable, classify_year,
                      match_corpus, match_venue, normalize_venue,
                      parse_reference)
-from jifnorm.refmatch import STATUS_FUTURE, STATUS_INVALID, STATUS_PRE1900, STATUS_VALID
+from jifnorm.refmatch import (STATUS_FUTURE, STATUS_INVALID, STATUS_NAMES,
+                              STATUS_PRE1900, STATUS_VALID)
 
 
 @pytest.fixture()
@@ -19,12 +19,12 @@ def test_parse_comma_layout():
     ref = parse_reference("SMITH J, 2008, J EXAMPLE SCI, V12, P34")
     assert ref.venue_abbrev == "J EXAMPLE SCI"
     assert ref.year == 2008
-    assert ref.year_status == "valid"
+    assert ref.year_status == STATUS_VALID
 
 
 def test_parse_two_digit_year_is_invalid_format():
     ref = parse_reference("DOE A, 18, SOME BOOK")
-    assert ref.year_status == "invalid_format"
+    assert ref.year_status == STATUS_INVALID
     assert ref.year is None
     assert ref.venue_abbrev == "SOME BOOK"
 
@@ -32,19 +32,19 @@ def test_parse_two_digit_year_is_invalid_format():
 def test_parse_pre1900_year():
     ref = parse_reference("LEE K, 1899, OLD J")
     assert ref.year == 1899
-    assert ref.year_status == "pre1900"
+    assert ref.year_status == STATUS_PRE1900
 
 
 def test_parse_structured_layout():
     ref = parse_reference("J EXAMPLE SCI|2009", census_year=2010)
     assert ref.venue_abbrev == "J EXAMPLE SCI"
     assert ref.year == 2009
-    assert ref.year_status == "valid"
+    assert ref.year_status == STATUS_VALID
 
 
 def test_parse_future_year_needs_census():
-    assert parse_reference("A, 2011, V", census_year=2010).year_status == "future"
-    assert parse_reference("A, 2011, V").year_status == "valid"
+    assert parse_reference("A, 2011, V", census_year=2010).year_status == STATUS_FUTURE
+    assert parse_reference("A, 2011, V").year_status == STATUS_VALID
 
 
 @pytest.mark.parametrize("raw", [
@@ -53,21 +53,26 @@ def test_parse_future_year_needs_census():
     "SMITH J, \uff12\uff10\uff10\uff18, J A"])  # full-width digits
 def test_parse_year_needs_ascii_digits(raw):
     ref = parse_reference(raw, census_year=2010)
-    assert ref.year_status == "invalid_format"
+    assert ref.year_status == STATUS_INVALID
     assert ref.year is None
     assert ref.venue_abbrev == "J A"
 
 
 def test_parse_short_strings():
-    assert parse_reference("ANON").year_status == "invalid_format"
+    assert parse_reference("ANON").year_status == STATUS_INVALID
     assert parse_reference("ANON, 2001").venue_abbrev == ""
     assert parse_reference("ANON, 2001").year == 2001
+
+
+_STATUS = {"valid": STATUS_VALID, "invalid_format": STATUS_INVALID,
+           "pre1900": STATUS_PRE1900, "future": STATUS_FUTURE}
 
 
 @pytest.mark.parametrize("year,expected", [
     (1900, "valid"), (1899, "pre1900"), (2010, "valid"), (2011, "future")])
 def test_classify_year_boundaries(year, expected):
-    assert classify_year(year, 2010) == expected
+    assert classify_year(year, 2010) == _STATUS[expected]
+    assert STATUS_NAMES[classify_year(year, 2010)] == expected
 
 
 def test_normalize_examples():
@@ -119,7 +124,7 @@ def test_match_corpus_fills_table_rows(raw_fixture):
     table = match_corpus(corpus, journals)
     assert table.status.size == sum(len(d.refs) for d in corpus.documents)
     di = next(i for i, d in enumerate(corpus.documents) if d.doc_id == "J01-01")
-    row = int(np.flatnonzero(table.doc_index == di)[0])
+    row = int(corpus.ref_offsets[di])
     assert table.journal_ids[table.journal_index[row]] == "J03"
 
 
@@ -132,8 +137,6 @@ def test_matched_never_exceeds_parseable(raw_fixture):
     assert matched <= with_venue
 
 
-_STATUS = {"valid": STATUS_VALID, "invalid_format": STATUS_INVALID,
-           "pre1900": STATUS_PRE1900, "future": STATUS_FUTURE}
 # free text of layout pieces, arbitrary characters and ASCII and non-ASCII
 # digits, alone or placed in either layout
 _PIECE = st.one_of(
@@ -171,4 +174,4 @@ def test_ref_table_rows_equal_parse_reference(refs):
         expected = table.journal_ids.index(jid) if jid is not None else -1
         assert table.journal_index[row] == expected, raw
         assert table.year[row] == (parsed.year or 0), raw
-        assert table.status[row] == _STATUS[parsed.year_status], raw
+        assert table.status[row] == parsed.year_status, raw

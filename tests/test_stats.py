@@ -5,7 +5,7 @@ import pytest
 import scipy.stats
 
 from jifnorm.indicators import IndicatorTable
-from jifnorm.stats import (FieldScheme, StatsError, VarCompResult, _group_ss,
+from jifnorm.stats import (FieldScheme, StatsError, VarCompResult,
                            analyze_indicators, average_ranks,
                            correlation_matrix, ks_normality,
                            pearson, permutation_test, spearman,
@@ -94,8 +94,12 @@ def loop_permutation_p(values, scheme, statistic, n_perm, seed):
     sizes = np.bincount(g, minlength=k).astype(np.float64)
     n0 = (n_total - float((sizes ** 2).sum()) / n_total) / (k - 1)
 
+    mean = v.mean()
+    ss_total = float(((v - mean) ** 2).sum())
+
     def stat(labels):
-        ss_between, ss_total, _ = _group_ss(v, labels, k)
+        sums = np.bincount(labels, weights=v, minlength=k)
+        ss_between = float((sizes * (sums / sizes - mean) ** 2).sum())
         if statistic == "eta2":
             return ss_between / ss_total if ss_total > 0 else 0.0
         ms_within = (ss_total - ss_between) / (n_total - k)
