@@ -2,7 +2,8 @@
 
 All files are UTF-8 with LF line endings; a byte-order mark that opens a
 file is ignored on input. Lines whose first character is ``#`` are
-comments and are skipped on input.
+comments, and lines of whitespace without a tab are blank; both are
+skipped on input. An integer field is an optional sign and ASCII digits.
 """
 
 from __future__ import annotations
@@ -22,12 +23,26 @@ def _open_text(path: str | Path) -> Iterator[TextIO]:
         yield fh
 
 
+def skipped(line: str) -> bool:
+    """Whether a line is a comment or blank (no tab, only whitespace)."""
+    return line.startswith("#") or ("\t" not in line and not line.strip())
+
+
+def integer(text: str) -> int:
+    """``int(text)`` for an optional sign and ASCII digits, else int()'s
+    ``ValueError``: no spaces, ``_`` separators or non-ASCII digits."""
+    digits = text[1:] if text[:1] in ("+", "-") else text
+    if not (digits.isascii() and digits.isdigit()):
+        raise ValueError(f"invalid literal for int() with base 10: {text!r}")
+    return int(text)
+
+
 def iter_rows(path: str | Path) -> Iterator[tuple[int, list[str]]]:
-    """Yield (1-based line number, fields) for every non-comment, non-blank line."""
+    """Yield (1-based line number, fields) for every line not :func:`skipped`."""
     with _open_text(path) as fh:
         for lineno, line in enumerate(fh, start=1):
             line = line.rstrip("\n").rstrip("\r")
-            if not line or line.startswith("#"):
+            if skipped(line):
                 continue
             yield lineno, line.split("\t")
 

@@ -17,24 +17,24 @@ import hashlib
 import json
 import os
 import sys
+from dataclasses import replace
 from pathlib import Path
 
 from . import __version__
 from . import corpus as corpus_mod
-from . import indicators as ind_mod
-from . import percentile as pct_mod
 from . import stats as stats_mod
 from . import synthgen
-from ._tsv import iter_key_values, iter_rows, write_rows
+from ._tsv import integer, iter_key_values, iter_rows, write_rows
 from .corpus import CorpusFormatError, JournalTableError
-from .counts import (CountError, CountMode, FRACTIONAL, FRACTIONAL_PLUS,
-                     INTEGER, WindowSpec, count_citations)
-from .indicators import (DEFAULT_CITABLE_TYPES, IndicatorError, IndicatorTable,
-                         compute_denominator, count_indicator,
-                         denominator_indicator, derived_item_counts, fc_over_p,
+from .counts import (CountError, FRACTIONAL, FRACTIONAL_PLUS, INTEGER,
+                     WindowSpec, count_citations)
+from .indicators import (DEFAULT_CITABLE_TYPES, DENOMINATOR_WINDOWS,
+                         IndicatorError, IndicatorTable, compute_denominator,
+                         count_indicator, denominator_indicator,
+                         derived_item_counts, fc_over_p,
                          import_external_indicator, quasi_if,
-                         read_indicator_table)
-from .percentile import PercentileError, build_percentiles
+                         read_indicator_table, read_table_values)
+from .percentile import PERCENTILE_HEADER, PercentileError, build_percentiles
 from .refmatch import match_corpus
 from .stats import StatsError, analyze_indicators, variance_reduction
 from .synthgen import SynthConfigError
@@ -81,7 +81,7 @@ class Settings:
     def __init__(self, args: argparse.Namespace):
         self.args = args
         self.config = _read_config(getattr(args, "config", None))
-        threads = self.get("threads", None, int)
+        threads = self.get("threads", None, integer)
         if threads is not None and threads < 1:
             raise CliError("--threads must be >= 1")
         self.threads = threads or _available_cpus()
@@ -137,7 +137,7 @@ def _out_dir(settings: Settings) -> Path:
 
 def _load_inputs(settings: Settings, corpus_path: str
                  ) -> tuple[corpus_mod.Corpus, corpus_mod.JournalTable, list[str]]:
-    census = settings.require("census_year", int)
+    census = settings.require("census_year", integer)
     journals_path = settings.require("journals")
     fmt = settings.get("format", "auto")
     journals = corpus_mod.load_journals(journals_path)
@@ -175,7 +175,7 @@ def cmd_validate(settings: Settings) -> int:
         outputs.append("load_errors.txt")
     write_manifest(out, "validate",
                    [Path(settings.args.corpus), Path(settings.require("journals"))],
-                   {"census_year": settings.require("census_year", int)},
+                   {"census_year": settings.require("census_year", integer)},
                    outputs)
     _emit_warnings(warnings)
     return 1 if warnings else 0
@@ -195,33 +195,24 @@ def compute_all_tables(corpus, journals, citable_types,
     by_id = {t.variable_id: t for t in count_tables}
 
     items = derived_item_counts(corpus, journals, citable_types)
-    denom2 = compute_denominator(journals, "two_year", census, item_counts=items)
-    denom5 = compute_denominator(journals, "five_year", census, item_counts=items)
-    denom_census = compute_denominator(journals, "census_only", census,
-                                       item_counts=items)
+    denoms = {window: compute_denominator(journals, window, census,
+                                          item_counts=items)
+              for window in DENOMINATOR_WINDOWS}
 
-    derived = [
-        quasi_if(by_id["TC-IC2"], denom2),
-        quasi_if(by_id["TC-IC5"], denom5),
-        quasi_if(by_id["TC-FC2"], denom2),
-        quasi_if(by_id["TC-FC5"], denom5),
-        quasi_if(by_id["TC-FC2+"], denom2),
-        quasi_if(by_id["TC-FC5+"], denom5),
-        fc_over_p(by_id["TC-FC"], denom_census),
-    ]
-    aliases = [
-        IndicatorTable("IF2-Num", {j: float(v) for j, v in by_id["TC-IC2"].values.items()}),
-        IndicatorTable("IF5-Num", {j: float(v) for j, v in by_id["TC-IC5"].values.items()}),
-        denominator_indicator(denom2, "IF2-Denom"),
-        denominator_indicator(denom5, "IF5-Denom"),
-        denominator_indicator(denom_census, f"Items{census}"),
-    ]
-    return count_tables, derived + aliases
+    derived = [quasi_if(t, denoms[t.window.kind]) for t in count_tables
+               if t.window.kind != "all_years"]
+    derived.append(fc_over_p(by_id["TC-FC"], denoms["census_only"]))
+    derived += [replace(count_indicator(by_id[f"TC-IC{n}"]),
+                        indicator_id=f"IF{n}-Num") for n in ("2", "5")]
+    derived += [denominator_indicator(denoms[window], name) for window, name
+                in zip(DENOMINATOR_WINDOWS,
+                       ("IF2-Denom", "IF5-Denom", f"Items{census}"))]
+    return count_tables, derived
 
 
 def cmd_indicators(settings: Settings) -> int:
     out = _out_dir(settings)
-    census = settings.require("census_year", int)
+    census = settings.require("census_year", integer)
     corpus, journals, warnings = _load_inputs(settings, settings.args.corpus)
     citable = _citable_types(settings, warnings)
 
@@ -236,14 +227,12 @@ def cmd_indicators(settings: Settings) -> int:
         warnings.extend(table.warnings)
         indicator_tables.append(table)
         external_paths.append(Path(ext_path))
+    # every table as an indicator; a count table's file keeps its own form
+    tables = [count_indicator(t) for t in count_tables] + indicator_tables
     outputs: list[str] = []
-    for table in count_tables:
-        name = f"{_safe_name(table.variable_id)}.tsv"
-        table.to_tsv(out / name)
-        outputs.append(name)
-    for table in indicator_tables:
+    for source, table in zip(count_tables + indicator_tables, tables):
         name = f"{_safe_name(table.indicator_id)}.tsv"
-        table.to_tsv(out / name)
+        source.to_tsv(out / name)
         outputs.append(name)
         if table.undefined_journals:
             outputs.append(name + ".undefined")
@@ -252,33 +241,21 @@ def cmd_indicators(settings: Settings) -> int:
                             "zero denominator")
 
     # combined wide table: journals x variables, blanks where undefined
-    wide_ids: list[str] = [t.variable_id for t in count_tables]
-    wide_cols: list[dict[str, float]] = [t.values for t in count_tables]
-    for t in indicator_tables:
-        wide_ids.append(t.indicator_id)
-        wide_cols.append(t.values)
-    rows = []
-    for jid in journals.journal_ids:
-        row = [jid]
-        for col in wide_cols:
-            row.append(f"{col[jid]:.6f}" if jid in col else "")
-        rows.append(row)
-    write_rows(out / "indicators_wide.tsv", ["journal_id"] + wide_ids, rows)
+    rows = [[jid] + [f"{t.values[jid]:.6f}" if jid in t.values else ""
+                     for t in tables]
+            for jid in journals.journal_ids]
+    write_rows(out / "indicators_wide.tsv",
+               ["journal_id"] + [t.indicator_id for t in tables], rows)
     outputs.append("indicators_wide.tsv")
 
     if settings.get("percentiles", False, _cast_bool):
         # percentile ranks are reported for the citation-total family
         pr_marked = {"FC/P", "IF2-Num", "IF5-Num", "IF2-Denom", "IF5-Denom"}
-        pr_rows = []
-        pr_tables = ([count_indicator(t) for t in count_tables]
-                     + [t for t in indicator_tables
-                        if t.indicator_id in pr_marked])
-        for t in pr_tables:
-            if not t.values:
-                continue
-            pr_rows.extend(build_percentiles(t).to_rows())
-        write_rows(out / "percentiles.tsv",
-                   ["journal_id", "indicator_id", "pr100", "pr6"], pr_rows)
+        ranked = tables[:len(count_tables)] + [
+            t for t in indicator_tables if t.indicator_id in pr_marked]
+        pr_rows = [row for t in ranked if t.values
+                   for row in build_percentiles(t).to_rows()]
+        write_rows(out / "percentiles.tsv", PERCENTILE_HEADER, pr_rows)
         outputs.append("percentiles.tsv")
 
     write_manifest(out, "indicators",
@@ -295,18 +272,15 @@ def cmd_rank(settings: Settings) -> int:
     out = _out_dir(settings)
     table = read_indicator_table(settings.args.indicator)
     warnings: list[str] = []
-    top = settings.get("top", None, int)
+    top = settings.get("top", None, integer)
     pr6 = settings.get("pr6", False, _cast_bool)
     if (top is None) == (not pr6):
         raise CliError("exactly one of --top K or --pr6 is required")
 
     if pr6:
         pct = build_percentiles(table)
-        rows = [[jid, table.indicator_id, f"{pct.pr100[jid]:.4f}",
-                 str(pct.pr6[jid])]
-                for jid in sorted(pct.pr6) if pct.pr6[jid] == 6]
-        write_rows(out / "ranking.tsv",
-                   ["journal_id", "indicator_id", "pr100", "pr6"], rows)
+        rows = [row for row in pct.to_rows() if pct.pr6[row[0]] == 6]
+        write_rows(out / "ranking.tsv", PERCENTILE_HEADER, rows)
         params = {"mode": "pr6"}
     else:
         if top > len(table.values):
@@ -345,19 +319,14 @@ def _load_varcomp_tables(paths: list[Path]) -> list[IndicatorTable]:
     tables: list[IndicatorTable] = []
     for path in paths:
         header = next((fields for _, fields in iter_rows(path)), [])
-        if header[:4] == ["journal_id", "indicator_id", "pr100", "pr6"]:
+        if header == PERCENTILE_HEADER:
             # one (PR100, PR6) pair per indicator_id, in file order
-            pairs: dict[str, tuple[dict[str, float], dict[str, float]]] = {}
-            for _, fields in iter_rows(path):
-                if fields[0] == "journal_id":
-                    continue
-                jid, source, p100, p6 = fields
-                pr100, pr6 = pairs.setdefault(source, ({}, {}))
-                pr100[jid] = float(p100)
-                pr6[jid] = float(p6)
-            for source, (pr100, pr6) in pairs.items():
-                tables.append(IndicatorTable(f"{source}:PR100", pr100))
-                tables.append(IndicatorTable(f"{source}:PR6", pr6))
+            for source, rows in read_table_values(
+                    path, len(PERCENTILE_HEADER)).items():
+                for i, name in enumerate(("PR100", "PR6")):
+                    tables.append(IndicatorTable(
+                        f"{source}:{name}",
+                        {jid: v[i] for jid, v in rows.items()}))
         else:
             tables.append(read_indicator_table(path))
     return tables
@@ -365,9 +334,9 @@ def _load_varcomp_tables(paths: list[Path]) -> list[IndicatorTable]:
 
 def cmd_varcomp(settings: Settings) -> int:
     out = _out_dir(settings)
-    min_group = settings.get("min_group_size", 10, int)
-    n_perm = settings.get("n_perm", 999, int)
-    seed = settings.get("seed", 0, int)
+    min_group = settings.get("min_group_size", 10, integer)
+    n_perm = settings.get("n_perm", 999, integer)
+    seed = settings.get("seed", 0, integer)
     statistic = settings.get("perm_stat", "eta2")
     reference_id = settings.get("reference", "IF2-IC")
 
@@ -442,7 +411,7 @@ def cmd_varcomp(settings: Settings) -> int:
 def cmd_synth(settings: Settings) -> int:
     out = _out_dir(settings)
     cfg = synthgen.load_synth_config(settings.args.config_file)
-    seed = settings.get("seed", None, int)
+    seed = settings.get("seed", None, integer)
     if seed is not None:
         cfg = synthgen.SynthConfig(
             census_year=cfg.census_year, fields=cfg.fields,
@@ -468,12 +437,12 @@ def _emit_warnings(warnings: list[str]) -> None:
 def build_parser() -> argparse.ArgumentParser:
     common = argparse.ArgumentParser(add_help=False)
     common.add_argument("--config", help="key=value file with flag defaults")
-    common.add_argument("--census-year", dest="census_year", type=int)
+    common.add_argument("--census-year", dest="census_year", type=integer)
     common.add_argument("--journals", help="journal master TSV")
     common.add_argument("--fields", help="journal_id/field TSV")
     common.add_argument("--out", help="output directory (default .)")
-    common.add_argument("--seed", type=int)
-    common.add_argument("--threads", type=int,
+    common.add_argument("--seed", type=integer)
+    common.add_argument("--threads", type=integer,
                         help="processes that read the corpus in validate and "
                              "indicators and run the permutation test in "
                              "varcomp, in blocks of seed-sequence children "
@@ -481,7 +450,7 @@ def build_parser() -> argparse.ArgumentParser:
                              "synth are serial; outputs do not depend on it")
     common.add_argument("--citable-types", dest="citable_types",
                         help="comma-separated doc types counted as citable")
-    common.add_argument("--min-group-size", dest="min_group_size", type=int)
+    common.add_argument("--min-group-size", dest="min_group_size", type=integer)
     common.add_argument("--format", choices=["auto", "jsonl", "tsv"],
                         help="corpus file format (default auto)")
 
@@ -507,7 +476,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("rank", parents=[common],
                        help="top-k or top-percentile-class listing")
     p.add_argument("indicator")
-    p.add_argument("--top", type=int)
+    p.add_argument("--top", type=integer)
     p.add_argument("--pr6", action="store_const", const=True, default=None,
                    help="list the top percentile class alphabetically")
 
@@ -519,7 +488,7 @@ def build_parser() -> argparse.ArgumentParser:
                        help="between-field variance components and "
                             "permutation significance")
     p.add_argument("indicators", nargs="+")
-    p.add_argument("--n-perm", dest="n_perm", type=int)
+    p.add_argument("--n-perm", dest="n_perm", type=integer)
     p.add_argument("--reference", help="reference indicator for the "
                                        "variance-reduction block")
     p.add_argument("--perm-stat", dest="perm_stat",

@@ -16,8 +16,9 @@ are supported:
 The journal master is a headerless TSV with columns ``journal_id``,
 ``full_name``, ``abbrevs`` (``|``-joined), ``field``, ``merge_group``,
 followed by any number of ``year=count`` pairs giving citable-item counts.
-``#``-prefixed lines are comments in all formats, and a UTF-8 byte-order
-mark that opens a corpus file is ignored.
+``#``-prefixed lines are comments and lines of whitespace are blank in all
+formats (in TSV a line with a tab is a row), and a UTF-8 byte-order mark
+that opens a corpus file is ignored. TSV integers are ASCII digits.
 """
 
 from __future__ import annotations
@@ -31,15 +32,14 @@ from dataclasses import dataclass, field
 from functools import cached_property
 from itertools import islice, repeat
 from pathlib import Path
-from typing import TYPE_CHECKING, Optional
+from typing import Optional
 
 import numpy as np
 
 from ._fork import run_forked
-from ._tsv import iter_rows
-
-if TYPE_CHECKING:  # pragma: no cover
-    from .refmatch import RefTable
+from ._tsv import integer, iter_rows, skipped
+from .refmatch import (STATUS_FUTURE, STATUS_INVALID, STATUS_PRE1900,
+                       _split_reference, match_corpus, normalize_venue)
 
 DOC_TYPES = frozenset({"article", "review", "letter", "other"})
 
@@ -87,8 +87,6 @@ def _string_columns(strings: list[str]) -> dict:
     """Slot columns for a list of reference strings: the strings joined and
     their lengths, and the codes of each one's venue token and year token,
     from one ``_split_reference`` per string."""
-    from .refmatch import _split_reference
-
     venue_ids, year_ids = id_table(), id_table()
     slot_venue, slot_year = array("i"), array("i")
     for raw in strings:
@@ -234,38 +232,31 @@ class Corpus:
     are, whatever slots their strings got.
     """
 
-    def __init__(self, census_year: int, documents: Iterable[Document],
-                 source_format: str = "jsonl",
-                 load_errors: Optional[list[str]] = None,
-                 load_warnings: Optional[list[str]] = None):
+    def __init__(self, census_year: int, documents: Iterable[Document]):
         builder = _ChunkBuilder()
         for d in documents:
             builder.add(d.doc_id, d.journal_id, d.pub_year, d.doc_type,
                         d.ref_count, d.refs)
-        self._store(census_year, source_format, load_errors, load_warnings,
-                    _join([builder.finish()]))
+        self._store(census_year, "jsonl", [], [], _join([builder.finish()]))
 
     @classmethod
-    def from_columns(cls, census_year: int, *, source_format: str = "jsonl",
-                     load_errors: Optional[list[str]] = None,
-                     load_warnings: Optional[list[str]] = None,
-                     slot_strings: list[str], **columns) -> "Corpus":
+    def from_columns(cls, census_year: int, *, slot_strings: list[str],
+                     **columns) -> "Corpus":
         """A corpus over given per-document columns and ``ref_slots``,
         named as the attributes are, whose slot ``i`` holds
         ``slot_strings[i]``."""
         corpus = cls.__new__(cls)
         chunk = _Chunk(doc_lines=np.zeros(len(columns["doc_ids"]), np.int64),
                        **columns, **_string_columns(slot_strings))
-        corpus._store(census_year, source_format, load_errors, load_warnings,
-                      _join([chunk]))
+        corpus._store(census_year, "jsonl", [], [], _join([chunk]))
         return corpus
 
     def _store(self, census_year, source_format, load_errors, load_warnings,
                joined: _Chunk) -> None:
         self.census_year = census_year
         self.source_format = source_format
-        self.load_errors = [] if load_errors is None else load_errors
-        self.load_warnings = [] if load_warnings is None else load_warnings
+        self.load_errors = load_errors
+        self.load_warnings = load_warnings
         self.doc_ids = joined.doc_ids
         self.doc_journals = joined.doc_journals
         self.pub_years = joined.pub_years
@@ -352,8 +343,6 @@ class JournalTable:
                 raise JournalTableError(f"negative item count for {j.journal_id!r}")
             self.by_id[j.journal_id] = j
         self.abbrev_index: dict[str, str] = {}
-        from .refmatch import normalize_venue
-
         for j in self.journals:
             for abbrev in j.abbreviations:
                 key = normalize_venue(abbrev)
@@ -465,14 +454,14 @@ def _check_jsonl(line: str, census_year: int) -> Optional[tuple]:
 
 def _check_tsv(line: str, census_year: int) -> Optional[tuple]:
     """The checked record on a TSV line, None for a blank or comment line."""
-    if not line or line.startswith("#"):
+    if skipped(line):
         return None
     fields = line.split("\t")
     if len(fields) != 6:
         raise ValueError(f"expected 6 columns, got {len(fields)}")
     doc_id, journal, year, doc_type, nref, refs_joined = fields
     refs = [r for r in refs_joined.split(";") if r] if refs_joined else []
-    year, nref = int(year), int(nref)
+    year, nref = integer(year), integer(nref)
     doc_type = _check_record(doc_id, journal, year, doc_type, nref, refs,
                              census_year)
     return doc_id, journal, year, doc_type, nref, refs
@@ -517,7 +506,7 @@ def _tsv_header(path: Path) -> tuple[int, int]:
         for raw in fh:
             for line in _decoded_lines(raw, lineno == 0):
                 lineno += 1
-                if not line or line.startswith("#"):
+                if skipped(line):
                     continue
                 header = line.split("\t")
                 if header != CORPUS_TSV_HEADER:
@@ -684,7 +673,7 @@ def load_journals(path: str | Path) -> JournalTable:
                 continue
             year_s, _, count_s = pair.partition("=")
             try:
-                year, count = int(year_s), int(count_s)
+                year, count = integer(year_s), integer(count_s)
             except ValueError:
                 raise JournalTableError(
                     f"{path.name}:{lineno}: bad year=count pair {pair!r}") from None
@@ -763,26 +752,21 @@ def merge_journal_parts(corpus: Corpus, journals: JournalTable
     return new_corpus, new_table
 
 
-def validate_corpus(corpus: Corpus, journals: JournalTable,
-                    ref_table: Optional["RefTable"] = None) -> ValidationReport:
+def validate_corpus(corpus: Corpus, journals: JournalTable) -> ValidationReport:
     """Tally reference parsing/matching outcomes over the whole corpus.
 
     ``matched + unmatched + invalid`` partitions ``total_refs``; fractions
     are computed against ``total_refs``.
     """
-    from . import refmatch
-
-    if ref_table is None:
-        ref_table = refmatch.match_corpus(corpus, journals)
-
+    ref_table = match_corpus(corpus, journals)
     status = ref_table.status
     total_refs = int(status.size)
-    invalid = int((status == refmatch.STATUS_INVALID).sum())
-    parseable = status != refmatch.STATUS_INVALID
+    invalid = int((status == STATUS_INVALID).sum())
+    parseable = status != STATUS_INVALID
     matched = int((parseable & (ref_table.journal_index >= 0)).sum())
     unmatched = int((parseable & (ref_table.journal_index < 0)).sum())
-    pre1900 = int((status == refmatch.STATUS_PRE1900).sum())
-    future = int((status == refmatch.STATUS_FUTURE).sum())
+    pre1900 = int((status == STATUS_PRE1900).sum())
+    future = int((status == STATUS_FUTURE).sum())
     unknown_docs = sum(j not in journals.by_id for j in corpus.doc_journals)
 
     return ValidationReport(

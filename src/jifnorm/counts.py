@@ -1,8 +1,8 @@
 """Per-journal citation totals for a (window, counting mode) pair.
 
-Windows are anchored on the census year Y: ``two_year`` covers {Y-2, Y-1},
-``five_year`` covers {Y-5 .. Y-1}, ``all_years`` covers [1900, Y]. Years
-classified pre-1900 or beyond the census year never fall in any window.
+Windows are anchored on the census year Y; :func:`window_years` gives the
+publication years each covers. Years classified pre-1900 or beyond the
+census year never fall in any window.
 
 Counting modes:
 
@@ -31,11 +31,25 @@ from ._tsv import write_rows
 from .corpus import Corpus, JournalTable
 from .refmatch import RefTable, STATUS_VALID, match_corpus
 
-WINDOW_KINDS = ("two_year", "five_year", "all_years")
+# the counting windows, each with the suffix that names variables over it
+_WINDOW_SUFFIX = {"two_year": "2", "five_year": "5", "all_years": ""}
 
 
 class CountError(Exception):
     pass
+
+
+def window_years(kind: str, census_year: int) -> range:
+    """The publication years that window ``kind`` covers for a census year."""
+    if kind == "two_year":
+        return range(census_year - 2, census_year)
+    if kind == "five_year":
+        return range(census_year - 5, census_year)
+    if kind == "all_years":
+        return range(1900, census_year + 1)
+    if kind == "census_only":
+        return range(census_year, census_year + 1)
+    raise CountError(f"unknown window kind {kind!r}")
 
 
 @dataclass(frozen=True)
@@ -44,26 +58,16 @@ class WindowSpec:
     census_year: int
 
     def __post_init__(self):
-        if self.kind not in WINDOW_KINDS:
+        if self.kind not in _WINDOW_SUFFIX:
             raise CountError(f"unknown window kind {self.kind!r}")
 
     @property
     def lo(self) -> int:
-        if self.kind == "two_year":
-            return self.census_year - 2
-        if self.kind == "five_year":
-            return self.census_year - 5
-        return 1900
+        return window_years(self.kind, self.census_year)[0]
 
     @property
     def hi(self) -> int:
-        if self.kind == "all_years":
-            return self.census_year
-        return self.census_year - 1
-
-    @property
-    def length(self) -> int:
-        return self.hi - self.lo + 1
+        return window_years(self.kind, self.census_year)[-1]
 
 
 @dataclass(frozen=True)
@@ -88,15 +92,22 @@ INTEGER = CountMode("integer")
 FRACTIONAL = CountMode("fractional", "in_window")
 FRACTIONAL_PLUS = CountMode("fractional", "all_refs")
 
-_WINDOW_SUFFIX = {"two_year": "2", "five_year": "5", "all_years": ""}
+_MODE_LABELS = {m.label for m in (INTEGER, FRACTIONAL, FRACTIONAL_PLUS)}
+
+COUNT_HEADER = ["journal_id", "window", "mode", "value"]
+
+
+def total_id(kind: str, label: str) -> str:
+    """The id of a citation total by window kind and mode label: the window's
+    suffix goes between the label's IC/FC and its ``+`` (TC-FC5+, TC-IC)."""
+    if kind not in _WINDOW_SUFFIX or label not in _MODE_LABELS:
+        raise CountError(f"unknown window {kind!r} or mode {label!r}")
+    return f"TC-{label[:2]}{_WINDOW_SUFFIX[kind]}{label[2:]}"
 
 
 def variable_id(window: WindowSpec, mode: CountMode) -> str:
     """Canonical citation-total variable name, e.g. TC-IC2, TC-FC5+."""
-    suffix = _WINDOW_SUFFIX[window.kind]
-    base = {"IC": f"TC-IC{suffix}", "FC": f"TC-FC{suffix}",
-            "FC+": f"TC-FC{suffix}+"}[mode.label]
-    return base
+    return total_id(window.kind, mode.label)
 
 
 @dataclass
@@ -112,12 +123,10 @@ class CountTable:
 
     def to_tsv(self, path: str | Path) -> None:
         is_int = self.mode.counting == "integer"
-        rows = []
-        for jid in sorted(self.values):
-            v = self.values[jid]
-            rows.append([jid, self.window.kind, self.mode.label,
-                         str(int(v)) if is_int else f"{v:.9f}"])
-        write_rows(path, ["journal_id", "window", "mode", "value"], rows)
+        rows = [[jid, self.window.kind, self.mode.label,
+                 str(int(v)) if is_int else f"{v:.9f}"]
+                for jid, v in sorted(self.values.items())]
+        write_rows(path, COUNT_HEADER, rows)
 
 
 def count_citations(corpus: Corpus, journals: JournalTable, w: WindowSpec,

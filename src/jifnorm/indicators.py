@@ -17,17 +17,12 @@ from typing import Optional
 
 from ._tsv import iter_rows, write_rows
 from .corpus import Corpus, JournalTable
-from .counts import CountMode, CountTable, WindowSpec
+from .counts import (COUNT_HEADER, CountError, CountMode, CountTable,
+                     _WINDOW_SUFFIX, total_id, window_years)
 
 DEFAULT_CITABLE_TYPES = frozenset({"article", "review"})
 
 DENOMINATOR_WINDOWS = ("two_year", "five_year", "census_only")
-
-_QUASI_IF_ID = {
-    ("two_year", "IC"): "IF2-IC", ("five_year", "IC"): "IF5-IC",
-    ("two_year", "FC"): "IF2-FC", ("five_year", "FC"): "IF5-FC",
-    ("two_year", "FC+"): "IF2-FC+", ("five_year", "FC+"): "IF5-FC+",
-}
 
 
 class IndicatorError(Exception):
@@ -61,31 +56,55 @@ class IndicatorTable:
                        [[jid] for jid in sorted(self.undefined_journals)])
 
 
-def read_indicator_table(path: str | Path) -> IndicatorTable:
-    """Read an indicator TSV written by :meth:`IndicatorTable.to_tsv`."""
-    values: dict[str, float] = {}
-    indicator_id = Path(path).stem
+def read_table_values(path: str | Path, width: int, single: bool = False
+                      ) -> dict[str, dict[str, list[float]]]:
+    """Per indicator id, in order of first appearance, each journal's
+    numbers from a table whose rows are ``journal_id``, ``indicator_id``
+    and ``width - 2`` numbers, past its ``journal_id`` header rows; a
+    citation-total table, headed as :meth:`CountTable.to_tsv` writes it,
+    names its rows by variable id. A row of another width, a number that
+    does not parse, a journal listed twice for one indicator and, when
+    ``single``, a row of a second indicator are fatal."""
+    tables: dict[str, dict[str, list[float]]] = {}
+    count_table = False
     for lineno, fields in iter_rows(path):
         if fields[0] == "journal_id":
+            count_table = fields == COUNT_HEADER
             continue
-        if len(fields) != 3:
+        where = f"{path}:{lineno}"
+        expected = len(COUNT_HEADER) if count_table else width
+        if len(fields) != expected:
             raise IndicatorError(
-                f"{path}:{lineno}: expected 3 columns, got {len(fields)}")
-        jid, ind, value = fields
-        indicator_id = ind
-        try:
-            values[jid] = float(value)
-        except ValueError:
-            raise IndicatorError(f"{path}:{lineno}: bad value {value!r}") from None
-    return IndicatorTable(indicator_id=indicator_id, values=values)
+                f"{where}: expected {expected} columns, got {len(fields)}")
+        if count_table:
+            try:
+                fields = [fields[0], total_id(fields[1], fields[2]), fields[3]]
+            except CountError as exc:
+                raise IndicatorError(f"{where}: {exc}") from None
+        jid, ind, *texts = fields
+        if single and tables and ind not in tables:
+            raise IndicatorError(f"{where}: indicator {ind!r} in a table of "
+                                 f"{next(iter(tables))!r}")
+        values = tables.setdefault(ind, {})
+        if jid in values:
+            raise IndicatorError(f"{where}: journal {jid!r} listed twice")
+        values[jid] = []
+        for text in texts:
+            try:
+                values[jid].append(float(text))
+            except ValueError:
+                raise IndicatorError(f"{where}: bad value {text!r}") from None
+    return tables
 
 
-def window_years(window: str, census_year: int) -> range:
-    if window == "two_year":
-        return range(census_year - 2, census_year)
-    if window == "five_year":
-        return range(census_year - 5, census_year)
-    return range(census_year, census_year + 1)
+def read_indicator_table(path: str | Path) -> IndicatorTable:
+    """Read an indicator TSV written by :meth:`IndicatorTable.to_tsv`, or a
+    citation-total TSV written by :meth:`CountTable.to_tsv` as the
+    indicator of its variable id."""
+    tables = read_table_values(path, 3, single=True)
+    indicator_id, values = next(iter(tables.items()), (Path(path).stem, {}))
+    return IndicatorTable(indicator_id=indicator_id,
+                          values={jid: v for jid, (v,) in values.items()})
 
 
 def derived_item_counts(corpus: Corpus, journals: JournalTable,
@@ -115,16 +134,16 @@ def compute_denominator(journals: JournalTable, window: str, census_year: int,
     several windows can share one pass over the corpus; without it they
     count 0.
     """
+    table = DenominatorTable(window=window, values={})
     item_counts = item_counts or Counter()
     years = window_years(window, census_year)
-    values: dict[str, int] = {}
     for j in journals:
         if j.items_by_year:
             total = sum(j.items_by_year.get(y, 0) for y in years)
         else:
             total = sum(item_counts[j.journal_id, y] for y in years)
-        values[j.journal_id] = total
-    return DenominatorTable(window=window, values=values)
+        table.values[j.journal_id] = total
+    return table
 
 
 def _divide(indicator_id: str, numerators: dict[str, float],
@@ -144,15 +163,14 @@ def _divide(indicator_id: str, numerators: dict[str, float],
 def quasi_if(numerators: CountTable, denominators: DenominatorTable
              ) -> IndicatorTable:
     """Per-journal citation total over citable items for the same window."""
-    if numerators.window.kind != denominators.window:
+    kind = numerators.window.kind
+    # no denominator covers all years, so an all-years total never passes
+    if kind != denominators.window:
         raise IndicatorError(
-            f"window mismatch: numerator {numerators.window.kind}, "
+            f"window mismatch: numerator {kind}, "
             f"denominator {denominators.window}")
-    indicator_id = _QUASI_IF_ID.get((numerators.window.kind, numerators.mode.label))
-    if indicator_id is None:
-        raise IndicatorError(
-            f"no quasi impact factor defined for window {numerators.window.kind!r}")
-    return _divide(indicator_id, numerators.values, denominators.values)
+    return _divide(f"IF{_WINDOW_SUFFIX[kind]}-{numerators.mode.label}",
+                   numerators.values, denominators.values)
 
 
 def fc_over_p(all_year_fc: CountTable, items_census: DenominatorTable

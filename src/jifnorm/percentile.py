@@ -20,6 +20,8 @@ from .indicators import IndicatorTable
 
 PR6_THRESHOLDS = (99.0, 95.0, 90.0, 75.0, 50.0)
 
+PERCENTILE_HEADER = ["journal_id", "indicator_id", "pr100", "pr6"]
+
 
 class PercentileError(Exception):
     pass
@@ -37,8 +39,7 @@ class PercentileTable:
                  str(self.pr6[jid])] for jid in sorted(self.pr100)]
 
     def to_tsv(self, path: str | Path) -> None:
-        write_rows(path, ["journal_id", "indicator_id", "pr100", "pr6"],
-                   self.to_rows())
+        write_rows(path, PERCENTILE_HEADER, self.to_rows())
 
 
 def percentile_rank(values: dict[str, float]) -> dict[str, float]:

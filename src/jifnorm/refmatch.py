@@ -23,11 +23,12 @@ Misses are reported as unmatched, never guessed.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Optional
+from typing import TYPE_CHECKING, Optional
 
 import numpy as np
 
-from .corpus import Corpus, JournalTable
+if TYPE_CHECKING:  # pragma: no cover
+    from .corpus import Corpus, JournalTable
 
 STATUS_VALID = 0
 STATUS_INVALID = 1

@@ -17,17 +17,19 @@ That contrast is the ground truth the analysis layer is tested against.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from pathlib import Path
 from typing import Optional
 
 import numpy as np
 
-from ._tsv import iter_key_values, write_rows
+from ._tsv import integer, iter_key_values, write_rows
 from .corpus import Corpus, Journal, JournalTable
+from .counts import window_years
 from .stats import FieldScheme
 
-WINDOW_LENGTH = {"two_year": 2, "five_year": 5}
+# windows with a closed-form expected fractional rate
+_RATE_WINDOWS = ("two_year", "five_year")
 
 
 class SynthConfigError(Exception):
@@ -123,10 +125,13 @@ def _age_probs(half_life: float, years_back: int) -> np.ndarray:
 
 def _in_window_age_mass(spec: FieldSpec, cfg: SynthConfig, window_kind: str
                         ) -> float:
-    """Probability that one reference is valid and aged into the window."""
+    """Probability that one reference is valid and aged into the window,
+    one of ``_RATE_WINDOWS``."""
     probs = _age_probs(spec.ref_age_half_life, cfg.years_back)
-    wlen = WINDOW_LENGTH[window_kind]
-    return float(probs[:wlen].sum()) * (1.0 - cfg.invalid_ref_rate)
+    years = window_years(window_kind, cfg.census_year)
+    # probs[a - 1] is the share of references cited at age a = census - year
+    ages = slice(cfg.census_year - years.stop, cfg.census_year - years.start)
+    return float(probs[ages].sum()) * (1.0 - cfg.invalid_ref_rate)
 
 
 def _prob_any_in_window(mu: float, q: float) -> float:
@@ -147,12 +152,12 @@ def expected_fractional_rate(cfg: SynthConfig, window_kind: str = "five_year",
     the closed form.
     """
     cfg.validate()
-    if window_kind not in WINDOW_LENGTH:
+    if window_kind not in _RATE_WINDOWS:
         raise SynthConfigError(f"unsupported window {window_kind!r}")
     if any(f.cross_field_mix > 0 for f in cfg.fields):
         raise SynthConfigError(
             "expected rates are only available with cross_field_mix = 0")
-    wlen = WINDOW_LENGTH[window_kind]
+    wlen = len(window_years(window_kind, cfg.census_year))
     rates: dict[str, float] = {}
     for spec in cfg.fields:
         q = _in_window_age_mass(spec, cfg, window_kind)
@@ -272,14 +277,14 @@ def generate_corpus(cfg: SynthConfig
     if all(f.cross_field_mix == 0 for f in cfg.fields):
         truth.expected_fc_rate = {
             kind: expected_fractional_rate(cfg, kind)
-            for kind in ("two_year", "five_year")}
+            for kind in _RATE_WINDOWS}
     return corpus, table, scheme, truth
 
 
-_FIELD_KEYS = {"n_journals": int, "papers_per_journal_per_year": int,
+_FIELD_KEYS = {"n_journals": integer, "papers_per_journal_per_year": integer,
                "mean_ref_len": float, "ref_age_half_life": float,
                "cross_field_mix": float}
-_TOP_KEYS = {"census_year": int, "years_back": int, "seed": int,
+_TOP_KEYS = {"census_year": integer, "years_back": integer, "seed": integer,
              "quality_spread": float, "invalid_ref_rate": float}
 
 
@@ -296,19 +301,16 @@ def load_synth_config(path: str | Path) -> SynthConfig:
                 raise SynthConfigError(
                     f"{path.name}:{lineno}: unknown field key {key!r}")
             _, code, param = parts
-            try:
-                per_field.setdefault(code, {})[param] = _FIELD_KEYS[param](value)
-            except ValueError:
-                raise SynthConfigError(
-                    f"{path.name}:{lineno}: bad value {value!r}") from None
+            target, cast = per_field.setdefault(code, {}), _FIELD_KEYS[param]
         elif key in _TOP_KEYS:
-            try:
-                top[key] = _TOP_KEYS[key](value)
-            except ValueError:
-                raise SynthConfigError(
-                    f"{path.name}:{lineno}: bad value {value!r}") from None
+            target, param, cast = top, key, _TOP_KEYS[key]
         else:
             raise SynthConfigError(f"{path.name}:{lineno}: unknown key {key!r}")
+        try:
+            target[param] = cast(value)
+        except ValueError:
+            raise SynthConfigError(
+                f"{path.name}:{lineno}: bad value {value!r}") from None
     if "census_year" not in top:
         raise SynthConfigError(f"{path.name}: census_year is required")
     fields = []

@@ -6,7 +6,8 @@ from jifnorm import (Corpus, Document, Journal, JournalTable, load_corpus,
                      match_corpus)
 from jifnorm.cli import COUNT_VARIABLES
 from jifnorm.counts import (CountError, CountMode, FRACTIONAL, FRACTIONAL_PLUS,
-                            INTEGER, WindowSpec, count_citations, variable_id)
+                            INTEGER, WindowSpec, count_citations, variable_id,
+                            window_years)
 
 from conftest import CENSUS
 from _oracle import count as oracle_count, full_pipeline
@@ -41,6 +42,21 @@ def _totals(refs, kind, mode, nref=None):
 ])
 def test_in_window(year, kind, expected):
     assert _totals([f"J A|{year}"], kind, INTEGER)["A"] == int(expected)
+
+
+@pytest.mark.parametrize("kind,years", [
+    ("two_year", [2008, 2009]), ("five_year", [2005, 2006, 2007, 2008, 2009]),
+    ("all_years", list(range(1900, 2011))), ("census_only", [2010])])
+def test_window_years(kind, years):
+    assert list(window_years(kind, CENSUS)) == years
+    if kind != "census_only":
+        w = WindowSpec(kind, CENSUS)
+        assert (w.lo, w.hi) == (years[0], years[-1])
+
+
+def test_window_years_unknown_kind():
+    with pytest.raises(CountError):
+        window_years("ten_year", CENSUS)
 
 
 def test_variable_ids():

@@ -3,7 +3,8 @@ import pytest
 from jifnorm import (import_external_indicator, load_journals)
 from jifnorm.counts import (FRACTIONAL, FRACTIONAL_PLUS, INTEGER, WindowSpec,
                             count_citations)
-from jifnorm.indicators import (DenominatorTable, IndicatorError,
+from jifnorm.indicators import (DENOMINATOR_WINDOWS, DenominatorTable,
+                                IndicatorError,
                                 IndicatorTable, compute_denominator,
                                 derived_item_counts, fc_over_p, quasi_if,
                                 read_indicator_table)
@@ -80,6 +81,13 @@ def test_quasi_if_window_mismatch_fatal():
     denom = DenominatorTable("five_year", {"A": 10})
     with pytest.raises(IndicatorError):
         quasi_if(numer, denom)
+
+
+def test_quasi_if_all_years_total_fatal():
+    numer = _count_table("all_years", {"A": 5.0})
+    for window in DENOMINATOR_WINDOWS:
+        with pytest.raises(IndicatorError):
+            quasi_if(numer, DenominatorTable(window, {"A": 10}))
 
 
 def _count_table(kind, values, mode=INTEGER):

@@ -48,19 +48,34 @@ def tables(tmp_path_factory, fixture_paths):
     return out
 
 
+CORPUS_SPANS = {"corpus.load_journals", "corpus.load", "corpus.merge",
+                "cli.write", "cli.manifest"}
+
+
 @pytest.mark.parametrize("command,spans", [
     ("varcomp", {"stats.permutation", "stats.moments"}),
     ("correlate", {"stats.correlation"}),
+    ("indicators", CORPUS_SPANS | {
+        "refmatch.match", "counts.integer", "counts.fractional",
+        "counts.fractional_plus", "indicators.denominator",
+        "indicators.ratio", "percentile.build"}),
+    ("validate", CORPUS_SPANS),
 ])
 def test_tracer_runs_command_unchanged(tmp_path, tables, fixture_paths,
                                        command, spans):
     inputs = [tables / "IF2-IC.tsv", tables / "IF5-FC.tsv",
               tables / "percentiles.tsv"]
+    corpus_args = [fixture_paths["corpus"], "--journals",
+                   fixture_paths["journals"], "--census-year", CENSUS]
     if command == "varcomp":
         args = ["varcomp", *inputs, "--fields", fixture_paths["fields"],
                 "--min-group-size", 2, "--n-perm", 999, "--seed", 3]
-    else:
+    elif command == "correlate":
         args = ["correlate", *inputs[:2]]
+    elif command == "indicators":
+        args = ["indicators", *corpus_args, "--percentiles"]
+    else:
+        args = ["validate", *corpus_args]
     plain = _run([sys.executable, "-m", "jifnorm"],
                  args + ["--out", tmp_path / "plain"])
     spans_path = tmp_path / "spans.json"
@@ -72,4 +87,8 @@ def test_tracer_runs_command_unchanged(tmp_path, tables, fixture_paths,
     assert _dir_bytes(tmp_path / "traced") == _dir_bytes(tmp_path / "plain")
     record = json.loads(spans_path.read_text(encoding="utf-8"))
     assert record["exit"] == plain[0]
-    assert spans <= {name for name, _, _ in record["spans"]}
+    names = {name for name, _, _ in record["spans"]}
+    assert spans <= names
+    if command in ("indicators", "validate"):
+        # every span of a corpus command is a stage named here
+        assert names == spans

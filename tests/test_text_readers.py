@@ -1,12 +1,20 @@
-"""A UTF-8 byte-order mark that opens a journal master, a field scheme, a
+"""The rules every text reader shares.
+
+A UTF-8 byte-order mark that opens a journal master, a field scheme, a
 percentile file, a ``--config`` file or a synth config is ignored: each
 reads as its twin without the mark. The ``--config`` and synth readers
-share one key=value reader and keep their messages."""
+share one key=value reader and keep their messages. A line of whitespace
+without a tab is blank and skipped in every TSV reader, as in JSONL; a
+line with a tab stays a row. An integer is an optional sign and ASCII
+digits in TSV corpora, ``year=count`` pairs, config files and flags."""
 
 import pytest
 
-from jifnorm import load_journals, load_field_scheme, load_synth_config
-from jifnorm.cli import CliError, _read_config, main
+from jifnorm import (IndicatorError, JournalTableError, load_corpus,
+                     load_journals, load_field_scheme, load_synth_config,
+                     read_indicator_table, save_corpus)
+from jifnorm._tsv import integer
+from jifnorm.cli import CliError, _load_varcomp_tables, _read_config, main
 from jifnorm.synthgen import SynthConfigError
 
 from conftest import CENSUS
@@ -106,3 +114,168 @@ def test_key_value_messages(tmp_path, read, error):
     with pytest.raises(error) as info:
         read(bad)
     assert str(info.value) == "bad.cfg:3: expected key=value"
+
+
+WHITESPACE = "  \x0b \x0c "   # no tab
+
+
+def with_blank_lines(data: bytes) -> bytes:
+    """The same lines with a whitespace line before each of the first three
+    and after the last."""
+    lines = data.decode("utf-8").splitlines(keepends=True)
+    blank = WHITESPACE + "\n"
+    return "".join(blank + line if i < 3 else line
+                   for i, line in enumerate(lines)).encode() + blank.encode()
+
+
+def blank_twins(tmp_path, name, data: bytes):
+    plain, spaced = tmp_path / "plain", tmp_path / "spaced"
+    plain.mkdir(exist_ok=True)
+    spaced.mkdir(exist_ok=True)
+    (plain / name).write_bytes(data)
+    (spaced / name).write_bytes(with_blank_lines(data))
+    return plain / name, spaced / name
+
+
+@pytest.fixture(scope="module")
+def tables(tmp_path_factory, fixture_paths):
+    out = tmp_path_factory.mktemp("indicators")
+    code = main(["indicators", str(fixture_paths["corpus"]),
+                 "--journals", str(fixture_paths["journals"]),
+                 "--census-year", str(CENSUS), "--percentiles",
+                 "--out", str(out)])
+    assert code in (0, 1)
+    return out
+
+
+def test_blank_lines_in_journal_master(tmp_path, fixture_paths):
+    plain, spaced = blank_twins(tmp_path, "journals.tsv",
+                                fixture_paths["journals"].read_bytes())
+    assert load_journals(spaced).journals == load_journals(plain).journals
+
+
+def test_blank_lines_in_field_scheme(tmp_path, fixture_paths):
+    plain, spaced = blank_twins(tmp_path, "fields.tsv",
+                                fixture_paths["fields"].read_bytes())
+    assert (load_field_scheme(spaced).assignment
+            == load_field_scheme(plain).assignment)
+
+
+@pytest.mark.parametrize("name", ["IF2-IC.tsv", "TC-FC5+.tsv",
+                                  "percentiles.tsv"])
+def test_blank_lines_in_indicator_tables(tmp_path, tables, name):
+    plain, spaced = blank_twins(tmp_path, name, (tables / name).read_bytes())
+    want = _load_varcomp_tables([plain])
+    assert want and all(t.values for t in want)
+    assert _load_varcomp_tables([spaced]) == want
+
+
+def test_line_with_a_tab_stays_a_row(tmp_path, tables):
+    path = tmp_path / "IF2-IC.tsv"
+    path.write_bytes((tables / "IF2-IC.tsv").read_bytes() + b" \t \n")
+    n = len(path.read_text(encoding="utf-8").splitlines())
+    with pytest.raises(IndicatorError) as info:
+        read_indicator_table(path)
+    assert str(info.value) == f"{path}:{n}: expected 3 columns, got 2"
+
+
+def test_blank_lines_in_tsv_corpus(tmp_path, raw_fixture):
+    corpus = raw_fixture[0]
+    save_corpus(corpus, tmp_path / "corpus.tsv", format="tsv")
+    plain, spaced = blank_twins(tmp_path, "corpus.tsv",
+                                (tmp_path / "corpus.tsv").read_bytes())
+    want = load_corpus(plain, census_year=CENSUS)
+    got = load_corpus(spaced, census_year=CENSUS)
+    assert got.load_errors == want.load_errors == []
+    assert got == want
+    assert got.documents == corpus.documents
+
+
+TSV_HEADER = "doc_id\tjournal\tyear\ttype\tnref\trefs\n"
+
+
+@pytest.mark.parametrize("year,nref,bad", [
+    ("２０１０", "2", "２０１０"), ("2010", "1_0", "1_0"), ("2010", " 2", " 2"),
+    ("٢٠١٠", "2", "٢٠١٠")])
+def test_tsv_corpus_integers_are_ascii_digits(tmp_path, year, nref, bad):
+    clean = tmp_path / "clean.tsv"
+    clean.write_text(TSV_HEADER + "D1\tJ01\t2010\tarticle\t2\tJ A|2009\n",
+                     encoding="utf-8")
+    assert len(load_corpus(clean, census_year=CENSUS).doc_ids) == 1
+    path = tmp_path / "c.tsv"
+    path.write_text(TSV_HEADER + f"D1\tJ01\t{year}\tarticle\t{nref}\tJ A|2009\n",
+                    encoding="utf-8")
+    corpus = load_corpus(path, census_year=CENSUS)
+    assert corpus.doc_ids == []
+    assert corpus.load_errors == [
+        f"c.tsv:2: invalid literal for int() with base 10: {bad!r}"]
+
+
+@pytest.mark.parametrize("pair", ["２００９=５", "2009=1_0", "2_009=5"])
+def test_year_count_pairs_are_ascii_digits(tmp_path, pair):
+    row = "J01\tAnnals\tANN\tPHYS\t\t{}\n"
+    clean = tmp_path / "clean.tsv"
+    clean.write_text(row.format("2009=5"), encoding="utf-8")
+    assert load_journals(clean).by_id["J01"].items_by_year == {2009: 5}
+    path = tmp_path / "journals.tsv"
+    path.write_text(row.format(pair), encoding="utf-8")
+    with pytest.raises(JournalTableError) as info:
+        load_journals(path)
+    assert str(info.value) == f"journals.tsv:1: bad year=count pair {pair!r}"
+
+
+@pytest.mark.parametrize("value", ["２０１０", "2_010"])
+def test_config_integers_are_ascii_digits(tmp_path, fixture_paths, capsys,
+                                          value):
+    results = {}
+    for name, census in (("clean", "2010"), ("bad", value)):
+        conf = tmp_path / f"{name}.cfg"
+        conf.write_text(f"census_year = {census}\n"
+                        f"journals = {fixture_paths['journals']}\n",
+                        encoding="utf-8")
+        capsys.readouterr()
+        code = main(["validate", str(fixture_paths["corpus"]),
+                     "--config", str(conf), "--out", str(tmp_path / name)])
+        results[name] = code, capsys.readouterr().err
+    assert results["clean"] == (0, "")
+    assert results["bad"] == (
+        2, f"error: config key census_year: bad value {value!r}\n")
+
+
+def test_synth_config_integers_are_ascii_digits(tmp_path):
+    clean = tmp_path / "clean.cfg"
+    clean.write_text(SYNTH_CONFIG, encoding="utf-8")
+    assert load_synth_config(clean).seed == 7
+    bad = tmp_path / "bad.cfg"
+    bad.write_text(SYNTH_CONFIG.replace("seed = 7", "seed = 1_0"),
+                   encoding="utf-8")
+    with pytest.raises(SynthConfigError) as info:
+        load_synth_config(bad)
+    assert str(info.value) == "bad.cfg:1: bad value '1_0'"
+
+
+def test_integer_flags_are_ascii_digits(tmp_path, fixture_paths, capsys):
+    args = ["validate", str(fixture_paths["corpus"]),
+            "--journals", str(fixture_paths["journals"]),
+            "--out", str(tmp_path), "--census-year"]
+    assert main(args + ["2010"]) == 0
+    capsys.readouterr()
+    with pytest.raises(SystemExit) as info:
+        main(args + ["２０１０"])
+    assert info.value.code == 2
+    assert ("argument --census-year: invalid integer value: '２０１０'"
+            in capsys.readouterr().err)
+
+
+@pytest.mark.parametrize("text,value", [
+    ("0", 0), ("2010", 2010), ("+7", 7), ("-3", -3), ("007", 7)])
+def test_integer_accepts_sign_and_ascii_digits(text, value):
+    assert integer(text) == value
+
+
+@pytest.mark.parametrize("text", [
+    "", "+", "-", " 7", "7 ", "1_0", "２", "٣", "5.0", "0x10", "++1", "²"])
+def test_integer_rejects_everything_else(text):
+    with pytest.raises(ValueError) as info:
+        integer(text)
+    assert str(info.value) == f"invalid literal for int() with base 10: {text!r}"
