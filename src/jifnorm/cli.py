@@ -5,7 +5,7 @@ identical invocations produce byte-identical outputs (no timestamps are
 written). Exit codes: 0 success, 1 computation-level warnings were
 emitted, 2 fatal input error.
 
-All flags have config-file equivalents (``--config`` points at a
+Optional flags have config-file equivalents (``--config`` points at a
 key=value file whose keys are the flag names with underscores, e.g.
 ``census_year=2010``); explicit flags win on conflict.
 """
@@ -64,9 +64,20 @@ def _cast_bool(value: str) -> bool:
 
 
 def _read_config(path: str | None) -> dict[str, str]:
+    """A config file's values by key. A key must be the dest of an optional
+    flag of some subcommand other than those only the command line reads."""
     if not path:
         return {}
-    return {key: value for _, key, value in iter_key_values(path, CliError)}
+    sub = next(a for a in build_parser()._actions
+               if isinstance(a, argparse._SubParsersAction))
+    keys = {a.dest for p in sub.choices.values() for a in p._actions
+            if a.option_strings} - {"help", "config", "external"}
+    config = {}
+    for lineno, key, value in iter_key_values(path, CliError):
+        if key not in keys:
+            raise CliError(f"{Path(path).name}:{lineno}: unknown key {key!r}")
+        config[key] = value
+    return config
 
 
 def _available_cpus() -> int:
@@ -143,8 +154,7 @@ def _load_inputs(settings: Settings, corpus_path: str
     journals = corpus_mod.load_journals(journals_path)
     corpus = corpus_mod.load_corpus(corpus_path, format=fmt, census_year=census,
                                     threads=settings.threads)
-    warnings = list(corpus.load_warnings)
-    warnings += corpus.load_errors
+    warnings = corpus.load_warnings + corpus.load_errors
     corpus, journals = corpus_mod.merge_journal_parts(corpus, journals)
     return corpus, journals, warnings
 
@@ -179,10 +189,6 @@ def cmd_validate(settings: Settings) -> int:
                    outputs)
     _emit_warnings(warnings)
     return 1 if warnings else 0
-
-
-def _safe_name(indicator_id: str) -> str:
-    return indicator_id.replace("/", "_")
 
 
 def compute_all_tables(corpus, journals, citable_types,
@@ -231,7 +237,7 @@ def cmd_indicators(settings: Settings) -> int:
     tables = [count_indicator(t) for t in count_tables] + indicator_tables
     outputs: list[str] = []
     for source, table in zip(count_tables + indicator_tables, tables):
-        name = f"{_safe_name(table.indicator_id)}.tsv"
+        name = table.indicator_id.replace("/", "_") + ".tsv"
         source.to_tsv(out / name)
         outputs.append(name)
         if table.undefined_journals:
@@ -337,7 +343,6 @@ def cmd_varcomp(settings: Settings) -> int:
     min_group = settings.get("min_group_size", 10, integer)
     n_perm = settings.get("n_perm", 999, integer)
     seed = settings.get("seed", 0, integer)
-    statistic = settings.get("perm_stat", "eta2")
     reference_id = settings.get("reference", "IF2-IC")
 
     fields_path = settings.get("fields", None)
@@ -357,8 +362,7 @@ def cmd_varcomp(settings: Settings) -> int:
     paths = [Path(p) for p in settings.args.indicators]
     tables = _load_varcomp_tables(paths)
     warnings: list[str] = []
-    results = analyze_indicators(tables, scheme, statistic=statistic,
-                                 n_perm=n_perm, seed=seed,
+    results = analyze_indicators(tables, scheme, n_perm=n_perm, seed=seed,
                                  threads=settings.threads)
 
     note = ("method: one-way moment-estimator variance components with "
@@ -400,7 +404,7 @@ def cmd_varcomp(settings: Settings) -> int:
                ["indicator_id", "field", "var_over_mean"], disp_rows)
 
     write_manifest(out, "varcomp", paths + scheme_input,
-                   {"n_perm": n_perm, "seed": seed, "statistic": statistic,
+                   {"n_perm": n_perm, "seed": seed, "statistic": "eta2",
                     "min_group_size": min_group, "reference": reference_id},
                    ["varcomp.tsv", "varcomp_reduction.tsv",
                     "varcomp_dispersion.tsv"])
@@ -411,12 +415,7 @@ def cmd_varcomp(settings: Settings) -> int:
 def cmd_synth(settings: Settings) -> int:
     out = _out_dir(settings)
     cfg = synthgen.load_synth_config(settings.args.config_file)
-    seed = settings.get("seed", None, integer)
-    if seed is not None:
-        cfg = synthgen.SynthConfig(
-            census_year=cfg.census_year, fields=cfg.fields,
-            quality_spread=cfg.quality_spread, years_back=cfg.years_back,
-            seed=seed, invalid_ref_rate=cfg.invalid_ref_rate)
+    cfg = replace(cfg, seed=settings.get("seed", cfg.seed, integer))
     corpus, journals, scheme, truth = synthgen.generate_corpus(cfg)
     corpus_mod.save_corpus(corpus, out / "corpus.jsonl")
     corpus_mod.save_journals(journals, out / "journals.tsv")
@@ -491,8 +490,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--n-perm", dest="n_perm", type=integer)
     p.add_argument("--reference", help="reference indicator for the "
                                        "variance-reduction block")
-    p.add_argument("--perm-stat", dest="perm_stat",
-                   choices=["eta2", "sigma2_between"])
 
     p = sub.add_parser("synth", parents=[common],
                        help="generate a synthetic corpus")

@@ -80,6 +80,8 @@ class CountMode:
             raise CountError(f"unknown counting mode {self.counting!r}")
         if self.fraction_base not in ("in_window", "all_refs"):
             raise CountError(f"unknown fraction base {self.fraction_base!r}")
+        if self.counting == "integer" and self.fraction_base != "in_window":
+            raise CountError("integer counting has no fraction base")
 
     @property
     def label(self) -> str:

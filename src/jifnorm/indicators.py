@@ -10,6 +10,7 @@ excluded from downstream percentile and variance runs.
 
 from __future__ import annotations
 
+import math
 from collections import Counter
 from dataclasses import dataclass, field
 from pathlib import Path
@@ -62,9 +63,9 @@ def read_table_values(path: str | Path, width: int, single: bool = False
     numbers from a table whose rows are ``journal_id``, ``indicator_id``
     and ``width - 2`` numbers, past its ``journal_id`` header rows; a
     citation-total table, headed as :meth:`CountTable.to_tsv` writes it,
-    names its rows by variable id. A row of another width, a number that
-    does not parse, a journal listed twice for one indicator and, when
-    ``single``, a row of a second indicator are fatal."""
+    names its rows by variable id. A row of another width, a value that is
+    not a finite number, a journal listed twice for one indicator and,
+    when ``single``, a row of a second indicator are fatal."""
     tables: dict[str, dict[str, list[float]]] = {}
     count_table = False
     for lineno, fields in iter_rows(path):
@@ -91,9 +92,12 @@ def read_table_values(path: str | Path, width: int, single: bool = False
         values[jid] = []
         for text in texts:
             try:
-                values[jid].append(float(text))
+                value = float(text)
             except ValueError:
-                raise IndicatorError(f"{where}: bad value {text!r}") from None
+                value = math.nan  # rejected below with the non-finite ones
+            if not math.isfinite(value):
+                raise IndicatorError(f"{where}: bad value {text!r}")
+            values[jid].append(value)
     return tables
 
 
@@ -202,8 +206,9 @@ def denominator_indicator(table: DenominatorTable, indicator_id: str
 def import_external_indicator(path: str | Path, indicator_id: str,
                               journals: JournalTable) -> IndicatorTable:
     """Load externally supplied per-journal values (e.g. published impact
-    factors). Journals absent from the master are rejected into the
-    table's warning list; non-numeric values are record-level errors."""
+    factors). A row with a value that is not a finite number, or of a
+    journal unknown to the master or already listed, is skipped with a
+    warning in the table's list."""
     values: dict[str, float] = {}
     warnings: list[str] = []
     for lineno, fields in iter_rows(path):
@@ -221,8 +226,14 @@ def import_external_indicator(path: str | Path, indicator_id: str,
         except ValueError:
             warnings.append(f"{path}:{lineno}: non-numeric value {value!r}")
             continue
+        if not math.isfinite(v):
+            warnings.append(f"{path}:{lineno}: non-finite value {value!r}")
+            continue
         if jid not in journals.by_id:
             warnings.append(f"{path}:{lineno}: unknown journal {jid!r}")
+            continue
+        if jid in values:
+            warnings.append(f"{path}:{lineno}: journal {jid!r} listed twice")
             continue
         values[jid] = v
     return IndicatorTable(indicator_id=indicator_id, values=values,

@@ -2,13 +2,14 @@
 
 Field effects are tested without distributional assumptions: a one-way
 random-effects decomposition by the method of moments gives the between-
-and within-field variance components, and a label-permutation test gives
-the significance of the observed separation. The permutation p-value uses
-the add-one estimator (1 + exceedances) / (n_perm + 1), so it can never
-be exactly zero. Components are on the raw scale of the indicator, so
-reductions and significance patterns are comparable across counting
-variants but coefficient magnitudes are not comparable with model-based
-estimates on transformed scales.
+and within-field variance components, and a label-permutation test of
+eta2 gives the significance of the observed separation (a permutation
+keeps SS_total, so eta2 orders draws by SS_between). The permutation
+p-value uses the add-one estimator (1 + exceedances) / (n_perm + 1), so
+it can never be exactly zero. Components are on the raw scale of the
+indicator, so reductions and significance patterns are comparable across
+counting variants but coefficient magnitudes are not comparable with
+model-based estimates on transformed scales.
 
 Fields smaller than ``min_group_size`` journals are excluded before any
 of these computations, mirroring the usual treatment of tiny residual
@@ -224,30 +225,22 @@ def _ss_between(sizes: np.ndarray, sums: np.ndarray, mean: float) -> float:
 def _one_way(values: dict[str, float], scheme: FieldScheme) -> tuple:
     """Group a value map by field and split its sum of squares: (values,
     integer labels, retained fields, excluded fields, SS_between, SS_total,
-    group sizes, n0), with n0 = (N - sum(n_i^2)/N) / (k - 1)."""
+    group sizes)."""
     v, g, retained, excluded = scheme.group_arrays(values)
     k = len(retained)
     if k < 2:
         raise StatsError("need at least 2 retained fields")
-    n_total = v.size
     sizes = np.bincount(g, minlength=k).astype(np.float64)
     sums = np.bincount(g, weights=v, minlength=k)
     mean = v.mean()
     ss_total = float(((v - mean) ** 2).sum())
-    n0 = (n_total - float((sizes ** 2).sum()) / n_total) / (k - 1)
     return (v, g, retained, excluded, _ss_between(sizes, sums, mean), ss_total,
-            sizes, n0)
+            sizes)
 
 
-def _perm_stat(ss_between: float, ss_total: float, k: int, statistic: str,
-               n0: float, n_total: int) -> float:
-    """eta2 = SS_between / SS_total (0 when SS_total is 0), or sigma2_between
-    = (MS_between - MS_within) / n0 clamped at zero."""
-    if statistic == "eta2":
-        return ss_between / ss_total if ss_total > 0 else 0.0
-    ms_within = (ss_total - ss_between) / (n_total - k)
-    ms_between = ss_between / (k - 1)
-    return max(0.0, (ms_between - ms_within) / n0)
+def _eta2(ss_between: float, ss_total: float) -> float:
+    """SS_between / SS_total, or 0 when SS_total is 0."""
+    return ss_between / ss_total if ss_total > 0 else 0.0
 
 
 def varcomp_moments(values: dict[str, float], scheme: FieldScheme,
@@ -258,9 +251,11 @@ def varcomp_moments(values: dict[str, float], scheme: FieldScheme,
     (MS_between - MS_within) / n0 clamped at zero, with
     n0 = (N - sum(n_i^2)/N) / (k - 1).
     """
-    v, g, retained, excluded, ss_between, ss_total, _, n0 = _one_way(values,
-                                                                      scheme)
+    v, g, retained, excluded, ss_between, ss_total, sizes = _one_way(values,
+                                                                     scheme)
     k, n_total = len(retained), v.size
+    n0 = (n_total - float((sizes ** 2).sum()) / n_total) / (k - 1)
+    ms_within = (ss_total - ss_between) / (n_total - k)
 
     dispersion: dict[str, float] = {}
     for i, code in enumerate(retained):
@@ -271,16 +266,14 @@ def varcomp_moments(values: dict[str, float], scheme: FieldScheme,
 
     return VarCompResult(
         indicator_id=indicator_id,
-        sigma2_between=_perm_stat(ss_between, ss_total, k, "sigma2_between",
-                                  n0, n_total),
-        sigma2_within=(ss_total - ss_between) / (n_total - k),
-        eta2=_perm_stat(ss_between, ss_total, k, "eta2", n0, n_total),
+        sigma2_between=max(0.0, (ss_between / (k - 1) - ms_within) / n0),
+        sigma2_within=ms_within, eta2=_eta2(ss_between, ss_total),
         groups_used=k, n_journals=n_total, excluded_fields=excluded,
         dispersion_by_field=dispersion)
 
 
-def _perm_block(tables: list[tuple], statistic: str, seed: int, first: int,
-                stop: int) -> list[int]:
+def _perm_block(tables: list[tuple], seed: int, first: int, stop: int
+                ) -> list[int]:
     """Per-table exceedance counts over permutations ``first..stop-1``;
     permutation i draws from child i of the ``seed`` seed sequence."""
     lengths = {v.size for v, *_ in tables}
@@ -289,21 +282,18 @@ def _perm_block(tables: list[tuple], statistic: str, seed: int, first: int,
         child = np.random.SeedSequence(seed, spawn_key=(i,))
         orders = {n: np.random.default_rng(child).permutation(n)
                   for n in lengths}
-        for t, (v, g, k, sizes, mean, ss_total, n0, observed) in enumerate(tables):
+        for t, (v, g, k, sizes, mean, ss_total, observed) in enumerate(tables):
             sums = np.bincount(g[orders[v.size]], weights=v, minlength=k)
-            stat = _perm_stat(_ss_between(sizes, sums, mean), ss_total, k,
-                              statistic, n0, v.size)
-            if stat >= observed:
+            if _eta2(_ss_between(sizes, sums, mean), ss_total) >= observed:
                 exceed[t] += 1
     return exceed
 
 
 def permutation_test(value_maps: Sequence[dict[str, float]],
-                     scheme: FieldScheme, statistic: str = "eta2",
-                     n_perm: int = 999, seed: int = 0,
+                     scheme: FieldScheme, n_perm: int = 999, seed: int = 0,
                      threads: int = 1) -> list[float]:
-    """Right-tailed label-permutation p-value for the field effect of each
-    value map, in input order.
+    """Right-tailed label-permutation p-value of eta2 for the field effect
+    of each value map, in input order.
 
     Field labels are shuffled uniformly; permutation i of a table with n
     journals draws from seed-sequence child i, so a map's p-value does not
@@ -313,40 +303,35 @@ def permutation_test(value_maps: Sequence[dict[str, float]],
     run by its own process when there is enough work; their exceedance
     counts are summed, so the p-values do not depend on ``threads``.
     """
-    if statistic not in ("eta2", "sigma2_between"):
-        raise StatsError(f"unknown permutation statistic {statistic!r}")
     if n_perm < 999:
         raise StatsError("n_perm must be at least 999")
     if threads < 1:
         raise StatsError(f"threads {threads} must be >= 1")
     tables = []
     for values in value_maps:
-        v, g, retained, _, ss_between, ss_total, sizes, n0 = _one_way(values,
-                                                                      scheme)
-        k = len(retained)
-        observed = _perm_stat(ss_between, ss_total, k, statistic, n0, v.size)
-        tables.append((v, g, k, sizes, v.mean(), ss_total, n0, observed))
+        v, g, retained, _, ss_between, ss_total, sizes = _one_way(values,
+                                                                  scheme)
+        tables.append((v, g, len(retained), sizes, v.mean(), ss_total,
+                       _eta2(ss_between, ss_total)))
 
     work = n_perm * sum(v.size for v, *_ in tables)
     blocks = max(1, min(threads, work // _MIN_PERM_WORK))
     cuts = [n_perm * b // blocks for b in range(blocks + 1)]
-    jobs = [(tables, statistic, seed, first, stop)
-            for first, stop in zip(cuts, cuts[1:])]
+    jobs = [(tables, seed, first, stop) for first, stop in zip(cuts, cuts[1:])]
     counts = run_forked(_perm_block, jobs, "a permutation process")
     return [(1 + sum(c)) / (n_perm + 1) for c in zip(*counts)]
 
 
 def analyze_indicators(tables: Sequence[IndicatorTable], scheme: FieldScheme,
-                       statistic: str = "eta2", n_perm: int = 999,
-                       seed: int = 0, threads: int = 1) -> list[VarCompResult]:
+                       n_perm: int = 999, seed: int = 0, threads: int = 1
+                       ) -> list[VarCompResult]:
     """Variance components plus permutation significance for each
     indicator, in input order; ``threads`` bounds the processes of the
     permutation test."""
     results = [varcomp_moments(t.values, scheme, indicator_id=t.indicator_id)
                for t in tables]
     p_values = permutation_test([t.values for t in tables], scheme,
-                                statistic=statistic, n_perm=n_perm, seed=seed,
-                                threads=threads)
+                                n_perm=n_perm, seed=seed, threads=threads)
     for result, p in zip(results, p_values):
         result.perm_p = p
     return results

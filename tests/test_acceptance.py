@@ -72,8 +72,7 @@ def big_synth():
 
     names = ("IF5-IC", "IF5-FC")
     results = dict(zip(names, analyze_indicators(
-        [tables[name] for name in names], scheme, statistic="eta2",
-        n_perm=1999, seed=271)))
+        [tables[name] for name in names], scheme, n_perm=1999, seed=271)))
     elapsed = time.perf_counter() - t0
     return {"corpus": corpus, "journals": journals, "ref_table": ref_table,
             "scheme": scheme, "tables": tables, "results": results,

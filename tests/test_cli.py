@@ -160,6 +160,31 @@ def test_indicators_external_import(tmp_path, fixture_paths):
     assert "ISI-IF2" in header
 
 
+@pytest.mark.parametrize("rows,values,message", [
+    ("J01\t4.5\nJ04\tinf\nJ05\t-inf\n", {"J01": "4.500000"},
+     ["3: non-finite value 'inf'", "4: non-finite value '-inf'"]),
+    ("J01\t1.5\nJ01\t2.5\nJ04\tnan\n", {"J01": "1.500000"},
+     ["3: journal 'J01' listed twice", "4: non-finite value 'nan'"]),
+], ids=["infinite", "repeated"])
+def test_external_bad_rows_skipped_with_warning(tmp_path, fixture_paths, capsys,
+                                                rows, values, message):
+    ext = tmp_path / "ext.tsv"
+    ext.write_text("journal_id\tvalue\n" + rows, encoding="utf-8")
+    out = tmp_path / "ind"
+    capsys.readouterr()
+    code = run(["indicators", fixture_paths["corpus"],
+                "--journals", fixture_paths["journals"],
+                "--census-year", CENSUS, "--out", out,
+                "--external", f"X={ext}"])
+    assert code == 1
+    err = capsys.readouterr().err.splitlines()
+    assert [line for line in err if str(ext) in line] == [
+        f"warning: {ext}:{m}" for m in message]
+    lines = read(out / "X.tsv").splitlines()
+    assert dict((jid, v) for jid, _, v in
+                (line.split("\t") for line in lines[1:])) == values
+
+
 def test_indicators_empty_citation_corpus(tmp_path, fixture_paths):
     corpus = tmp_path / "empty.jsonl"
     corpus.write_text(
@@ -395,6 +420,67 @@ def test_config_file_equivalents_and_flag_priority(tmp_path, fixture_paths):
                 "--census-year", CENSUS])
     assert code == 0
     assert (tmp_path / "from_config" / "validation.tsv").exists()
+
+
+def test_unknown_config_key_exit_2(tmp_path, fixture_paths, capsys):
+    conf = tmp_path / "run.cfg"
+    for key in ("n_perms", "perm_stat", "config", "external", "corpus", "help"):
+        conf.write_text(f"{key} = 5000\n", encoding="utf-8")
+        capsys.readouterr()
+        assert run(["validate", fixture_paths["corpus"], "--config", conf,
+                    "--journals", fixture_paths["journals"],
+                    "--census-year", CENSUS, "--out", tmp_path / "out"]) == 2
+        assert capsys.readouterr().err == (
+            f"error: run.cfg:1: unknown key {key!r}\n")
+    assert not (tmp_path / "out").exists()
+
+
+def test_perm_stat_flag_is_a_usage_error(tmp_path, indicator_dir, capsys):
+    capsys.readouterr()
+    with pytest.raises(SystemExit) as info:
+        run(["varcomp", indicator_dir / "IF2-IC.tsv", "--perm-stat", "eta2",
+             "--out", tmp_path])
+    assert info.value.code == 2
+    err = capsys.readouterr().err
+    assert err.startswith("usage: jifnorm [-h] [--version]")
+    assert "error: unrecognized arguments: --perm-stat eta2" in err
+
+
+def test_one_config_serves_every_command(tmp_path, fixture_paths,
+                                         indicator_dir, capsys):
+    """A config may hold keys of several commands; each command reads the
+    keys it has and ignores the others."""
+    synth_cfg = tmp_path / "synth.cfg"
+    synth_cfg.write_text(
+        "census_year = 2010\nseed = 1\nyears_back = 10\n"
+        "field.A.n_journals = 3\nfield.A.papers_per_journal_per_year = 10\n"
+        "field.A.mean_ref_len = 8\nfield.A.ref_age_half_life = 3\n",
+        encoding="utf-8")
+    conf = tmp_path / "run.cfg"
+    conf.write_text(
+        f"census_year = {CENSUS}\njournals = {fixture_paths['journals']}\n"
+        f"fields = {fixture_paths['fields']}\nseed = 3\nthreads = 1\n"
+        "min_group_size = 2\nn_perm = 999\nreference = IF2-IC\n"
+        "citable_types = article,review\nformat = auto\npercentiles = yes\n"
+        "top = 3\n", encoding="utf-8")
+    ind = indicator_dir
+    commands = {
+        "validate": [fixture_paths["corpus"]],
+        "indicators": [fixture_paths["corpus"]],
+        "rank": [ind / "IF2-IC.tsv"],
+        "correlate": [ind / "IF2-IC.tsv", ind / "IF5-FC.tsv"],
+        "varcomp": [ind / "IF2-IC.tsv", ind / "IF5-FC.tsv"],
+        "synth": [synth_cfg],
+    }
+    for command, positionals in commands.items():
+        capsys.readouterr()
+        out = tmp_path / command
+        code = run([command, *positionals, "--config", conf, "--out", out])
+        assert code in (0, 1), (command, capsys.readouterr().err)
+        assert "error" not in capsys.readouterr().err
+        assert (out / "manifest.json").exists()
+    assert (tmp_path / "indicators" / "percentiles.tsv").exists()
+    assert len(read(tmp_path / "rank" / "ranking.tsv").splitlines()) == 4
 
 
 def test_console_entry_point_runs():

@@ -59,6 +59,12 @@ def test_window_years_unknown_kind():
         window_years("ten_year", CENSUS)
 
 
+def test_integer_mode_has_no_fraction_base():
+    assert CountMode("integer", "in_window") == INTEGER
+    with pytest.raises(CountError, match="integer counting has no fraction"):
+        CountMode("integer", "all_refs")
+
+
 def test_variable_ids():
     assert variable_id(WindowSpec("two_year", CENSUS), INTEGER) == "TC-IC2"
     assert variable_id(WindowSpec("five_year", CENSUS), FRACTIONAL) == "TC-FC5"

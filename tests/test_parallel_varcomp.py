@@ -57,16 +57,13 @@ def test_spawn_key_rebuilds_spawned_child():
 
 
 @pytest.mark.parametrize("n_perm", [999, 1001])
-@pytest.mark.parametrize("statistic", ["eta2", "sigma2_between"])
-def test_p_values_do_not_depend_on_blocks(small_blocks, block_counts,
-                                          statistic, n_perm):
+def test_p_values_do_not_depend_on_blocks(small_blocks, block_counts, n_perm):
     scheme, maps = _mixed_size_maps()
     assert len(maps) >= 6 and len({len(m) for m in maps}) == 3
-    want = permutation_test(maps, scheme, statistic, n_perm, seed=8)
+    want = permutation_test(maps, scheme, n_perm, seed=8)
     assert len(set(want)) > 2
     for threads in THREADS[1:]:
-        got = permutation_test(maps, scheme, statistic, n_perm, seed=8,
-                               threads=threads)
+        got = permutation_test(maps, scheme, n_perm, seed=8, threads=threads)
         assert got == want
     assert block_counts == list(THREADS)
     assert multiprocessing.active_children() == []
@@ -108,10 +105,10 @@ def _varcomp_failing(monkeypatch, tmp_path, failure):
     monkeypatch.setattr(stats, "_MIN_PERM_WORK", 1)
     real = stats._perm_block
 
-    def block(tables, statistic, seed, first, stop):
+    def block(tables, seed, first, stop):
         if first > 0:
             failure()
-        return real(tables, statistic, seed, first, stop)
+        return real(tables, seed, first, stop)
 
     monkeypatch.setattr(stats, "_perm_block", block)
     scheme, maps = _mixed_size_maps()
@@ -155,10 +152,9 @@ def indicator_dir(tmp_path_factory, fixture_paths):
     return out
 
 
-@pytest.mark.parametrize("statistic", ["eta2", "sigma2_between"])
 def test_varcomp_outputs_do_not_depend_on_threads(
         small_blocks, block_counts, indicator_dir, fixture_paths, tmp_path,
-        capsys, statistic):
+        capsys):
     results = []
     for threads in (1, 2, 3):
         out = tmp_path / str(threads)
@@ -167,8 +163,7 @@ def test_varcomp_outputs_do_not_depend_on_threads(
                                    "percentiles.tsv")),
                      "--fields", str(fixture_paths["fields"]),
                      "--min-group-size", "2", "--n-perm", "999",
-                     "--perm-stat", statistic, "--threads", str(threads),
-                     "--out", str(out)])
+                     "--threads", str(threads), "--out", str(out)])
         files = {p.name: p.read_bytes() for p in sorted(out.iterdir())}
         results.append((code, capsys.readouterr().err, files))
     assert block_counts == [1, 2, 3]

@@ -85,26 +85,19 @@ def loop_average_ranks(x):
     return ranks
 
 
-def loop_permutation_p(values, scheme, statistic, n_perm, seed):
-    """One table at a time, every statistic recomputed from scratch: the
-    per-table loop that the shared-draw ``permutation_test`` replaced."""
+def loop_permutation_p(values, scheme, n_perm, seed):
+    """One table at a time, eta2 recomputed from scratch for every draw:
+    the per-table loop that the shared-draw ``permutation_test`` replaced."""
     v, g, retained, _ = scheme.group_arrays(values)
     k = len(retained)
-    n_total = v.size
     sizes = np.bincount(g, minlength=k).astype(np.float64)
-    n0 = (n_total - float((sizes ** 2).sum()) / n_total) / (k - 1)
-
     mean = v.mean()
     ss_total = float(((v - mean) ** 2).sum())
 
     def stat(labels):
         sums = np.bincount(labels, weights=v, minlength=k)
         ss_between = float((sizes * (sums / sizes - mean) ** 2).sum())
-        if statistic == "eta2":
-            return ss_between / ss_total if ss_total > 0 else 0.0
-        ms_within = (ss_total - ss_between) / (n_total - k)
-        ms_between = ss_between / (k - 1)
-        return max(0.0, (ms_between - ms_within) / n0)
+        return ss_between / ss_total if ss_total > 0 else 0.0
 
     observed = stat(g)
     exceed = 0
@@ -348,19 +341,6 @@ def test_permutation_determinism_and_thread_independence():
     assert permutation_test([values], scheme, n_perm=999, seed=43)[0] != p1
 
 
-def test_permutation_statistics_agree():
-    """Label permutations keep group sizes and the total sum of squares
-    fixed, so the two statistics order permutations identically."""
-    rng = np.random.default_rng(31)
-    for seed in range(3):
-        values = _values(rng.normal(size=48) + np.repeat([0, 0.8, 1.6], 16))
-        groups = [f"G{i}" for i in range(3) for _ in range(16)]
-        scheme = _scheme(groups)
-        p_eta = permutation_test([values], scheme, "eta2", 999, seed)[0]
-        p_sig = permutation_test([values], scheme, "sigma2_between", 999, seed)[0]
-        assert p_eta == p_sig
-
-
 def test_permutation_requires_999():
     with pytest.raises(StatsError):
         permutation_test([_values([1, 2, 3, 4])], _scheme(list("AABB")), n_perm=99)
@@ -398,12 +378,11 @@ def _mixed_size_maps():
             [full, pr6, subset, pr6_null, pr6_subset, dict(subset)])
 
 
-@pytest.mark.parametrize("statistic", ["eta2", "sigma2_between"])
-def test_shared_draws_equal_per_table_loop(statistic):
+def test_shared_draws_equal_per_table_loop():
     scheme, maps = _mixed_size_maps()
     assert len({len(m) for m in maps}) == 3
-    got = permutation_test(maps, scheme, statistic, 999, seed=8)
-    want = [loop_permutation_p(m, scheme, statistic, 999, 8) for m in maps]
+    got = permutation_test(maps, scheme, 999, seed=8)
+    want = [loop_permutation_p(m, scheme, 999, 8) for m in maps]
     assert got == want
     assert len(set(want)) > 2
 

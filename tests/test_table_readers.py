@@ -109,6 +109,7 @@ def percentile_file(tables, tmp_path, edit):
     ("J99\tTC-IC\t50.0000", "expected 4 columns, got 3"),
     ("J99\tTC-IC\tx\t3", "bad value 'x'"),
     ("J99\tTC-IC\t50.0000\ty", "bad value 'y'"),
+    ("J99\tTC-IC\tnan\t3", "bad value 'nan'"),
 ])
 def test_malformed_percentile_row_named(tmp_path, tables, fixture_paths,
                                         capsys, row, message):
@@ -151,3 +152,30 @@ def test_indicator_row_of_another_indicator_fatal(tmp_path, tables, capsys):
     assert code == 2
     assert err == (f"error: {path}:3: indicator 'IF5-IC' in a table of "
                    "'IF2-IC'\n")
+
+
+def with_value(source, path, lineno, text):
+    """``source`` with the last field of line ``lineno`` set to ``text``."""
+    lines = source.read_text(encoding="utf-8").splitlines()
+    fields = lines[lineno - 1].split("\t")
+    lines[lineno - 1] = "\t".join(fields[:-1] + [text])
+    path.write_text("\n".join(lines) + "\n", encoding="utf-8")
+    return path
+
+
+@pytest.mark.parametrize("text", ["nan", "inf", "-inf", "NaN", "Infinity"])
+def test_non_finite_indicator_value_fatal(tmp_path, tables, fixture_paths,
+                                          capsys, text):
+    path = with_value(tables / "IF2-IC.tsv", tmp_path / "IF2-IC.tsv", 3, text)
+    want = (2, f"error: {path}:3: bad value {text!r}\n")
+    for args in (["rank", path, "--top", 3],
+                 ["correlate", path, tables / "IF5-FC.tsv"]):
+        assert run(args + ["--out", tmp_path / "out"], capsys) == want
+    code, err, _ = varcomp([path], fixture_paths, tmp_path / "vc", capsys)
+    assert (code, err) == want
+
+
+def test_non_finite_count_value_fatal(tmp_path, tables, fixture_paths, capsys):
+    path = with_value(tables / "TC-FC.tsv", tmp_path / "TC-FC.tsv", 2, "inf")
+    code, err, _ = varcomp([path], fixture_paths, tmp_path / "vc", capsys)
+    assert (code, err) == (2, f"error: {path}:2: bad value 'inf'\n")
