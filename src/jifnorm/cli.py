@@ -5,9 +5,14 @@ identical invocations produce byte-identical outputs (no timestamps are
 written). Exit codes: 0 success, 1 computation-level warnings were
 emitted, 2 fatal input error.
 
-Optional flags have config-file equivalents (``--config`` points at a
+Each optional flag is declared once in ``OPTIONS`` with its type and
+default, and each command accepts only the flags it reads plus
+``--config``, ``--out`` and ``--threads``; any other flag is a usage
+error. A flag has a config-file equivalent (``--config`` points at a
 key=value file whose keys are the flag names with underscores, e.g.
-``census_year=2010``); explicit flags win on conflict.
+``census_year=2010``): the running command's keys are cast by their
+flags' declarations and become its defaults, so explicit flags win on
+conflict, and the keys of other commands are ignored.
 """
 
 from __future__ import annotations
@@ -50,6 +55,39 @@ COUNT_VARIABLES = [
     ("two_year", FRACTIONAL_PLUS), ("five_year", FRACTIONAL_PLUS),
 ]
 
+# every optional flag, with its type and default
+OPTIONS = {
+    "--config": {"help": "key=value file with flag defaults"},
+    "--out": {"default": ".", "help": "output directory (default .)"},
+    "--threads": {"type": integer,
+                  "help": "processes that read the corpus in validate and "
+                          "indicators and run the permutation test in "
+                          "varcomp, in blocks of seed-sequence children "
+                          "(default: available CPUs); every command accepts "
+                          "it, and correlate, rank and synth run serially; "
+                          "outputs do not depend on it"},
+    "--census-year": {"type": integer},
+    "--journals": {"help": "journal master TSV"},
+    "--format": {"choices": ["auto", "jsonl", "tsv"], "default": "auto",
+                 "help": "corpus file format (default auto)"},
+    "--citable-types": {"help": "comma-separated doc types counted as citable"},
+    "--percentiles": {"action": "store_true",
+                      "help": "also emit percentile ranks"},
+    "--external": {"action": "append", "metavar": "ID=PATH",
+                   "help": "import an externally supplied indicator and emit "
+                           "it alongside the computed ones (repeatable)"},
+    "--top": {"type": integer},
+    "--pr6": {"action": "store_true",
+              "help": "list the top percentile class alphabetically"},
+    "--fields": {"help": "journal_id/field TSV"},
+    "--min-group-size": {"type": integer, "default": 10},
+    "--n-perm": {"type": integer, "default": 999},
+    "--seed": {"type": integer},
+    "--reference": {"default": "IF2-IC",
+                    "help": "reference indicator for the variance-reduction "
+                            "block"},
+}
+
 
 class CliError(Exception):
     pass
@@ -64,14 +102,12 @@ def _cast_bool(value: str) -> bool:
 
 
 def _read_config(path: str | None) -> dict[str, str]:
-    """A config file's values by key. A key must be the dest of an optional
-    flag of some subcommand other than those only the command line reads."""
+    """A config file's values by key. A key must name an optional flag of
+    some subcommand other than those only the command line reads."""
     if not path:
         return {}
-    sub = next(a for a in build_parser()._actions
-               if isinstance(a, argparse._SubParsersAction))
-    keys = {a.dest for p in sub.choices.values() for a in p._actions
-            if a.option_strings} - {"help", "config", "external"}
+    keys = ({flag[2:].replace("-", "_") for flag in OPTIONS}
+            - {"config", "external"})
     config = {}
     for lineno, key, value in iter_key_values(path, CliError):
         if key not in keys:
@@ -80,40 +116,34 @@ def _read_config(path: str | None) -> dict[str, str]:
     return config
 
 
+def _config_defaults(parser: argparse.ArgumentParser,
+                     config: dict[str, str]) -> dict[str, object]:
+    """The config values of the flags ``parser`` has, each cast by its
+    flag's declaration (an on/off flag by :func:`_cast_bool`)."""
+    defaults = {}
+    for action in parser._actions:
+        if action.dest not in config:
+            continue
+        cast = _cast_bool if action.nargs == 0 else action.type or str
+        try:
+            defaults[action.dest] = cast(config[action.dest])
+        except ValueError:
+            raise CliError(f"config key {action.dest}: bad value "
+                           f"{config[action.dest]!r}") from None
+    return defaults
+
+
 def _available_cpus() -> int:
     if hasattr(os, "sched_getaffinity"):
         return len(os.sched_getaffinity(0))
     return os.cpu_count() or 1
 
 
-class Settings:
-    """Flag values merged over config-file values (flags win)."""
-
-    def __init__(self, args: argparse.Namespace):
-        self.args = args
-        self.config = _read_config(getattr(args, "config", None))
-        threads = self.get("threads", None, integer)
-        if threads is not None and threads < 1:
-            raise CliError("--threads must be >= 1")
-        self.threads = threads or _available_cpus()
-
-    def get(self, key: str, default=None, cast=str):
-        flag = getattr(self.args, key, None)
-        if flag is not None:
-            return flag
-        if key in self.config:
-            try:
-                return cast(self.config[key])
-            except ValueError:
-                raise CliError(f"config key {key}: bad value "
-                               f"{self.config[key]!r}") from None
-        return default
-
-    def require(self, key: str, cast=str):
-        value = self.get(key, None, cast)
-        if value is None:
-            raise CliError(f"missing required option --{key.replace('_', '-')}")
-        return value
+def _require(args: argparse.Namespace, key: str):
+    value = getattr(args, key)
+    if value is None:
+        raise CliError(f"missing required option --{key.replace('_', '-')}")
+    return value
 
 
 def _sha256(path: Path) -> str:
@@ -140,27 +170,18 @@ def write_manifest(out_dir: Path, command: str, inputs: list[Path],
         fh.write("\n")
 
 
-def _out_dir(settings: Settings) -> Path:
-    out = Path(settings.get("out", ".", str))
-    out.mkdir(parents=True, exist_ok=True)
-    return out
-
-
-def _load_inputs(settings: Settings, corpus_path: str
+def _load_inputs(args: argparse.Namespace
                  ) -> tuple[corpus_mod.Corpus, corpus_mod.JournalTable, list[str]]:
-    census = settings.require("census_year", integer)
-    journals_path = settings.require("journals")
-    fmt = settings.get("format", "auto")
-    journals = corpus_mod.load_journals(journals_path)
-    corpus = corpus_mod.load_corpus(corpus_path, format=fmt, census_year=census,
-                                    threads=settings.threads)
+    census = _require(args, "census_year")
+    journals = corpus_mod.load_journals(_require(args, "journals"))
+    corpus = corpus_mod.load_corpus(args.corpus, format=args.format,
+                                    census_year=census, threads=args.threads)
     warnings = corpus.load_warnings + corpus.load_errors
     corpus, journals = corpus_mod.merge_journal_parts(corpus, journals)
     return corpus, journals, warnings
 
 
-def _citable_types(settings: Settings, warnings: list[str]) -> frozenset[str]:
-    raw = settings.get("citable_types", None)
+def _citable_types(raw: str | None, warnings: list[str]) -> frozenset[str]:
     if raw is None:
         return DEFAULT_CITABLE_TYPES
     types = frozenset(t.strip().lower() for t in raw.split(",") if t.strip())
@@ -171,9 +192,11 @@ def _citable_types(settings: Settings, warnings: list[str]) -> frozenset[str]:
     return types
 
 
-def cmd_validate(settings: Settings) -> int:
-    out = _out_dir(settings)
-    corpus, journals, warnings = _load_inputs(settings, settings.args.corpus)
+# Each cmd_* writes its outputs into ``out`` and returns (input paths,
+# manifest parameters, output names, warnings); ``main`` writes the manifest.
+
+def cmd_validate(args: argparse.Namespace, out: Path):
+    corpus, journals, warnings = _load_inputs(args)
     report = corpus_mod.validate_corpus(corpus, journals)
     write_rows(out / "validation.tsv", ["metric", "count", "fraction"],
                report.to_rows())
@@ -183,12 +206,8 @@ def cmd_validate(settings: Settings) -> int:
                   newline="\n") as fh:
             fh.writelines(e + "\n" for e in corpus.load_errors)
         outputs.append("load_errors.txt")
-    write_manifest(out, "validate",
-                   [Path(settings.args.corpus), Path(settings.require("journals"))],
-                   {"census_year": settings.require("census_year", integer)},
-                   outputs)
-    _emit_warnings(warnings)
-    return 1 if warnings else 0
+    return ([Path(args.corpus), Path(args.journals)],
+            {"census_year": args.census_year}, outputs, warnings)
 
 
 def compute_all_tables(corpus, journals, citable_types,
@@ -216,16 +235,14 @@ def compute_all_tables(corpus, journals, citable_types,
     return count_tables, derived
 
 
-def cmd_indicators(settings: Settings) -> int:
-    out = _out_dir(settings)
-    census = settings.require("census_year", integer)
-    corpus, journals, warnings = _load_inputs(settings, settings.args.corpus)
-    citable = _citable_types(settings, warnings)
+def cmd_indicators(args: argparse.Namespace, out: Path):
+    corpus, journals, warnings = _load_inputs(args)
+    citable = _citable_types(args.citable_types, warnings)
 
-    count_tables, indicator_tables = compute_all_tables(corpus, journals,
-                                                        citable, census)
+    count_tables, indicator_tables = compute_all_tables(
+        corpus, journals, citable, args.census_year)
     external_paths: list[Path] = []
-    for spec in settings.args.external or []:
+    for spec in args.external or []:
         indicator_id, sep, ext_path = spec.partition("=")
         if not sep or not indicator_id or not ext_path:
             raise CliError(f"--external expects ID=PATH, got {spec!r}")
@@ -254,7 +271,7 @@ def cmd_indicators(settings: Settings) -> int:
                ["journal_id"] + [t.indicator_id for t in tables], rows)
     outputs.append("indicators_wide.tsv")
 
-    if settings.get("percentiles", False, _cast_bool):
+    if args.percentiles:
         # percentile ranks are reported for the citation-total family
         pr_marked = {"FC/P", "IF2-Num", "IF5-Num", "IF2-Denom", "IF5-Denom"}
         ranked = tables[:len(count_tables)] + [
@@ -264,26 +281,19 @@ def cmd_indicators(settings: Settings) -> int:
         write_rows(out / "percentiles.tsv", PERCENTILE_HEADER, pr_rows)
         outputs.append("percentiles.tsv")
 
-    write_manifest(out, "indicators",
-                   [Path(settings.args.corpus), Path(settings.require("journals"))]
-                   + external_paths,
-                   {"census_year": census,
-                    "citable_types": sorted(citable)},
-                   outputs)
-    _emit_warnings(warnings)
-    return 1 if warnings else 0
+    return ([Path(args.corpus), Path(args.journals)] + external_paths,
+            {"census_year": args.census_year,
+             "citable_types": sorted(citable)}, outputs, warnings)
 
 
-def cmd_rank(settings: Settings) -> int:
-    out = _out_dir(settings)
-    table = read_indicator_table(settings.args.indicator)
+def cmd_rank(args: argparse.Namespace, out: Path):
+    table = read_indicator_table(args.indicator)
     warnings: list[str] = []
-    top = settings.get("top", None, integer)
-    pr6 = settings.get("pr6", False, _cast_bool)
-    if (top is None) == (not pr6):
+    top = args.top
+    if (top is None) == (not args.pr6):
         raise CliError("exactly one of --top K or --pr6 is required")
 
-    if pr6:
+    if args.pr6:
         pct = build_percentiles(table)
         rows = [row for row in pct.to_rows() if pct.pr6[row[0]] == 6]
         write_rows(out / "ranking.tsv", PERCENTILE_HEADER, rows)
@@ -298,15 +308,11 @@ def cmd_rank(settings: Settings) -> int:
                 for rank, (jid, value) in enumerate(ordered[:top], start=1)]
         write_rows(out / "ranking.tsv", ["rank", "journal_id", "value"], rows)
         params = {"mode": "top", "k": top}
-    write_manifest(out, "rank", [Path(settings.args.indicator)], params,
-                   ["ranking.tsv"])
-    _emit_warnings(warnings)
-    return 1 if warnings else 0
+    return [Path(args.indicator)], params, ["ranking.tsv"], warnings
 
 
-def cmd_correlate(settings: Settings) -> int:
-    out = _out_dir(settings)
-    paths = [Path(p) for p in settings.args.indicators]
+def cmd_correlate(args: argparse.Namespace, out: Path):
+    paths = [Path(p) for p in args.indicators]
     if len(paths) < 2:
         raise CliError("correlate needs at least two indicator files")
     tables = [read_indicator_table(p) for p in paths]
@@ -314,10 +320,8 @@ def cmd_correlate(settings: Settings) -> int:
     matrix.to_tsv(out / "correlation_matrix.tsv")
     warnings = [f"correlation undefined for {a} / {b}"
                 for a, b in matrix.undefined_pairs]
-    write_manifest(out, "correlate", paths, {"n_journals": matrix.n_journals},
-                   ["correlation_matrix.tsv"])
-    _emit_warnings(warnings)
-    return 1 if warnings else 0
+    return (paths, {"n_journals": matrix.n_journals},
+            ["correlation_matrix.tsv"], warnings)
 
 
 def _load_varcomp_tables(paths: list[Path]) -> list[IndicatorTable]:
@@ -338,32 +342,25 @@ def _load_varcomp_tables(paths: list[Path]) -> list[IndicatorTable]:
     return tables
 
 
-def cmd_varcomp(settings: Settings) -> int:
-    out = _out_dir(settings)
-    min_group = settings.get("min_group_size", 10, integer)
-    n_perm = settings.get("n_perm", 999, integer)
-    seed = settings.get("seed", 0, integer)
-    reference_id = settings.get("reference", "IF2-IC")
-
-    fields_path = settings.get("fields", None)
-    if fields_path:
-        scheme = stats_mod.load_field_scheme(fields_path,
+def cmd_varcomp(args: argparse.Namespace, out: Path):
+    min_group = args.min_group_size
+    if args.fields:
+        scheme = stats_mod.load_field_scheme(args.fields,
                                              min_group_size=min_group)
-        scheme_input = [Path(fields_path)]
+        scheme_input = [Path(args.fields)]
     else:
-        journals_path = settings.get("journals", None)
-        if not journals_path:
+        if not args.journals:
             raise CliError("varcomp needs --fields or --journals for the "
                            "field scheme")
         scheme = stats_mod.scheme_from_journals(
-            corpus_mod.load_journals(journals_path), min_group_size=min_group)
-        scheme_input = [Path(journals_path)]
+            corpus_mod.load_journals(args.journals), min_group_size=min_group)
+        scheme_input = [Path(args.journals)]
 
-    paths = [Path(p) for p in settings.args.indicators]
+    paths = [Path(p) for p in args.indicators]
     tables = _load_varcomp_tables(paths)
     warnings: list[str] = []
-    results = analyze_indicators(tables, scheme, n_perm=n_perm, seed=seed,
-                                 threads=settings.threads)
+    results = analyze_indicators(tables, scheme, n_perm=args.n_perm,
+                                 seed=args.seed, threads=args.threads)
 
     note = ("method: one-way moment-estimator variance components with "
             "label-permutation significance; components are on the raw "
@@ -376,6 +373,7 @@ def cmd_varcomp(settings: Settings) -> int:
                ["indicator_id", "sigma2_between", "sigma2_within", "eta2",
                 "perm_p", "groups_used"], rows, preamble=[note])
 
+    reference_id = args.reference
     reference = next((r for r in results if r.indicator_id == reference_id), None)
     red_rows = []
     if reference is None:
@@ -403,97 +401,58 @@ def cmd_varcomp(settings: Settings) -> int:
     write_rows(out / "varcomp_dispersion.tsv",
                ["indicator_id", "field", "var_over_mean"], disp_rows)
 
-    write_manifest(out, "varcomp", paths + scheme_input,
-                   {"n_perm": n_perm, "seed": seed, "statistic": "eta2",
-                    "min_group_size": min_group, "reference": reference_id},
-                   ["varcomp.tsv", "varcomp_reduction.tsv",
-                    "varcomp_dispersion.tsv"])
-    _emit_warnings(warnings)
-    return 1 if warnings else 0
+    return (paths + scheme_input,
+            {"n_perm": args.n_perm, "seed": args.seed, "statistic": "eta2",
+             "min_group_size": min_group, "reference": reference_id},
+            ["varcomp.tsv", "varcomp_reduction.tsv", "varcomp_dispersion.tsv"],
+            warnings)
 
 
-def cmd_synth(settings: Settings) -> int:
-    out = _out_dir(settings)
-    cfg = synthgen.load_synth_config(settings.args.config_file)
-    cfg = replace(cfg, seed=settings.get("seed", cfg.seed, integer))
+def cmd_synth(args: argparse.Namespace, out: Path):
+    cfg = synthgen.load_synth_config(args.config_file)
+    if args.seed is not None:   # a synth config carries its own seed
+        cfg = replace(cfg, seed=args.seed)
     corpus, journals, scheme, truth = synthgen.generate_corpus(cfg)
     corpus_mod.save_corpus(corpus, out / "corpus.jsonl")
     corpus_mod.save_journals(journals, out / "journals.tsv")
     stats_mod.save_field_scheme(scheme, out / "fields.tsv")
     truth.save(out)
-    write_manifest(out, "synth", [Path(settings.args.config_file)],
-                   {"seed": cfg.seed, "census_year": cfg.census_year},
-                   ["corpus.jsonl", "journals.tsv", "fields.tsv",
-                    "ground_truth_journals.tsv", "ground_truth_fields.tsv"])
-    return 0
-
-
-def _emit_warnings(warnings: list[str]) -> None:
-    for w in warnings:
-        print(f"warning: {w}", file=sys.stderr)
+    return ([Path(args.config_file)],
+            {"seed": cfg.seed, "census_year": cfg.census_year},
+            ["corpus.jsonl", "journals.tsv", "fields.tsv",
+             "ground_truth_journals.tsv", "ground_truth_fields.tsv"], [])
 
 
 def build_parser() -> argparse.ArgumentParser:
-    common = argparse.ArgumentParser(add_help=False)
-    common.add_argument("--config", help="key=value file with flag defaults")
-    common.add_argument("--census-year", dest="census_year", type=integer)
-    common.add_argument("--journals", help="journal master TSV")
-    common.add_argument("--fields", help="journal_id/field TSV")
-    common.add_argument("--out", help="output directory (default .)")
-    common.add_argument("--seed", type=integer)
-    common.add_argument("--threads", type=integer,
-                        help="processes that read the corpus in validate and "
-                             "indicators and run the permutation test in "
-                             "varcomp, in blocks of seed-sequence children "
-                             "(default: available CPUs); correlate, rank and "
-                             "synth are serial; outputs do not depend on it")
-    common.add_argument("--citable-types", dest="citable_types",
-                        help="comma-separated doc types counted as citable")
-    common.add_argument("--min-group-size", dest="min_group_size", type=integer)
-    common.add_argument("--format", choices=["auto", "jsonl", "tsv"],
-                        help="corpus file format (default auto)")
-
     parser = argparse.ArgumentParser(
         prog="jifnorm",
         description="Field-normalized journal citation indicators")
     parser.add_argument("--version", action="version", version=__version__)
     sub = parser.add_subparsers(dest="command", required=True)
 
-    p = sub.add_parser("validate", parents=[common],
-                       help="reference accounting for a corpus")
-    p.add_argument("corpus")
+    def command(name: str, summary: str, *flags: str) -> argparse.ArgumentParser:
+        p = sub.add_parser(name, help=summary)
+        for flag in ("--config", "--out", "--threads") + flags:
+            p.add_argument(flag, **OPTIONS[flag])
+        return p
 
-    p = sub.add_parser("indicators", parents=[common],
-                       help="citation totals, quasi impact factors, fc/p")
-    p.add_argument("corpus")
-    p.add_argument("--percentiles", action="store_const", const=True,
-                   default=None, help="also emit percentile ranks")
-    p.add_argument("--external", action="append", metavar="ID=PATH",
-                   help="import an externally supplied indicator and emit "
-                        "it alongside the computed ones (repeatable)")
-
-    p = sub.add_parser("rank", parents=[common],
-                       help="top-k or top-percentile-class listing")
-    p.add_argument("indicator")
-    p.add_argument("--top", type=integer)
-    p.add_argument("--pr6", action="store_const", const=True, default=None,
-                   help="list the top percentile class alphabetically")
-
-    p = sub.add_parser("correlate", parents=[common],
-                       help="rank-order/product-moment correlation matrix")
+    corpus_flags = ("--census-year", "--journals", "--format")
+    command("validate", "reference accounting for a corpus",
+            *corpus_flags).add_argument("corpus")
+    command("indicators", "citation totals, quasi impact factors, fc/p",
+            *corpus_flags, "--citable-types", "--percentiles",
+            "--external").add_argument("corpus")
+    command("rank", "top-k or top-percentile-class listing",
+            "--top", "--pr6").add_argument("indicator")
+    command("correlate", "rank-order/product-moment correlation matrix"
+            ).add_argument("indicators", nargs="+")
+    p = command("varcomp", "between-field variance components and "
+                "permutation significance", "--fields", "--journals",
+                "--min-group-size", "--n-perm", "--seed", "--reference")
     p.add_argument("indicators", nargs="+")
-
-    p = sub.add_parser("varcomp", parents=[common],
-                       help="between-field variance components and "
-                            "permutation significance")
-    p.add_argument("indicators", nargs="+")
-    p.add_argument("--n-perm", dest="n_perm", type=integer)
-    p.add_argument("--reference", help="reference indicator for the "
-                                       "variance-reduction block")
-
-    p = sub.add_parser("synth", parents=[common],
-                       help="generate a synthetic corpus")
-    p.add_argument("config_file")
+    p.set_defaults(seed=0)
+    command("synth", "generate a synthetic corpus",
+            "--seed").add_argument("config_file")
     return parser
 
 
@@ -506,11 +465,29 @@ def main(argv: list[str] | None = None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
-        settings = Settings(args)
-        return COMMANDS[args.command](settings)
+        if args.config:
+            sub = next(a for a in parser._actions
+                       if isinstance(a, argparse._SubParsersAction))
+            command = sub.choices[args.command]
+            command.set_defaults(**_config_defaults(
+                command, _read_config(args.config)))
+            args = parser.parse_args(argv)
+        for key, low in (("threads", 1), ("top", 1), ("seed", 0)):
+            value = getattr(args, key, None)
+            if value is not None and value < low:
+                raise CliError(f"--{key} must be >= {low}")
+        if args.threads is None:
+            args.threads = _available_cpus()
+        out = Path(args.out)
+        out.mkdir(parents=True, exist_ok=True)
+        inputs, parameters, outputs, warnings = COMMANDS[args.command](args, out)
+        write_manifest(out, args.command, inputs, parameters, outputs)
     except (CliError, *FATAL_ERRORS) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
+    for w in warnings:
+        print(f"warning: {w}", file=sys.stderr)
+    return 1 if warnings else 0
 
 
 if __name__ == "__main__":  # pragma: no cover

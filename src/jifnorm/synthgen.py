@@ -63,8 +63,10 @@ class SynthConfig:
         if self.census_year - self.years_back < 1900:
             raise SynthConfigError(
                 "years_back reaches below 1900; cited years would be invalid")
-        if self.quality_spread < 0:
-            raise SynthConfigError("quality_spread must be >= 0")
+        if not 0 <= self.quality_spread < math.inf:
+            raise SynthConfigError("quality_spread must be finite and >= 0")
+        if self.seed < 0:
+            raise SynthConfigError("seed must be >= 0")
         if not 0.0 <= self.invalid_ref_rate < 1.0:
             raise SynthConfigError("invalid_ref_rate must be in [0, 1)")
         if not self.fields:
@@ -82,11 +84,12 @@ class SynthConfig:
             if f.papers_per_journal_per_year < 1:
                 raise SynthConfigError(
                     f"{f.field_code}: papers_per_journal_per_year must be >= 1")
-            if f.mean_ref_len < 1.0:
-                raise SynthConfigError(f"{f.field_code}: mean_ref_len must be >= 1")
-            if f.ref_age_half_life <= 0.0:
+            if not 1.0 <= f.mean_ref_len < math.inf:
                 raise SynthConfigError(
-                    f"{f.field_code}: ref_age_half_life must be > 0")
+                    f"{f.field_code}: mean_ref_len must be finite and >= 1")
+            if not 0.0 < f.ref_age_half_life < math.inf:
+                raise SynthConfigError(
+                    f"{f.field_code}: ref_age_half_life must be finite and > 0")
             if not 0.0 <= f.cross_field_mix <= 1.0:
                 raise SynthConfigError(
                     f"{f.field_code}: cross_field_mix must be in [0, 1]")
@@ -281,11 +284,19 @@ def generate_corpus(cfg: SynthConfig
     return corpus, table, scheme, truth
 
 
+def _finite(text: str) -> float:
+    """``float(text)``, rejecting ``nan`` and infinities with a ValueError."""
+    value = float(text)
+    if not math.isfinite(value):
+        raise ValueError(f"not a finite number: {text!r}")
+    return value
+
+
 _FIELD_KEYS = {"n_journals": integer, "papers_per_journal_per_year": integer,
-               "mean_ref_len": float, "ref_age_half_life": float,
-               "cross_field_mix": float}
+               "mean_ref_len": _finite, "ref_age_half_life": _finite,
+               "cross_field_mix": _finite}
 _TOP_KEYS = {"census_year": integer, "years_back": integer, "seed": integer,
-             "quality_spread": float, "invalid_ref_rate": float}
+             "quality_spread": _finite, "invalid_ref_rate": _finite}
 
 
 def load_synth_config(path: str | Path) -> SynthConfig:

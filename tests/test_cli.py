@@ -543,3 +543,101 @@ def test_varcomp_imports_no_multiprocessing(tmp_path, indicator_dir,
          "--n-perm", "999", "--out", str(tmp_path)],
         capture_output=True, text=True)
     assert proc.returncode in (0, 1), proc.stderr
+
+
+COMMAND_FLAGS = {
+    "validate": {"--census-year", "--journals", "--format"},
+    "indicators": {"--census-year", "--journals", "--format",
+                   "--citable-types", "--percentiles", "--external"},
+    "rank": {"--top", "--pr6"},
+    "correlate": set(),
+    "varcomp": {"--fields", "--journals", "--min-group-size", "--n-perm",
+                "--seed", "--reference"},
+    "synth": {"--seed"},
+}
+
+
+def test_each_command_accepts_only_the_flags_it_reads():
+    from test_readme_cli import parser_flags
+    shared = {"--config", "--out", "--threads"}
+    assert parser_flags() == {command: flags | shared
+                              for command, flags in COMMAND_FLAGS.items()}
+
+
+def test_flag_of_another_command_is_a_usage_error(tmp_path, capsys):
+    synth_cfg = tmp_path / "synth.cfg"
+    synth_cfg.write_text(
+        "census_year = 2010\nseed = 1\nyears_back = 10\n"
+        "field.A.n_journals = 3\nfield.A.papers_per_journal_per_year = 10\n"
+        "field.A.mean_ref_len = 8\nfield.A.ref_age_half_life = 3\n",
+        encoding="utf-8")
+    capsys.readouterr()
+    with pytest.raises(SystemExit) as info:
+        run(["synth", synth_cfg, "--census-year", 2005, "--out", tmp_path / "o"])
+    assert info.value.code == 2
+    assert ("error: unrecognized arguments: --census-year 2005"
+            in capsys.readouterr().err)
+    assert not (tmp_path / "o").exists()
+
+
+def _fatal(capsys, tmp_path, args, config=None):
+    """Run a command that must fail with exit 2 before creating --out;
+    ``config`` lines go to a --config file."""
+    out = tmp_path / "out"
+    if config is not None:
+        conf = tmp_path / "run.cfg"
+        conf.write_text(config, encoding="utf-8")
+        args = [*args, "--config", conf]
+    capsys.readouterr()
+    assert run([*args, "--out", out]) == 2
+    assert not out.exists()
+    return capsys.readouterr().err
+
+
+@pytest.mark.parametrize("top", [0, -2])
+@pytest.mark.parametrize("source", ["flag", "config"])
+def test_rank_top_below_one_exit_2(tmp_path, indicator_dir, capsys, top,
+                                   source):
+    args = ["rank", indicator_dir / "IF2-IC.tsv"]
+    if source == "flag":
+        err = _fatal(capsys, tmp_path, [*args, "--top", top])
+    else:
+        err = _fatal(capsys, tmp_path, args, f"top = {top}\n")
+    assert err == "error: --top must be >= 1\n"
+
+
+def test_negative_seed_exit_2(tmp_path, indicator_dir, fixture_paths, capsys):
+    synth_cfg = tmp_path / "synth.cfg"
+    synth_text = ("census_year = 2010\nseed = 1\nyears_back = 10\n"
+                  "field.A.n_journals = 3\n"
+                  "field.A.papers_per_journal_per_year = 10\n"
+                  "field.A.mean_ref_len = 8\nfield.A.ref_age_half_life = 3\n")
+    synth_cfg.write_text(synth_text, encoding="utf-8")
+    varcomp = ["varcomp", indicator_dir / "IF2-IC.tsv",
+               "--fields", fixture_paths["fields"], "--min-group-size", 2]
+    for args, config in (([*varcomp, "--seed", -1], None),
+                         (varcomp, "seed = -2\n"),
+                         (["synth", synth_cfg, "--seed", -3], None)):
+        assert (_fatal(capsys, tmp_path, args, config)
+                == "error: --seed must be >= 0\n")
+    synth_cfg.write_text(synth_text.replace("seed = 1", "seed = -1"),
+                         encoding="utf-8")
+    assert run(["synth", synth_cfg, "--out", tmp_path / "synth"]) == 2
+    assert capsys.readouterr().err == "error: seed must be >= 0\n"
+
+
+@pytest.mark.parametrize("line", ["quality_spread = nan",
+                                  "field.A.ref_age_half_life = inf",
+                                  "field.A.mean_ref_len = -inf"])
+def test_synth_non_finite_parameter_exit_2(tmp_path, capsys, line):
+    synth_cfg = tmp_path / "synth.cfg"
+    synth_cfg.write_text(
+        "census_year = 2010\nseed = 1\nyears_back = 10\n"
+        "field.A.n_journals = 3\nfield.A.papers_per_journal_per_year = 10\n"
+        "field.A.mean_ref_len = 8\nfield.A.ref_age_half_life = 3\n"
+        f"{line}\n", encoding="utf-8")
+    capsys.readouterr()
+    assert run(["synth", synth_cfg, "--out", tmp_path / "out"]) == 2
+    value = line.split(" = ")[1]
+    assert capsys.readouterr().err == (
+        f"error: synth.cfg:8: bad value {value!r}\n")

@@ -36,6 +36,25 @@ def test_config_validation():
                              FieldSpec("A", 2, 10, 5.0, 2.0))).validate()
 
 
+@pytest.mark.parametrize("overrides,message", [
+    ({"quality_spread": float("nan")}, "quality_spread must be finite and >= 0"),
+    ({"quality_spread": float("inf")}, "quality_spread must be finite and >= 0"),
+    ({"fields": (FieldSpec("A", 2, 10, float("nan"), 2.0),)},
+     "A: mean_ref_len must be finite and >= 1"),
+    ({"fields": (FieldSpec("A", 2, 10, 5.0, float("inf")),)},
+     "A: ref_age_half_life must be finite and > 0"),
+    ({"fields": (FieldSpec("A", 2, 10, 5.0, float("nan")),)},
+     "A: ref_age_half_life must be finite and > 0"),
+    ({"seed": -1}, "seed must be >= 0"),
+], ids=["nan-spread", "inf-spread", "nan-ref-len", "inf-half-life",
+        "nan-half-life", "negative-seed"])
+def test_config_validation_rejects_non_finite_and_negative_seed(overrides,
+                                                                message):
+    with pytest.raises(SynthConfigError) as info:
+        small_config(**overrides).validate()
+    assert str(info.value) == message
+
+
 def test_generated_shapes():
     corpus, journals, scheme, truth = generate_corpus(small_config())
     assert len(journals) == 12
