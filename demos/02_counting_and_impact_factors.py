@@ -56,7 +56,7 @@ for mode, name in ((INTEGER, "TC-IC2"), (FRACTIONAL, "TC-FC2"),
 # Integer counting: BIO soaks up 9 of the 12 in-window citations.
 # Fractional counting: each document hands out weight 1, and the x1
 # document splits it between the fields.
-denom = compute_denominator(journals, "two_year", CENSUS)
+denom = compute_denominator(corpus, journals, "two_year")
 print("\nquasi impact factors over the two-year window "
       f"(denominators {denom.values}):")
 for mode in (INTEGER, FRACTIONAL):
@@ -65,5 +65,5 @@ for mode in (INTEGER, FRACTIONAL):
 
 fcp = fc_over_p(
     count_citations(corpus, journals, WindowSpec("all_years", CENSUS), FRACTIONAL),
-    compute_denominator(journals, "census_only", CENSUS))
+    compute_denominator(corpus, journals, "census_only"))
 print(f"\nall-years fractional citations per census item: {fcp.values}")

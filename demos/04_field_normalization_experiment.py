@@ -39,7 +39,7 @@ print(f"generated {len(corpus.documents)} citing documents over "
 
 ref_table = match_corpus(corpus, journals)
 w5 = WindowSpec("five_year", cfg.census_year)
-denom5 = compute_denominator(journals, "five_year", cfg.census_year)
+denom5 = compute_denominator(corpus, journals, "five_year")
 
 tables = {}
 for mode, name in ((INTEGER, "IF5-IC"), (FRACTIONAL, "IF5-FC")):

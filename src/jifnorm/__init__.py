@@ -23,7 +23,7 @@ from .indicators import (DEFAULT_CITABLE_TYPES, DenominatorTable,
                          IndicatorError, IndicatorTable, compute_denominator,
                          count_indicator, fc_over_p,
                          import_external_indicator, quasi_if,
-                         read_indicator_table)
+                         read_indicator_table, read_tables)
 from .percentile import (PercentileError, PercentileTable, build_percentiles,
                          percentile_rank, pr6_class, top_share)
 from .refmatch import (CitedRef, RefTable, classify_year, match_corpus,

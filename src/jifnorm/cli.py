@@ -29,16 +29,15 @@ from . import __version__
 from . import corpus as corpus_mod
 from . import stats as stats_mod
 from . import synthgen
-from ._tsv import integer, iter_key_values, iter_rows, write_rows
+from ._tsv import integer, iter_key_values, write_rows
 from .corpus import CorpusFormatError, JournalTableError
 from .counts import (CountError, FRACTIONAL, FRACTIONAL_PLUS, INTEGER,
                      WindowSpec, count_citations)
 from .indicators import (DEFAULT_CITABLE_TYPES, DENOMINATOR_WINDOWS,
                          IndicatorError, IndicatorTable, compute_denominator,
-                         count_indicator, denominator_indicator,
-                         derived_item_counts, fc_over_p,
+                         count_indicator, denominator_indicator, fc_over_p,
                          import_external_indicator, quasi_if,
-                         read_indicator_table, read_table_values)
+                         read_indicator_table, read_tables)
 from .percentile import PERCENTILE_HEADER, PercentileError, build_percentiles
 from .refmatch import match_corpus
 from .stats import StatsError, analyze_indicators, variance_reduction
@@ -210,18 +209,22 @@ def cmd_validate(args: argparse.Namespace, out: Path):
             {"census_year": args.census_year}, outputs, warnings)
 
 
-def compute_all_tables(corpus, journals, citable_types,
-                       census: int) -> tuple[list, list[IndicatorTable]]:
+def _table_file(indicator_id: str) -> str:
+    return indicator_id.replace("/", "_") + ".tsv"
+
+
+def compute_all_tables(corpus, journals, citable_types
+                       ) -> tuple[list, list[IndicatorTable]]:
     """All citation-total tables plus derived indicators, in report order."""
+    census = corpus.census_year
     ref_table = match_corpus(corpus, journals)
     count_tables = [count_citations(corpus, journals, WindowSpec(kind, census),
                                     mode, ref_table=ref_table)
                     for kind, mode in COUNT_VARIABLES]
     by_id = {t.variable_id: t for t in count_tables}
 
-    items = derived_item_counts(corpus, journals, citable_types)
-    denoms = {window: compute_denominator(journals, window, census,
-                                          item_counts=items)
+    denoms = {window: compute_denominator(corpus, journals, window,
+                                          citable_types)
               for window in DENOMINATOR_WINDOWS}
 
     derived = [quasi_if(t, denoms[t.window.kind]) for t in count_tables
@@ -239,13 +242,22 @@ def cmd_indicators(args: argparse.Namespace, out: Path):
     corpus, journals, warnings = _load_inputs(args)
     citable = _citable_types(args.citable_types, warnings)
 
-    count_tables, indicator_tables = compute_all_tables(
-        corpus, journals, citable, args.census_year)
+    count_tables, indicator_tables = compute_all_tables(corpus, journals,
+                                                        citable)
+    # file names in use (a repeated id repeats its file name)
+    taken = {"indicators_wide.tsv", "percentiles.tsv",
+             *(_table_file(t.variable_id) for t in count_tables),
+             *(_table_file(t.indicator_id) for t in indicator_tables)}
     external_paths: list[Path] = []
     for spec in args.external or []:
         indicator_id, sep, ext_path = spec.partition("=")
         if not sep or not indicator_id or not ext_path:
             raise CliError(f"--external expects ID=PATH, got {spec!r}")
+        name = _table_file(indicator_id)
+        if name in taken:
+            raise CliError(f"--external {indicator_id}: {name} is already "
+                           "an output")
+        taken.add(name)
         table = import_external_indicator(ext_path, indicator_id, journals)
         warnings.extend(table.warnings)
         indicator_tables.append(table)
@@ -254,7 +266,7 @@ def cmd_indicators(args: argparse.Namespace, out: Path):
     tables = [count_indicator(t) for t in count_tables] + indicator_tables
     outputs: list[str] = []
     for source, table in zip(count_tables + indicator_tables, tables):
-        name = table.indicator_id.replace("/", "_") + ".tsv"
+        name = _table_file(table.indicator_id)
         source.to_tsv(out / name)
         outputs.append(name)
         if table.undefined_journals:
@@ -315,7 +327,7 @@ def cmd_correlate(args: argparse.Namespace, out: Path):
     paths = [Path(p) for p in args.indicators]
     if len(paths) < 2:
         raise CliError("correlate needs at least two indicator files")
-    tables = [read_indicator_table(p) for p in paths]
+    tables = _load_varcomp_tables(paths)
     matrix = stats_mod.correlation_matrix(tables)
     matrix.to_tsv(out / "correlation_matrix.tsv")
     warnings = [f"correlation undefined for {a} / {b}"
@@ -325,21 +337,10 @@ def cmd_correlate(args: argparse.Namespace, out: Path):
 
 
 def _load_varcomp_tables(paths: list[Path]) -> list[IndicatorTable]:
-    """Indicator files, plus percentile files expanded into :PR100/:PR6."""
-    tables: list[IndicatorTable] = []
-    for path in paths:
-        header = next((fields for _, fields in iter_rows(path)), [])
-        if header == PERCENTILE_HEADER:
-            # one (PR100, PR6) pair per indicator_id, in file order
-            for source, rows in read_table_values(
-                    path, len(PERCENTILE_HEADER)).items():
-                for i, name in enumerate(("PR100", "PR6")):
-                    tables.append(IndicatorTable(
-                        f"{source}:{name}",
-                        {jid: v[i] for jid, v in rows.items()}))
-        else:
-            tables.append(read_indicator_table(path))
-    return tables
+    """The tables of the files, in order, as :func:`read_tables` reads
+    them. ``correlate`` loads its files here too; the name stays, as the
+    benchmark's tracer times the call under it."""
+    return [table for path in paths for table in read_tables(path)]
 
 
 def cmd_varcomp(args: argparse.Namespace, out: Path):
@@ -358,6 +359,10 @@ def cmd_varcomp(args: argparse.Namespace, out: Path):
 
     paths = [Path(p) for p in args.indicators]
     tables = _load_varcomp_tables(paths)
+    ids = [t.indicator_id for t in tables]
+    repeated = next((i for n, i in enumerate(ids) if i in ids[:n]), None)
+    if repeated is not None:
+        raise CliError(f"indicator {repeated!r} read twice")
     warnings: list[str] = []
     results = analyze_indicators(tables, scheme, n_perm=args.n_perm,
                                  seed=args.seed, threads=args.threads)
@@ -472,10 +477,11 @@ def main(argv: list[str] | None = None) -> int:
             command.set_defaults(**_config_defaults(
                 command, _read_config(args.config)))
             args = parser.parse_args(argv)
-        for key, low in (("threads", 1), ("top", 1), ("seed", 0)):
+        for key, low in (("threads", 1), ("top", 1), ("seed", 0),
+                         ("min_group_size", 1)):
             value = getattr(args, key, None)
             if value is not None and value < low:
-                raise CliError(f"--{key} must be >= {low}")
+                raise CliError(f"--{key.replace('_', '-')} must be >= {low}")
         if args.threads is None:
             args.threads = _available_cpus()
         out = Path(args.out)

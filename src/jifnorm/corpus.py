@@ -667,6 +667,8 @@ def load_journals(path: str | Path) -> JournalTable:
             raise JournalTableError(
                 f"{path.name}:{lineno}: expected at least 5 columns, got {len(fields)}")
         journal_id, full_name, abbrevs, field_code, merge_group = fields[:5]
+        if not journal_id:
+            raise JournalTableError(f"{path.name}:{lineno}: empty journal_id")
         items: dict[int, int] = {}
         for pair in fields[5:]:
             if not pair:

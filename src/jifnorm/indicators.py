@@ -14,12 +14,12 @@ import math
 from collections import Counter
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import Optional
 
 from ._tsv import iter_rows, write_rows
 from .corpus import Corpus, JournalTable
 from .counts import (COUNT_HEADER, CountError, CountMode, CountTable,
                      _WINDOW_SUFFIX, total_id, window_years)
+from .percentile import PERCENTILE_HEADER
 
 DEFAULT_CITABLE_TYPES = frozenset({"article", "review"})
 
@@ -57,27 +57,33 @@ class IndicatorTable:
                        [[jid] for jid in sorted(self.undefined_journals)])
 
 
-def read_table_values(path: str | Path, width: int, single: bool = False
-                      ) -> dict[str, dict[str, list[float]]]:
-    """Per indicator id, in order of first appearance, each journal's
-    numbers from a table whose rows are ``journal_id``, ``indicator_id``
-    and ``width - 2`` numbers, past its ``journal_id`` header rows; a
-    citation-total table, headed as :meth:`CountTable.to_tsv` writes it,
-    names its rows by variable id. A row of another width, a value that is
-    not a finite number, a journal listed twice for one indicator and,
-    when ``single``, a row of a second indicator are fatal."""
-    tables: dict[str, dict[str, list[float]]] = {}
-    count_table = False
+def read_tables(path: str | Path, single: bool = False
+                ) -> list[IndicatorTable]:
+    """The tables of a TSV in order of first appearance, read as its
+    ``journal_id`` header row says: under :data:`COUNT_HEADER` a row is a
+    citation total of its variable id, under :data:`PERCENTILE_HEADER` it
+    gives ``ID:PR100`` and ``ID:PR6``, else it is ``journal_id indicator_id
+    value``. A file without rows is an empty table named after the file (a
+    percentile file, none). A row of another width, a non-finite value, a
+    journal listed twice in a table and, when ``single``, a percentile
+    header or a second indicator are fatal."""
+    tables: dict[str, dict[str, float]] = {}
+    header: list[str] = []
+    width = 3
     for lineno, fields in iter_rows(path):
-        if fields[0] == "journal_id":
-            count_table = fields == COUNT_HEADER
-            continue
         where = f"{path}:{lineno}"
-        expected = len(COUNT_HEADER) if count_table else width
-        if len(fields) != expected:
+        if fields[0] == "journal_id":
+            header = fields
+            if single and header == PERCENTILE_HEADER:
+                raise IndicatorError(f"{where}: percentile table where one "
+                                     "indicator table is expected")
+            width = (len(header) if header in (COUNT_HEADER, PERCENTILE_HEADER)
+                     else 3)
+            continue
+        if len(fields) != width:
             raise IndicatorError(
-                f"{where}: expected {expected} columns, got {len(fields)}")
-        if count_table:
+                f"{where}: expected {width} columns, got {len(fields)}")
+        if header == COUNT_HEADER:
             try:
                 fields = [fields[0], total_id(fields[1], fields[2]), fields[3]]
             except CountError as exc:
@@ -86,67 +92,49 @@ def read_table_values(path: str | Path, width: int, single: bool = False
         if single and tables and ind not in tables:
             raise IndicatorError(f"{where}: indicator {ind!r} in a table of "
                                  f"{next(iter(tables))!r}")
-        values = tables.setdefault(ind, {})
-        if jid in values:
-            raise IndicatorError(f"{where}: journal {jid!r} listed twice")
-        values[jid] = []
-        for text in texts:
+        names = ([f"{ind}:PR100", f"{ind}:PR6"] if header == PERCENTILE_HEADER
+                 else [ind])
+        for name, text in zip(names, texts):
+            values = tables.setdefault(name, {})
+            if jid in values:
+                raise IndicatorError(f"{where}: journal {jid!r} listed twice")
             try:
-                value = float(text)
+                values[jid] = float(text)
             except ValueError:
-                value = math.nan  # rejected below with the non-finite ones
-            if not math.isfinite(value):
+                values[jid] = math.nan  # rejected below with the non-finite ones
+            if not math.isfinite(values[jid]):
                 raise IndicatorError(f"{where}: bad value {text!r}")
-            values[jid].append(value)
-    return tables
+    if not tables and header != PERCENTILE_HEADER:
+        return [IndicatorTable(Path(path).stem, {})]
+    return [IndicatorTable(name, values) for name, values in tables.items()]
 
 
 def read_indicator_table(path: str | Path) -> IndicatorTable:
-    """Read an indicator TSV written by :meth:`IndicatorTable.to_tsv`, or a
-    citation-total TSV written by :meth:`CountTable.to_tsv` as the
-    indicator of its variable id."""
-    tables = read_table_values(path, 3, single=True)
-    indicator_id, values = next(iter(tables.items()), (Path(path).stem, {}))
-    return IndicatorTable(indicator_id=indicator_id,
-                          values={jid: v for jid, (v,) in values.items()})
+    """The one table of an indicator or citation-total TSV; a percentile
+    file is fatal."""
+    [table] = read_tables(path, single=True)
+    return table
 
 
-def derived_item_counts(corpus: Corpus, journals: JournalTable,
+def compute_denominator(corpus: Corpus, journals: JournalTable, window: str,
                         citable_types: frozenset[str] = DEFAULT_CITABLE_TYPES
-                        ) -> Counter[tuple[str, int]]:
-    """Documents of the citable types per (journal, publication year) in
-    the corpus, for the journals that declare no ``items_by_year``; empty
-    when every journal declares its counts."""
-    undeclared = {j.journal_id for j in journals if not j.items_by_year}
-    if not undeclared:
-        return Counter()
-    return Counter(
-        (journal, year) for journal, year, doc_type
-        in zip(corpus.doc_journals, corpus.pub_years.tolist(), corpus.doc_types)
-        if journal in undeclared and doc_type in citable_types)
-
-
-def compute_denominator(journals: JournalTable, window: str, census_year: int,
-                        *, item_counts: Optional[Counter[tuple[str, int]]] = None
                         ) -> DenominatorTable:
-    """Sum citable items over the window's years.
-
-    Declared ``items_by_year`` counts are used as-is (they are citable
-    counts by definition of the journal master). Journals with no declared
-    counts at all take theirs from ``item_counts``, the corpus's documents
-    of the citable types as :func:`derived_item_counts` tallies them, so
-    several windows can share one pass over the corpus; without it they
-    count 0.
-    """
+    """Citable items per journal over the window's years of the corpus's
+    census year: the declared ``items_by_year``, or for a journal that
+    declares none its documents of ``citable_types`` in the corpus (read
+    only when some journal declares none)."""
     table = DenominatorTable(window=window, values={})
-    item_counts = item_counts or Counter()
-    years = window_years(window, census_year)
+    years = window_years(window, corpus.census_year)
+    undeclared = {j.journal_id for j in journals if not j.items_by_year}
+    derived = Counter(
+        journal for journal, year, doc_type
+        in zip(corpus.doc_journals, corpus.pub_years.tolist(), corpus.doc_types)
+        if journal in undeclared and doc_type in citable_types
+        and year in years) if undeclared else Counter()
     for j in journals:
-        if j.items_by_year:
-            total = sum(j.items_by_year.get(y, 0) for y in years)
-        else:
-            total = sum(item_counts[j.journal_id, y] for y in years)
-        table.values[j.journal_id] = total
+        table.values[j.journal_id] = (
+            sum(j.items_by_year.get(y, 0) for y in years) if j.items_by_year
+            else derived[j.journal_id])
     return table
 
 

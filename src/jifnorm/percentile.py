@@ -12,11 +12,14 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from pathlib import Path
+from typing import TYPE_CHECKING
 
 import numpy as np
 
 from ._tsv import write_rows
-from .indicators import IndicatorTable
+
+if TYPE_CHECKING:  # pragma: no cover
+    from .indicators import IndicatorTable
 
 PR6_THRESHOLDS = (99.0, 95.0, 90.0, 75.0, 50.0)
 

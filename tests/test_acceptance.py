@@ -65,9 +65,9 @@ def big_synth():
                              ("two_year", FRACTIONAL_PLUS, "IF2-FC+")):
         counts = count_citations(corpus, journals, WindowSpec(kind, 2010),
                                  mode, ref_table=ref_table)
-        denom = compute_denominator(journals,
+        denom = compute_denominator(corpus, journals,
                                     "five_year" if kind == "five_year"
-                                    else "two_year", 2010)
+                                    else "two_year")
         tables[name] = quasi_if(counts, denom)
 
     names = ("IF5-IC", "IF5-FC")
@@ -87,9 +87,9 @@ def test_criterion_1_fixture_exactness(data_dir):
     oracle = full_pipeline(data_dir / "fixture_corpus.jsonl",
                            data_dir / "fixture_journals.tsv", CENSUS)
 
-    denoms = {"two_year": compute_denominator(journals, "two_year", CENSUS),
-              "five_year": compute_denominator(journals, "five_year", CENSUS),
-              "census_only": compute_denominator(journals, "census_only", CENSUS)}
+    denoms = {"two_year": compute_denominator(corpus, journals, "two_year"),
+              "five_year": compute_denominator(corpus, journals, "five_year"),
+              "census_only": compute_denominator(corpus, journals, "census_only")}
 
     for kind, suffix in (("two_year", "2"), ("five_year", "5"), ("all_years", "")):
         for mode, label in ((INTEGER, "IC"), (FRACTIONAL, "FC"),
@@ -343,7 +343,7 @@ def test_criterion_8_invariance_suite(big_synth):
     scaled_counts = CountTable(counts.window, counts.mode,
                                {j: 17.0 * v for j, v in counts.values.items()})
     scaled_if = quasi_if(scaled_counts,
-                         compute_denominator(journals, "five_year", 2010))
+                         compute_denominator(corpus, journals, "five_year"))
     scaled_order = sorted(scaled_if.values,
                           key=lambda j: (scaled_if.values[j], j))
     assert scaled_order == order

@@ -641,3 +641,52 @@ def test_synth_non_finite_parameter_exit_2(tmp_path, capsys, line):
     value = line.split(" = ")[1]
     assert capsys.readouterr().err == (
         f"error: synth.cfg:8: bad value {value!r}\n")
+
+
+@pytest.mark.parametrize("ids", [["TC-IC"], ["FC_P"], ["EXT", "EXT"],
+                                 ["A/B", "A_B"]])
+def test_external_id_or_file_name_in_use_exit_2(tmp_path, fixture_paths,
+                                                capsys, ids):
+    """TC-IC is a computed table's id, and FC_P.tsv the file of FC/P; a
+    second --external may not take the first's id or file name either.
+    Nothing is written."""
+    out = tmp_path / "ind"
+    args = ["indicators", fixture_paths["corpus"],
+            "--journals", fixture_paths["journals"], "--census-year", CENSUS,
+            "--percentiles", "--out", out]
+    for indicator_id in ids:
+        args += ["--external", f"{indicator_id}={fixture_paths['external']}"]
+    capsys.readouterr()
+    assert run(args) == 2
+    name = ids[-1].replace("/", "_") + ".tsv"
+    assert capsys.readouterr().err == (
+        f"error: --external {ids[-1]}: {name} is already an output\n")
+    assert not list(out.iterdir())
+
+
+@pytest.mark.parametrize("names", [["IF2-IC.tsv", "IF2-IC.tsv", "IF5-FC.tsv"],
+                                   ["percentiles.tsv", "percentiles.tsv"]])
+def test_varcomp_indicator_read_twice_exit_2(tmp_path, indicator_dir,
+                                             fixture_paths, capsys, names):
+    out = tmp_path / "vc"
+    capsys.readouterr()
+    assert run(["varcomp", *(indicator_dir / n for n in names),
+                "--fields", fixture_paths["fields"], "--min-group-size", 2,
+                "--out", out]) == 2
+    first = "IF2-IC" if names[0] == "IF2-IC.tsv" else "TC-IC:PR100"
+    assert capsys.readouterr().err == (
+        f"error: indicator {first!r} read twice\n")
+    assert not list(out.iterdir())
+
+
+@pytest.mark.parametrize("size", [0, -5])
+@pytest.mark.parametrize("source", ["flag", "config"])
+def test_min_group_size_below_one_exit_2(tmp_path, indicator_dir,
+                                         fixture_paths, capsys, size, source):
+    args = ["varcomp", indicator_dir / "IF5-FC.tsv",
+            "--fields", fixture_paths["fields"]]
+    if source == "flag":
+        err = _fatal(capsys, tmp_path, [*args, "--min-group-size", size])
+    else:
+        err = _fatal(capsys, tmp_path, args, f"min_group_size = {size}\n")
+    assert err == "error: --min-group-size must be >= 1\n"

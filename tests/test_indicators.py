@@ -1,12 +1,14 @@
 import pytest
 
-from jifnorm import (import_external_indicator, load_journals)
+from jifnorm import (import_external_indicator, load_corpus, load_journals,
+                     merge_journal_parts)
+from jifnorm.cli import main
 from jifnorm.counts import (FRACTIONAL, FRACTIONAL_PLUS, INTEGER, WindowSpec,
                             count_citations)
 from jifnorm.indicators import (DENOMINATOR_WINDOWS, DenominatorTable,
                                 IndicatorError,
                                 IndicatorTable, compute_denominator,
-                                derived_item_counts, fc_over_p, quasi_if,
+                                fc_over_p, quasi_if,
                                 read_indicator_table)
 
 from conftest import CENSUS
@@ -20,12 +22,12 @@ def oracle(data_dir):
 
 
 def test_denominator_sums_window_years(merged_fixture):
-    _, journals = merged_fixture
-    d2 = compute_denominator(journals, "two_year", CENSUS)
+    corpus, journals = merged_fixture
+    d2 = compute_denominator(corpus, journals, "two_year")
     assert d2.values["J01"] == 50 + 60
-    d5 = compute_denominator(journals, "five_year", CENSUS)
+    d5 = compute_denominator(corpus, journals, "five_year")
     assert d5.values["J01"] == 40 + 40 + 45 + 50 + 60
-    dc = compute_denominator(journals, "census_only", CENSUS)
+    dc = compute_denominator(corpus, journals, "census_only")
     assert dc.values["J01"] == 55
     assert d2.values["J10"] == 0          # no pre-census items declared
     assert dc.values["J10"] == 14
@@ -33,29 +35,53 @@ def test_denominator_sums_window_years(merged_fixture):
 
 def test_denominator_derived_from_corpus_when_undeclared(merged_fixture):
     corpus, journals = merged_fixture
-    for j in journals:
-        if j.journal_id == "J05":
-            j = j
     j05 = journals.by_id["J05"]
     saved = j05.items_by_year
-    assert not derived_item_counts(corpus, journals)  # all declared
     j05.items_by_year = {}
     try:
-        dc = compute_denominator(journals, "census_only", CENSUS,
-                                 item_counts=derived_item_counts(corpus,
-                                                                 journals))
+        dc = compute_denominator(corpus, journals, "census_only")
         # J05 has 4 census-year docs of citable types (3 articles + 1 review)
         assert dc.values["J05"] == 4
-        items = derived_item_counts(corpus, journals)
-        assert {journal for journal, _ in items} == {"J05"}
-        assert items["J05", CENSUS] == 4
-        shared = compute_denominator(journals, "census_only", CENSUS,
-                                     item_counts=items)
-        assert shared == dc
-        no_corpus = compute_denominator(journals, "census_only", CENSUS)
-        assert no_corpus.values["J05"] == 0
+        # journals that declare their counts keep them
+        assert all(dc.values[j.journal_id] == j.items_by_year.get(CENSUS, 0)
+                   for j in journals if j is not j05)
     finally:
         j05.items_by_year = saved
+
+
+def test_library_denominator_matches_indicators_files(fixture_paths,
+                                                     tmp_path):
+    """With J05's counts left out of the journal master, the library's
+    denominators and FC/P equal the values `indicators` writes."""
+    lines = fixture_paths["journals"].read_text(encoding="utf-8").splitlines()
+    master = tmp_path / "journals.tsv"
+    master.write_text("".join(
+        ("\t".join(line.split("\t")[:5]) if line.startswith("J05\t") else line)
+        + "\n" for line in lines), encoding="utf-8")
+    out = tmp_path / "out"
+    assert main(["indicators", str(fixture_paths["corpus"]),
+                 "--journals", str(master), "--census-year", str(CENSUS),
+                 "--out", str(out)]) in (0, 1)
+
+    corpus, journals = merge_journal_parts(
+        load_corpus(fixture_paths["corpus"], census_year=CENSUS),
+        load_journals(master))
+    assert not journals.by_id["J05"].items_by_year
+    denoms = {window: compute_denominator(corpus, journals, window)
+              for window in DENOMINATOR_WINDOWS}
+    fcp = fc_over_p(count_citations(corpus, journals,
+                                    WindowSpec("all_years", CENSUS), FRACTIONAL),
+                    denoms["census_only"])
+    assert denoms["census_only"].values["J05"] == 4
+    assert "J05" in fcp.values
+    for name, values in (("IF2-Denom", denoms["two_year"].values),
+                         ("IF5-Denom", denoms["five_year"].values),
+                         (f"Items{CENSUS}", denoms["census_only"].values),
+                         ("FC/P", fcp.values)):
+        path = out / (name.replace("/", "_") + ".tsv")
+        rows = path.read_text(encoding="utf-8").splitlines()[1:]
+        assert rows == [f"{jid}\t{name}\t{values[jid]:.6f}"
+                        for jid in sorted(values)], name
 
 
 def test_quasi_if_simple_ratio():
@@ -113,8 +139,8 @@ def test_fc_over_p_no_census_items_undefined():
 
 def test_quasi_ifs_match_oracle(merged_fixture, oracle):
     corpus, journals = merged_fixture
-    denom = {"two_year": compute_denominator(journals, "two_year", CENSUS),
-             "five_year": compute_denominator(journals, "five_year", CENSUS)}
+    denom = {"two_year": compute_denominator(corpus, journals, "two_year"),
+             "five_year": compute_denominator(corpus, journals, "five_year")}
     for name, kind, mode in (("IF2-IC", "two_year", INTEGER),
                              ("IF5-IC", "five_year", INTEGER),
                              ("IF2-FC", "two_year", FRACTIONAL),
@@ -135,7 +161,7 @@ def test_fc_over_p_matches_oracle(merged_fixture, oracle):
     corpus, journals = merged_fixture
     numer = count_citations(corpus, journals, WindowSpec("all_years", CENSUS),
                             FRACTIONAL)
-    table = fc_over_p(numer, compute_denominator(journals, "census_only", CENSUS))
+    table = fc_over_p(numer, compute_denominator(corpus, journals, "census_only"))
     for jid, v in oracle["indicators"]["FC/P"].items():
         assert table.values[jid] == pytest.approx(v, rel=1e-9)
 
@@ -144,7 +170,7 @@ def test_numerator_scaling_preserves_rank_order(merged_fixture):
     corpus, journals = merged_fixture
     numer = count_citations(corpus, journals, WindowSpec("five_year", CENSUS),
                             FRACTIONAL)
-    denom = compute_denominator(journals, "five_year", CENSUS)
+    denom = compute_denominator(corpus, journals, "five_year")
     base = quasi_if(numer, denom)
     scaled_numer = _count_table("five_year",
                                 {j: 3.5 * v for j, v in numer.values.items()},
@@ -169,7 +195,7 @@ def test_indicator_tsv_round_trip(merged_fixture, tmp_path):
     corpus, journals = merged_fixture
     numer = count_citations(corpus, journals, WindowSpec("five_year", CENSUS),
                             FRACTIONAL)
-    table = quasi_if(numer, compute_denominator(journals, "five_year", CENSUS))
+    table = quasi_if(numer, compute_denominator(corpus, journals, "five_year"))
     out = tmp_path / "IF5-FC.tsv"
     table.to_tsv(out)
     back = read_indicator_table(out)

@@ -203,7 +203,7 @@ def test_simulated_mean_matches_closed_form_at_scale():
     corpus, journals, _, _ = generate_corpus(cfg)
     assert len(corpus.documents) == 100_000
     w = WindowSpec("five_year", 2010)
-    denom = compute_denominator(journals, "five_year", 2010)
+    denom = compute_denominator(corpus, journals, "five_year")
     for base, mode in (("in_window", FRACTIONAL), ("all_refs", FRACTIONAL_PLUS)):
         table = quasi_if(count_citations(corpus, journals, w, mode), denom)
         simulated = np.mean(list(table.values.values()))
@@ -220,7 +220,7 @@ def test_identical_fields_show_no_field_effect():
     corpus, journals, scheme, _ = generate_corpus(cfg)
     table = quasi_if(
         count_citations(corpus, journals, WindowSpec("five_year", 2010), INTEGER),
-        compute_denominator(journals, "five_year", 2010))
+        compute_denominator(corpus, journals, "five_year"))
     from jifnorm.indicators import IndicatorTable
     [result] = analyze_indicators(
         [IndicatorTable("IF5-IC", table.values)], scheme, n_perm=999, seed=4)

@@ -179,3 +179,42 @@ def test_non_finite_count_value_fatal(tmp_path, tables, fixture_paths, capsys):
     path = with_value(tables / "TC-FC.tsv", tmp_path / "TC-FC.tsv", 2, "inf")
     code, err, _ = varcomp([path], fixture_paths, tmp_path / "vc", capsys)
     assert (code, err) == (2, f"error: {path}:2: bad value 'inf'\n")
+
+
+def test_correlate_reads_percentile_tables(tmp_path, tables, capsys):
+    code, err = run(["correlate", tables / "percentiles.tsv",
+                     tables / "IF2-IC.tsv", "--out", tmp_path], capsys)
+    assert code in (0, 1), err
+    header = (tmp_path / "correlation_matrix.tsv").read_text(
+        encoding="utf-8").splitlines()[2].split("\t")
+    sources = []
+    for line in (tables / "percentiles.tsv").read_text(
+            encoding="utf-8").splitlines()[1:]:
+        if line.split("\t")[1] not in sources:
+            sources.append(line.split("\t")[1])
+    assert header == (["indicator_id"]
+                      + [f"{s}:{pr}" for s in sources for pr in ("PR100", "PR6")]
+                      + ["IF2-IC"])
+
+
+def test_rank_of_a_percentile_file_fatal(tmp_path, tables, capsys):
+    path = tables / "percentiles.tsv"
+    code, err = run(["rank", path, "--top", 3, "--out", tmp_path], capsys)
+    assert code == 2
+    assert err == (f"error: {path}:1: percentile table where one indicator "
+                   "table is expected\n")
+    assert not (tmp_path / "ranking.tsv").exists()
+
+
+def test_indicator_file_of_two_indicators_reads_as_two_tables(tmp_path, tables,
+                                                              capsys):
+    both = tmp_path / "both.tsv"
+    both.write_text((tables / "IF2-IC.tsv").read_text(encoding="utf-8")
+                    + (tables / "IF5-FC.tsv").read_text(encoding="utf-8"),
+                    encoding="utf-8")
+    code, err = run(["correlate", both, tables / "TC-FC.tsv",
+                     "--out", tmp_path / "corr"], capsys)
+    assert code in (0, 1), err
+    header = (tmp_path / "corr" / "correlation_matrix.tsv").read_text(
+        encoding="utf-8").splitlines()[2]
+    assert header == "indicator_id\tIF2-IC\tIF5-FC\tTC-FC"

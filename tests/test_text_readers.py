@@ -224,6 +224,21 @@ def test_year_count_pairs_are_ascii_digits(tmp_path, pair):
     assert str(info.value) == f"journals.tsv:1: bad year=count pair {pair!r}"
 
 
+def test_empty_journal_id_fatal(tmp_path, fixture_paths, capsys):
+    path = tmp_path / "journals.tsv"
+    path.write_text("J01\tAnnals\tANN\tPHYS\t\t2009=5\n"
+                    "\tNo Id Letters\tNO ID LETT\tPHYS\t\t2009=5\n",
+                    encoding="utf-8")
+    with pytest.raises(JournalTableError) as info:
+        load_journals(path)
+    assert str(info.value) == "journals.tsv:2: empty journal_id"
+    capsys.readouterr()
+    assert main(["indicators", str(fixture_paths["corpus"]),
+                 "--journals", str(path), "--census-year", "2010",
+                 "--out", str(tmp_path / "out")]) == 2
+    assert capsys.readouterr().err == "error: journals.tsv:2: empty journal_id\n"
+
+
 @pytest.mark.parametrize("value", ["２０１０", "2_010"])
 def test_config_integers_are_ascii_digits(tmp_path, fixture_paths, capsys,
                                           value):
