@@ -2,25 +2,16 @@
 
 All files are UTF-8 with LF line endings; a byte-order mark that opens a
 file is ignored on input. Lines whose first character is ``#`` are
-comments, and lines of whitespace without a tab are blank; both are
-skipped on input. An integer field is an optional sign and ASCII digits.
+comments, and lines of whitespace are blank (in TSV, only those without
+a tab); both are skipped on input. An integer field is an optional sign
+and ASCII digits; a decimal field is what ``float`` reads from ASCII
+text without ``_`` or surrounding whitespace.
 """
 
 from __future__ import annotations
 
-from contextlib import contextmanager
 from pathlib import Path
-from typing import Iterable, Iterator, TextIO
-
-
-@contextmanager
-def _open_text(path: str | Path) -> Iterator[TextIO]:
-    """A UTF-8 text file opened for reading, past a byte-order mark at its
-    start."""
-    with open(path, encoding="utf-8") as fh:
-        if fh.read(1) != "\ufeff":
-            fh.seek(0)
-        yield fh
+from typing import Iterable, Iterator
 
 
 def skipped(line: str) -> bool:
@@ -37,9 +28,17 @@ def integer(text: str) -> int:
     return int(text)
 
 
+def number(text: str) -> float:
+    """``float(text)`` for ASCII text without ``_`` or surrounding
+    whitespace, else float()'s ``ValueError``; ``nan`` and ``inf`` pass."""
+    if not text.isascii() or "_" in text or text != text.strip():
+        raise ValueError(f"could not convert string to float: {text!r}")
+    return float(text)
+
+
 def iter_rows(path: str | Path) -> Iterator[tuple[int, list[str]]]:
     """Yield (1-based line number, fields) for every line not :func:`skipped`."""
-    with _open_text(path) as fh:
+    with open(path, encoding="utf-8-sig") as fh:
         for lineno, line in enumerate(fh, start=1):
             line = line.rstrip("\n").rstrip("\r")
             if skipped(line):
@@ -55,7 +54,7 @@ def iter_key_values(path: str | Path, error: type[Exception]
     path = Path(path)
     if not path.is_file():
         raise error(f"config file not found: {path}")
-    with _open_text(path) as fh:
+    with open(path, encoding="utf-8-sig") as fh:
         for lineno, line in enumerate(fh, start=1):
             line = line.strip()
             if not line or line.startswith("#"):

@@ -325,8 +325,6 @@ def cmd_rank(args: argparse.Namespace, out: Path):
 
 def cmd_correlate(args: argparse.Namespace, out: Path):
     paths = [Path(p) for p in args.indicators]
-    if len(paths) < 2:
-        raise CliError("correlate needs at least two indicator files")
     tables = _load_varcomp_tables(paths)
     matrix = stats_mod.correlation_matrix(tables)
     matrix.to_tsv(out / "correlation_matrix.tsv")

@@ -27,7 +27,7 @@ import copy
 import json
 from array import array
 from collections import defaultdict
-from collections.abc import Iterable, Iterator, Sequence
+from collections.abc import Callable, Iterable, Iterator, Sequence
 from dataclasses import dataclass, field
 from functools import cached_property
 from itertools import islice, repeat
@@ -101,16 +101,16 @@ def _string_columns(strings: list[str]) -> dict:
 
 @dataclass
 class _Chunk:
-    """The columns of one part of a corpus: one byte range of a file, or a
-    whole corpus once the parts are joined.
+    """The columns of one part of a corpus: one byte range of a file, the
+    documents built in memory, or a whole corpus once the parts are joined.
 
     Per document: ``doc_ids``, ``doc_journals``, ``pub_years``,
-    ``doc_types``, ``ref_counts`` and ``doc_lines`` (line number, 0 when not
-    read from a file), plus ``ref_offsets``, one longer. Per reference:
-    ``ref_slots``, an index into the part's string slots. Per slot: its text
-    (``slot_text`` cut at ``slot_lens``) and its ``slot_venue`` and
-    ``slot_year`` codes into ``venue_tokens`` and ``year_tokens``. Messages
-    are ``(line, text)`` pairs in line order.
+    ``doc_types``, ``ref_counts`` and ``doc_lines`` (its line number, or
+    its position in memory), plus ``ref_offsets``, one longer. Per
+    reference: ``ref_slots``, an index into the part's string slots. Per
+    slot: its text (``slot_text`` cut at ``slot_lens``) and its
+    ``slot_venue`` and ``slot_year`` codes into ``venue_tokens`` and
+    ``year_tokens``. Messages are ``(line, text)`` pairs in line order.
     """
 
     doc_ids: list[str]
@@ -130,41 +130,6 @@ class _Chunk:
     errors: list[tuple[int, str]] = field(default_factory=list)
     warnings: list[tuple[int, str]] = field(default_factory=list)
     n_lines: int = 0
-
-
-class _ChunkBuilder:
-    """Appends documents column by column and interns each reference string
-    to a slot in first-seen order."""
-
-    def __init__(self):
-        self.doc_ids: list[str] = []
-        self.doc_journals: list[str] = []
-        self.pub_years = array("q")
-        self.doc_types: list[str] = []
-        self.ref_counts = array("q")
-        self.doc_lines = array("q")
-        self.ref_offsets = array("q", [0])
-        self.ref_slots: list[int] = []
-        self.slot_ids = id_table()
-
-    def add(self, doc_id: str, journal: str, year: int, doc_type: str,
-            nref: int, refs: list[str], line: int = 0) -> None:
-        self.doc_ids.append(doc_id)
-        self.doc_journals.append(journal)
-        self.pub_years.append(year)
-        self.doc_types.append(doc_type)
-        self.ref_counts.append(nref)
-        self.doc_lines.append(line)
-        self.ref_slots += map(self.slot_ids.__getitem__, refs)
-        self.ref_offsets.append(len(self.ref_slots))
-
-    def finish(self, **messages) -> _Chunk:
-        return _Chunk(doc_ids=self.doc_ids, doc_journals=self.doc_journals,
-                      pub_years=self.pub_years, doc_types=self.doc_types,
-                      ref_counts=self.ref_counts, ref_offsets=self.ref_offsets,
-                      ref_slots=np.array(self.ref_slots, dtype=np.int32),
-                      doc_lines=self.doc_lines,
-                      **_string_columns(list(self.slot_ids)), **messages)
 
 
 def _join(chunks: list[_Chunk]) -> _Chunk:
@@ -226,37 +191,47 @@ class Corpus:
     several byte ranges of a corpus file has a slot per range, and a slot
     may be used by no reference.
 
-    ``Corpus(census_year, documents)`` builds the columns from ``Document``
-    objects; ``documents`` is a read-only sequence that builds each
-    ``Document`` on access. Two corpora are equal when their documents
-    are, whatever slots their strings got.
+    ``Corpus(census_year, documents)`` reads ``Document`` objects as
+    :func:`load_corpus` reads a file's lines: a malformed document is
+    skipped and reported in ``load_errors`` as ``documents:N: text``, N
+    its 1-based position, a document type is lower-cased and an unknown
+    one becomes ``other`` with a warning, and a repeated ``doc_id`` is
+    rejected. ``documents`` is a read-only sequence that builds each
+    ``Document`` on access. Two corpora are equal when their census years
+    and their documents are, whatever slots their strings got.
     """
 
     def __init__(self, census_year: int, documents: Iterable[Document]):
-        builder = _ChunkBuilder()
-        for d in documents:
-            builder.add(d.doc_id, d.journal_id, d.pub_year, d.doc_type,
-                        d.ref_count, d.refs)
-        self._store(census_year, "jsonl", [], [], _join([builder.finish()]))
+        self._store(census_year, "documents",
+                    [_records(documents, _document_fields, census_year, 1)])
 
     @classmethod
     def from_columns(cls, census_year: int, *, slot_strings: list[str],
                      **columns) -> "Corpus":
         """A corpus over given per-document columns and ``ref_slots``,
         named as the attributes are, whose slot ``i`` holds
-        ``slot_strings[i]``."""
+        ``slot_strings[i]``. The columns are not checked record by record,
+        but a declared NRef below its reference count is a ValueError."""
+        if (np.asarray(columns["ref_counts"])
+                < np.diff(columns["ref_offsets"])).any():
+            raise ValueError("ref_counts below a document's reference count")
+        n_docs = len(columns["doc_ids"])
+        chunk = _Chunk(doc_lines=np.arange(1, n_docs + 1), **columns,
+                       **_string_columns(slot_strings))
         corpus = cls.__new__(cls)
-        chunk = _Chunk(doc_lines=np.zeros(len(columns["doc_ids"]), np.int64),
-                       **columns, **_string_columns(slot_strings))
-        corpus._store(census_year, "jsonl", [], [], _join([chunk]))
+        corpus._store(census_year, "columns", [chunk])
         return corpus
 
-    def _store(self, census_year, source_format, load_errors, load_warnings,
-               joined: _Chunk) -> None:
+    def _store(self, census_year: int, name: str, parts: list[_Chunk]
+               ) -> None:
+        """Keep the parts joined, with repeated ``doc_id``s rejected and
+        each message written ``NAME:N: text``."""
+        joined = _join(parts)
+        _reject_duplicates(joined)
         self.census_year = census_year
-        self.source_format = source_format
-        self.load_errors = load_errors
-        self.load_warnings = load_warnings
+        self.load_errors = [f"{name}:{n}: {text}" for n, text in joined.errors]
+        self.load_warnings = [f"{name}:{n}: {text}"
+                              for n, text in joined.warnings]
         self.doc_ids = joined.doc_ids
         self.doc_journals = joined.doc_journals
         self.pub_years = joined.pub_years
@@ -285,7 +260,6 @@ class Corpus:
         if not isinstance(other, Corpus):
             return NotImplemented
         return (self.census_year == other.census_year
-                and self.source_format == other.source_format
                 and self.documents == other.documents)
 
 
@@ -437,23 +411,20 @@ def _check_record(doc_id, journal, year, doc_type, nref, refs,
     return doc_type.strip().lower()
 
 
-def _check_jsonl(line: str, census_year: int) -> Optional[tuple]:
-    """The checked record on a JSONL line, None for a blank or comment
-    line."""
+def _jsonl_fields(line: str) -> Optional[tuple]:
+    """The six fields of the record on a JSONL line, unchecked; None for a
+    blank or comment line."""
     line = line.strip()
     if not line or line.startswith("#"):
         return None
     obj = json.loads(line)
-    doc_id, journal, year = obj["doc_id"], obj["journal"], obj["year"]
-    doc_type = obj.get("type", "other")
-    nref, refs = obj["nref"], obj.get("refs", [])
-    doc_type = _check_record(doc_id, journal, year, doc_type, nref, refs,
-                             census_year)
-    return doc_id, journal, year, doc_type, nref, refs
+    return (obj["doc_id"], obj["journal"], obj["year"],
+            obj.get("type", "other"), obj["nref"], obj.get("refs", []))
 
 
-def _check_tsv(line: str, census_year: int) -> Optional[tuple]:
-    """The checked record on a TSV line, None for a blank or comment line."""
+def _tsv_fields(line: str) -> Optional[tuple]:
+    """The six fields of the record on a TSV line, unchecked but for its
+    width and integers; None for a blank or comment line."""
     if skipped(line):
         return None
     fields = line.split("\t")
@@ -461,10 +432,61 @@ def _check_tsv(line: str, census_year: int) -> Optional[tuple]:
         raise ValueError(f"expected 6 columns, got {len(fields)}")
     doc_id, journal, year, doc_type, nref, refs_joined = fields
     refs = [r for r in refs_joined.split(";") if r] if refs_joined else []
-    year, nref = integer(year), integer(nref)
-    doc_type = _check_record(doc_id, journal, year, doc_type, nref, refs,
-                             census_year)
-    return doc_id, journal, year, doc_type, nref, refs
+    return doc_id, journal, integer(year), doc_type, integer(nref), refs
+
+
+def _document_fields(d: Document) -> tuple:
+    """The six fields of a ``Document``, unchecked."""
+    return d.doc_id, d.journal_id, d.pub_year, d.doc_type, d.ref_count, d.refs
+
+
+def _records(items: Iterable, fields: Callable[..., Optional[tuple]],
+             census_year: int, first: int) -> _Chunk:
+    """Read, check and column the records of ``items``, numbered from
+    ``first``: ``fields`` gives an item's six fields, or None for an item
+    that holds no record. A malformed record is skipped with an error, and
+    a type outside ``DOC_TYPES`` becomes ``other`` with a warning, each
+    at the item's number; the chunk's ``n_lines`` is the last number.
+    Each distinct reference string gets a slot, in first-seen order."""
+    doc_ids: list[str] = []
+    doc_journals: list[str] = []
+    doc_types: list[str] = []
+    pub_years, ref_counts, doc_lines = array("q"), array("q"), array("q")
+    ref_offsets = array("q", [0])
+    ref_slots: list[int] = []
+    slot_ids = id_table()
+    errors: list[tuple[int, str]] = []
+    warnings: list[tuple[int, str]] = []
+    n = first - 1
+    for n, item in enumerate(items, start=first):
+        try:
+            record = fields(item)
+            if record is None:
+                continue
+            doc_type = _check_record(*record, census_year)
+        # a JSONL line nested past the recursion limit is a record error too
+        except (KeyError, TypeError, ValueError, RecursionError) as exc:
+            errors.append((n, str(exc)))
+            continue
+        if doc_type not in DOC_TYPES:
+            warnings.append((n, f"unknown doc_type {doc_type!r} "
+                                "mapped to 'other'"))
+            doc_type = "other"
+        doc_id, journal, year, _, nref, refs = record
+        doc_ids.append(doc_id)
+        doc_journals.append(journal)
+        doc_types.append(doc_type)
+        pub_years.append(year)
+        ref_counts.append(nref)
+        doc_lines.append(n)
+        ref_slots += map(slot_ids.__getitem__, refs)
+        ref_offsets.append(len(ref_slots))
+    return _Chunk(doc_ids=doc_ids, doc_journals=doc_journals,
+                  pub_years=pub_years, doc_types=doc_types,
+                  ref_counts=ref_counts, ref_offsets=ref_offsets,
+                  ref_slots=np.array(ref_slots, dtype=np.int32),
+                  doc_lines=doc_lines, **_string_columns(list(slot_ids)),
+                  errors=errors, warnings=warnings, n_lines=n)
 
 
 def _decoded_lines(raw: bytes, file_start: bool = False) -> Sequence[str]:
@@ -538,34 +560,15 @@ def _parse_range(path: Path, format: str, start: int, end: int, skip: int,
     """Read, check and column the records on the lines of bytes
     ``[start, end)``, whose first ``skip`` lines are not records (a TSV
     header). Line numbers count from the range's first line."""
-    check = _check_jsonl if format == "jsonl" else _check_tsv
-    builder = _ChunkBuilder()
-    errors: list[tuple[int, str]] = []
-    warnings: list[tuple[int, str]] = []
-    lineno = skip
+    fields = _jsonl_fields if format == "jsonl" else _tsv_fields
     lines = islice(_range_lines(path, start, end), skip, None)
-    for lineno, line in enumerate(lines, start=skip + 1):
-        try:
-            record = check(line, census_year)
-        # a JSONL line nested past the recursion limit is a record error too
-        except (KeyError, TypeError, ValueError, RecursionError) as exc:
-            errors.append((lineno, str(exc)))
-            continue
-        if record is None:
-            continue
-        doc_id, journal, year, doc_type, nref, refs = record
-        if doc_type not in DOC_TYPES:
-            warnings.append((lineno, f"unknown doc_type {doc_type!r} "
-                                     "mapped to 'other'"))
-            doc_type = "other"
-        builder.add(doc_id, journal, year, doc_type, nref, refs, lineno)
-    return builder.finish(errors=errors, warnings=warnings, n_lines=lineno)
+    return _records(lines, fields, census_year, skip + 1)
 
 
 def _reject_duplicates(joined: _Chunk) -> None:
-    """Reject every record whose ``doc_id`` an earlier line holds: record a
-    load error at its line, and drop its columns, its references and its
-    warning."""
+    """Reject every record whose ``doc_id`` an earlier record holds: record
+    a load error at its number, and drop its columns, its references and
+    its warning."""
     ids = joined.doc_ids
     if len(set(ids)) == len(ids):
         return
@@ -618,14 +621,9 @@ def load_corpus(path: str | Path, format: str = "auto",
     n = max(1, min(threads, path.stat().st_size // _MIN_RANGE_BYTES))
     jobs = [(path, format, start, end, skip if i == 0 else 0, census_year)
             for i, (start, end) in enumerate(_byte_ranges(path, first, n))]
-    joined = _join(run_forked(_parse_range, jobs,
-                              f"a process reading {path.name}"))
-    _reject_duplicates(joined)
-    name = path.name
-    errors = [f"{name}:{line}: {text}" for line, text in joined.errors]
-    warnings = [f"{name}:{line}: {text}" for line, text in joined.warnings]
+    parts = run_forked(_parse_range, jobs, f"a process reading {path.name}")
     corpus = Corpus.__new__(Corpus)
-    corpus._store(census_year, format, errors, warnings, joined)
+    corpus._store(census_year, path.name, parts)
     return corpus
 
 

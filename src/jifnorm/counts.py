@@ -138,7 +138,8 @@ def count_citations(corpus: Corpus, journals: JournalTable, w: WindowSpec,
 
     Fractional totals are reduced from exact integer counts of references
     per (journal, k), k being the divisor of each reference's weight, so
-    they do not depend on the order of the documents.
+    they do not depend on the order of the documents. No corpus holds an
+    NRef below its reference count, so a whole-list weight is at most 1/k.
     """
     if w.census_year != corpus.census_year:
         raise CountError(
@@ -155,13 +156,6 @@ def count_citations(corpus: Corpus, journals: JournalTable, w: WindowSpec,
     # differences of the running in-window count at the reference offsets
     k = np.diff(np.concatenate(([0], np.cumsum(inwin)))[offsets])
     contributing = int((k > 0).sum())
-    bad = corpus.ref_counts < k
-    if bad.any():
-        i = int(np.argmax(bad))
-        raise CountError(
-            f"document {corpus.doc_ids[i]!r} declares NRef "
-            f"{int(corpus.ref_counts[i])} below its in-window "
-            f"reference count {int(k[i])}")
 
     counted = inwin & (ref_table.journal_index >= 0)
     jidx = ref_table.journal_index[counted]

@@ -15,7 +15,7 @@ from collections import Counter
 from dataclasses import dataclass, field
 from pathlib import Path
 
-from ._tsv import iter_rows, write_rows
+from ._tsv import iter_rows, number, write_rows
 from .corpus import Corpus, JournalTable
 from .counts import (COUNT_HEADER, CountError, CountMode, CountTable,
                      _WINDOW_SUFFIX, total_id, window_years)
@@ -64,9 +64,10 @@ def read_tables(path: str | Path, single: bool = False
     citation total of its variable id, under :data:`PERCENTILE_HEADER` it
     gives ``ID:PR100`` and ``ID:PR6``, else it is ``journal_id indicator_id
     value``. A file without rows is an empty table named after the file (a
-    percentile file, none). A row of another width, a non-finite value, a
-    journal listed twice in a table and, when ``single``, a percentile
-    header or a second indicator are fatal."""
+    percentile file, none). A row of another width, an empty
+    ``journal_id``, a value that is not a finite decimal, a journal listed
+    twice in a table and, when ``single``, a percentile header or a second
+    indicator are fatal."""
     tables: dict[str, dict[str, float]] = {}
     header: list[str] = []
     width = 3
@@ -89,6 +90,8 @@ def read_tables(path: str | Path, single: bool = False
             except CountError as exc:
                 raise IndicatorError(f"{where}: {exc}") from None
         jid, ind, *texts = fields
+        if not jid:
+            raise IndicatorError(f"{where}: empty journal_id")
         if single and tables and ind not in tables:
             raise IndicatorError(f"{where}: indicator {ind!r} in a table of "
                                  f"{next(iter(tables))!r}")
@@ -99,7 +102,7 @@ def read_tables(path: str | Path, single: bool = False
             if jid in values:
                 raise IndicatorError(f"{where}: journal {jid!r} listed twice")
             try:
-                values[jid] = float(text)
+                values[jid] = number(text)
             except ValueError:
                 values[jid] = math.nan  # rejected below with the non-finite ones
             if not math.isfinite(values[jid]):
@@ -194,7 +197,7 @@ def denominator_indicator(table: DenominatorTable, indicator_id: str
 def import_external_indicator(path: str | Path, indicator_id: str,
                               journals: JournalTable) -> IndicatorTable:
     """Load externally supplied per-journal values (e.g. published impact
-    factors). A row with a value that is not a finite number, or of a
+    factors). A row with a value that is not a finite decimal, or of a
     journal unknown to the master or already listed, is skipped with a
     warning in the table's list."""
     values: dict[str, float] = {}
@@ -210,7 +213,7 @@ def import_external_indicator(path: str | Path, indicator_id: str,
             warnings.append(f"{path}:{lineno}: expected 2 or 3 columns")
             continue
         try:
-            v = float(value)
+            v = number(value)
         except ValueError:
             warnings.append(f"{path}:{lineno}: non-numeric value {value!r}")
             continue

@@ -80,7 +80,8 @@ class FieldScheme:
 
 def load_field_scheme(path: str | Path, name: Optional[str] = None,
                       min_group_size: int = 10) -> FieldScheme:
-    """Load a two-column TSV (journal_id, field)."""
+    """Load a two-column TSV (journal_id, field); an empty journal_id or
+    field is fatal."""
     assignment: dict[str, str] = {}
     for lineno, fields in iter_rows(path):
         if fields[0] == "journal_id":
@@ -88,6 +89,10 @@ def load_field_scheme(path: str | Path, name: Optional[str] = None,
         if len(fields) != 2:
             raise StatsError(f"{path}:{lineno}: expected 2 columns")
         jid, code = fields
+        if not jid:
+            raise StatsError(f"{path}:{lineno}: empty journal_id")
+        if not code:
+            raise StatsError(f"{path}:{lineno}: empty field")
         if jid in assignment and assignment[jid] != code:
             raise StatsError(f"{path}:{lineno}: journal {jid!r} assigned twice")
         assignment[jid] = code

@@ -23,7 +23,7 @@ from typing import Optional
 
 import numpy as np
 
-from ._tsv import integer, iter_key_values, write_rows
+from ._tsv import integer, iter_key_values, number, write_rows
 from .corpus import Corpus, Journal, JournalTable
 from .counts import window_years
 from .stats import FieldScheme
@@ -285,8 +285,9 @@ def generate_corpus(cfg: SynthConfig
 
 
 def _finite(text: str) -> float:
-    """``float(text)``, rejecting ``nan`` and infinities with a ValueError."""
-    value = float(text)
+    """:func:`number` of ``text``, rejecting ``nan`` and infinities with a
+    ValueError."""
+    value = number(text)
     if not math.isfinite(value):
         raise ValueError(f"not a finite number: {text!r}")
     return value

@@ -336,6 +336,34 @@ def test_varcomp_single_group_fatal(tmp_path, indicator_dir, fixture_paths):
     assert code == 2
 
 
+def test_varcomp_field_scheme_from_journal_master(tmp_path, indicator_dir,
+                                                 fixture_paths):
+    """The journal master's field column gives the fixture's field file's
+    scheme (its extra merged-away journals have no values), so the
+    outputs match; only the manifest's inputs differ."""
+    outs = {}
+    for flag in ("fields", "journals"):
+        out = tmp_path / flag
+        assert run(["varcomp", indicator_dir / "IF2-IC.tsv",
+                    indicator_dir / "IF5-FC.tsv", f"--{flag}",
+                    fixture_paths[flag], "--min-group-size", 2,
+                    "--out", out]) == 0
+        outs[flag] = dir_bytes(out)
+        manifest = json.loads(outs[flag].pop("manifest.json"))
+        assert str(fixture_paths[flag]) in manifest["inputs"]
+    assert outs["journals"] == outs["fields"]
+    assert len(outs["fields"]) == 3
+
+
+def test_varcomp_without_field_scheme_exit_2(tmp_path, indicator_dir, capsys):
+    capsys.readouterr()
+    out = tmp_path / "vc"
+    assert run(["varcomp", indicator_dir / "IF2-IC.tsv", "--out", out]) == 2
+    assert capsys.readouterr().err == (
+        "error: varcomp needs --fields or --journals for the field scheme\n")
+    assert not list(out.iterdir())
+
+
 def test_varcomp_accepts_percentile_files(tmp_path, indicator_dir,
                                           fixture_paths):
     out = tmp_path / "vcp"

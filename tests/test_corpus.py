@@ -1,5 +1,7 @@
 import json
+from dataclasses import replace
 
+import numpy as np
 import pytest
 
 from jifnorm import (Corpus, CorpusFormatError, Document, Journal,
@@ -252,3 +254,61 @@ def test_all_valid_corpus_has_full_match_fraction():
     report = validate_corpus(corpus, journals)
     assert report.fraction(report.matched_refs) == 1.0
     assert report.invalid_year_refs == 0
+
+
+# --- one record path for files and documents built in memory ---------------
+
+def _jsonl(docs) -> str:
+    return "".join(json.dumps({"doc_id": d.doc_id, "journal": d.journal_id,
+                               "year": d.pub_year, "type": d.doc_type,
+                               "nref": d.ref_count, "refs": d.refs}) + "\n"
+                   for d in docs)
+
+
+FIRST = Document("d0", "A", 2010, "Article", ["J A|2009"], 1)
+LAST = Document("d2", "B", 2009, "review", [], 0)
+
+
+@pytest.mark.parametrize("fields,message", [
+    ({"doc_id": 7}, "doc_id 7 is not a string"),
+    ({"doc_id": ""}, "empty doc_id"),
+    ({"pub_year": 1899}, "pub_year 1899 outside [1900, 2010]"),
+    ({"pub_year": 2011}, "pub_year 2011 outside [1900, 2010]"),
+    ({"ref_count": -1, "refs": []}, "negative nref -1"),
+    ({"ref_count": 1}, "nref 1 smaller than reference list (2)"),
+    ({"refs": ["J A|2009", ""]}, "empty reference string"),
+    ({"doc_type": 5}, "type 5 is not a string"),
+    ({"doc_id": "d0"}, "duplicate doc_id 'd0'"),
+    ({"doc_type": "Strange"}, "unknown doc_type 'strange' mapped to 'other'"),
+], ids=["doc-id-type", "doc-id-empty", "year-1899", "year-2011",
+        "nref-negative", "nref-below-refs", "ref-empty", "type-type",
+        "doc-id-repeated", "type-unknown"])
+def test_bad_record_reads_alike_from_a_file_and_from_memory(tmp_path, fields,
+                                                             message):
+    bad = replace(Document("d1", "A", 2010, "article",
+                           ["J A|2009", "J B|2008"], 2), **fields)
+    docs = [FIRST, bad, LAST]
+    path = tmp_path / "c.jsonl"
+    path.write_text(_jsonl(docs), encoding="utf-8")
+    loaded = load_corpus(path, census_year=2010)
+    built = Corpus(2010, docs)
+    warned = message.startswith("unknown doc_type")
+    for corpus, name in ((loaded, "c.jsonl"), (built, "documents")):
+        messages = [f"{name}:2: {message}"]
+        assert (corpus.load_errors, corpus.load_warnings) == (
+            ([], messages) if warned else (messages, []))
+    assert built == loaded
+    assert built.doc_types[0] == "article"
+    assert built.doc_ids == (["d0", "d1", "d2"] if warned else ["d0", "d2"])
+
+
+def test_from_columns_rejects_nref_below_reference_count():
+    columns = dict(doc_ids=["d0", "d1"], doc_journals=["A", "A"],
+                   pub_years=np.array([2010, 2010]),
+                   doc_types=["article", "article"],
+                   ref_offsets=np.array([0, 1, 3]), ref_slots=np.array([0, 0, 0]),
+                   slot_strings=["J A|2009"])
+    corpus = Corpus.from_columns(2010, ref_counts=np.array([1, 2]), **columns)
+    assert corpus.documents[1].refs == ["J A|2009"] * 2
+    with pytest.raises(ValueError, match="ref_counts"):
+        Corpus.from_columns(2010, ref_counts=np.array([1, 1]), **columns)

@@ -263,7 +263,11 @@ def test_nref_below_in_window_count_names_its_document():
             Document("d3", "A", CENSUS, "article", [], 0)]
     journals = JournalTable([Journal("A", "A", ["J A"], "F", {}),
                              Journal("B", "B", ["J B"], "F", {})])
-    with pytest.raises(CountError, match="document 'd2' declares NRef 1 below "
-                                         "its in-window reference count 2"):
-        count_citations(Corpus(CENSUS, docs), journals,
-                        WindowSpec("two_year", CENSUS), FRACTIONAL)
+    corpus = Corpus(CENSUS, docs)
+    assert corpus.load_errors == [
+        "documents:3: nref 1 smaller than reference list (2)"]
+    assert corpus.doc_ids == ["d0", "d1", "d3"]
+    table = count_citations(corpus, journals, WindowSpec("two_year", CENSUS),
+                            FRACTIONAL)
+    assert table.values == {"A": 1.0, "B": 0.0}
+    assert table.contributing_docs == 1

@@ -218,3 +218,61 @@ def test_indicator_file_of_two_indicators_reads_as_two_tables(tmp_path, tables,
     header = (tmp_path / "corr" / "correlation_matrix.tsv").read_text(
         encoding="utf-8").splitlines()[2]
     assert header == "indicator_id\tIF2-IC\tIF5-FC\tTC-FC"
+
+
+def test_correlate_one_percentile_file(tmp_path, tables, capsys):
+    """One file of many tables is enough: the 13 indicators of the
+    fixture's percentile file are 26 tables."""
+    code, err = run(["correlate", tables / "percentiles.tsv",
+                     "--out", tmp_path], capsys)
+    assert (code, err) == (0, "")
+    lines = (tmp_path / "correlation_matrix.tsv").read_text(
+        encoding="utf-8").splitlines()
+    header = lines[2].split("\t")
+    assert len(header) == 1 + 26
+    assert [line.split("\t")[0] for line in lines[3:]] == header[1:]
+
+
+def test_correlate_one_table_exit_2(tmp_path, tables, capsys):
+    out = tmp_path / "out"
+    code, err = run(["correlate", tables / "IF2-IC.tsv", "--out", out],
+                    capsys)
+    assert (code, err) == (2, "error: need at least two indicator tables\n")
+    assert not (out / "correlation_matrix.tsv").exists()
+
+
+@pytest.mark.parametrize("name,row", [
+    ("IF2-IC.tsv", "\tIF2-IC\t1.000000"), ("TC-IC.tsv", "\tall_years\tIC\t3"),
+    ("percentiles.tsv", "\tIF2-IC\t50.0000\t2")])
+def test_empty_journal_id_in_a_table_fatal(tmp_path, tables, fixture_paths,
+                                           capsys, name, row):
+    path = tmp_path / name
+    path.write_text((tables / name).read_text(encoding="utf-8") + row + "\n",
+                    encoding="utf-8")
+    n = len(path.read_text(encoding="utf-8").splitlines())
+    want = (2, f"error: {path}:{n}: empty journal_id\n")
+    if name != "percentiles.tsv":
+        assert run(["rank", path, "--top", 4, "--out", tmp_path / "rank"],
+                   capsys) == want
+        assert not (tmp_path / "rank" / "ranking.tsv").exists()
+    code, err, files = varcomp([path], fixture_paths, tmp_path / "vc", capsys)
+    assert (code, err, files) == (*want, {})
+
+
+@pytest.mark.parametrize("text", ["1_0", "١٢", " 3", "3 ", "２"])
+def test_table_value_is_an_ascii_decimal(tmp_path, tables, capsys, text):
+    path = tmp_path / "IF2-IC.tsv"
+    path.write_text("journal_id\tindicator_id\tvalue\n"
+                    "J01\tIF2-IC\t1.0\nJ02\tIF2-IC\t2e0\nJ03\tIF2-IC\t-.5\n",
+                    encoding="utf-8")
+    assert run(["rank", path, "--top", 3, "--out", tmp_path / "ok"],
+               capsys) == (0, "")
+    ranking = (tmp_path / "ok" / "ranking.tsv").read_text(encoding="utf-8")
+    assert ranking.splitlines()[1:] == ["1\tJ02\t2.000000", "2\tJ01\t1.000000",
+                                        "3\tJ03\t-0.500000"]
+    with open(path, "a", encoding="utf-8") as fh:
+        fh.write(f"J04\tIF2-IC\t{text}\n")
+    out = tmp_path / "bad"
+    assert run(["rank", path, "--top", 4, "--out", out], capsys) == (
+        2, f"error: {path}:5: bad value {text!r}\n")
+    assert not (out / "ranking.tsv").exists()

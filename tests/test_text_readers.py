@@ -6,14 +6,20 @@ reads as its twin without the mark. The ``--config`` and synth readers
 share one key=value reader and keep their messages. A line of whitespace
 without a tab is blank and skipped in every TSV reader, as in JSONL; a
 line with a tab stays a row. An integer is an optional sign and ASCII
-digits in TSV corpora, ``year=count`` pairs, config files and flags."""
+digits in TSV corpora, ``year=count`` pairs, config files and flags, and
+a decimal is ASCII text without ``_`` or surrounding whitespace in
+indicator tables, ``--external`` files and synth configs. No table reader
+accepts an empty ``journal_id``."""
+
+import math
 
 import pytest
 
-from jifnorm import (IndicatorError, JournalTableError, load_corpus,
+from jifnorm import (IndicatorError, JournalTableError, StatsError,
+                     load_corpus,
                      load_journals, load_field_scheme, load_synth_config,
                      read_indicator_table, save_corpus)
-from jifnorm._tsv import integer
+from jifnorm._tsv import integer, number
 from jifnorm.cli import CliError, _load_varcomp_tables, _read_config, main
 from jifnorm.synthgen import SynthConfigError
 
@@ -294,3 +300,72 @@ def test_integer_rejects_everything_else(text):
     with pytest.raises(ValueError) as info:
         integer(text)
     assert str(info.value) == f"invalid literal for int() with base 10: {text!r}"
+
+
+@pytest.mark.parametrize("text,value", [
+    ("0", 0.0), ("-1.5", -1.5), ("+2e3", 2000.0), (".5", 0.5), ("7.", 7.0)])
+def test_number_reads_ascii_decimals(text, value):
+    assert number(text) == value
+
+
+@pytest.mark.parametrize("text", ["nan", "inf", "-Infinity"])
+def test_number_leaves_finiteness_to_the_reader(text):
+    assert not math.isfinite(number(text))
+
+
+@pytest.mark.parametrize("text", [
+    "", " 3", "3 ", "\t3", "1_0", "1_5", "١٢", "٥", "２", "0x10", "1,5"])
+def test_number_rejects_everything_else(text):
+    with pytest.raises(ValueError) as info:
+        number(text)
+    assert str(info.value) == f"could not convert string to float: {text!r}"
+
+
+@pytest.mark.parametrize("text", ["1_5", "２", "١٢", " 4"])
+def test_external_values_are_ascii_decimals(tmp_path, fixture_paths, capsys,
+                                            text):
+    ext = tmp_path / "ext.tsv"
+    ext.write_text(f"journal_id\tvalue\nJ01\t4.5\nJ02\t{text}\n",
+                   encoding="utf-8")
+    capsys.readouterr()
+    assert main(["indicators", str(fixture_paths["corpus"]),
+                 "--journals", str(fixture_paths["journals"]),
+                 "--census-year", str(CENSUS), "--out", str(tmp_path / "out"),
+                 "--external", f"X={ext}"]) == 1
+    err = capsys.readouterr().err.splitlines()
+    assert [line for line in err if str(ext) in line] == [
+        f"warning: {ext}:3: non-numeric value {text!r}"]
+    lines = (tmp_path / "out" / "X.tsv").read_text(encoding="utf-8")
+    assert lines.splitlines()[1:] == ["J01\tX\t4.500000"]
+
+
+@pytest.mark.parametrize("line,bad", [
+    ("quality_spread = 0_5", "0_5"), ("field.A.mean_ref_len = ٥", "٥"),
+    ("invalid_ref_rate = ０.1", "０.1")])
+def test_synth_config_decimals_are_ascii(tmp_path, line, bad):
+    clean = tmp_path / "clean.cfg"
+    clean.write_text(SYNTH_CONFIG + "quality_spread = 0.5\n",
+                     encoding="utf-8")
+    assert load_synth_config(clean).quality_spread == 0.5
+    path = tmp_path / "bad.cfg"
+    path.write_text(SYNTH_CONFIG + line + "\n", encoding="utf-8")
+    with pytest.raises(SynthConfigError) as info:
+        load_synth_config(path)
+    assert str(info.value) == f"bad.cfg:8: bad value {bad!r}"
+
+
+@pytest.mark.parametrize("row,message", [
+    ("\tPHYS", "empty journal_id"), ("J11\t", "empty field")])
+def test_field_scheme_empty_id_or_field_fatal(tmp_path, fixture_paths, tables,
+                                               capsys, row, message):
+    path = tmp_path / "fields.tsv"
+    path.write_text(fixture_paths["fields"].read_text(encoding="utf-8")
+                    + row + "\n", encoding="utf-8")
+    n = len(path.read_text(encoding="utf-8").splitlines())
+    with pytest.raises(StatsError) as info:
+        load_field_scheme(path)
+    assert str(info.value) == f"{path}:{n}: {message}"
+    capsys.readouterr()
+    assert main(["varcomp", str(tables / "IF2-IC.tsv"), "--fields", str(path),
+                 "--min-group-size", "2", "--out", str(tmp_path / "vc")]) == 2
+    assert capsys.readouterr().err == f"error: {path}:{n}: {message}\n"
