@@ -11,7 +11,7 @@ which is exactly the normalization that removes the list-length
 advantage.
 """
 
-from jifnorm import (Corpus, Document, Journal, JournalTable, WindowSpec,
+from jifnorm import (Corpus, Document, Journal, JournalTable,
                      compute_denominator, count_citations, fc_over_p,
                      quasi_if)
 from jifnorm.counts import FRACTIONAL, FRACTIONAL_PLUS, INTEGER
@@ -38,18 +38,17 @@ corpus = Corpus(CENSUS, [
     doc("x1", "BIO", ["BIO J|2009", "MATH J|2009", "MATH J|2001"]),
 ])
 
-w2 = WindowSpec("two_year", CENSUS)
 print("what each document hands out on its own, two-year window:")
 for d in corpus.documents:
     alone = Corpus(CENSUS, [d])
     for mode, name in ((INTEGER, "integer"), (FRACTIONAL, "fractional")):
-        table = count_citations(alone, journals, w2, mode)
+        table = count_citations(alone, journals, "two_year", mode)
         print(f"  {d.doc_id} {name:10}: {table.values}")
 
 print("\ntwo-year totals:")
 for mode, name in ((INTEGER, "TC-IC2"), (FRACTIONAL, "TC-FC2"),
                    (FRACTIONAL_PLUS, "TC-FC2+")):
-    table = count_citations(corpus, journals, w2, mode)
+    table = count_citations(corpus, journals, "two_year", mode)
     print(f"  {name:8} {table.values}   (contributing docs: "
           f"{table.contributing_docs})")
 
@@ -60,10 +59,11 @@ denom = compute_denominator(corpus, journals, "two_year")
 print("\nquasi impact factors over the two-year window "
       f"(denominators {denom.values}):")
 for mode in (INTEGER, FRACTIONAL):
-    table = quasi_if(count_citations(corpus, journals, w2, mode), denom)
+    numer = count_citations(corpus, journals, "two_year", mode)
+    table = quasi_if(numer, denom)
     print(f"  {table.indicator_id:8} {table.values}")
 
 fcp = fc_over_p(
-    count_citations(corpus, journals, WindowSpec("all_years", CENSUS), FRACTIONAL),
+    count_citations(corpus, journals, "all_years", FRACTIONAL),
     compute_denominator(corpus, journals, "census_only"))
 print(f"\nall-years fractional citations per census item: {fcp.values}")

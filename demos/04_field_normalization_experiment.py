@@ -17,8 +17,8 @@ component collapses and the permutation test goes silent.
 
 import numpy as np
 
-from jifnorm import (WindowSpec, analyze_indicators, compute_denominator,
-                     count_citations, generate_corpus, match_corpus, quasi_if,
+from jifnorm import (analyze_indicators, compute_denominator, count_citations,
+                     generate_corpus, match_corpus, quasi_if,
                      variance_reduction)
 from jifnorm.counts import FRACTIONAL, INTEGER
 from jifnorm.synthgen import FieldSpec, SynthConfig
@@ -38,12 +38,12 @@ print(f"generated {len(corpus.documents)} citing documents over "
       f"{len(journals)} journals in {len(cfg.fields)} fields")
 
 ref_table = match_corpus(corpus, journals)
-w5 = WindowSpec("five_year", cfg.census_year)
 denom5 = compute_denominator(corpus, journals, "five_year")
 
 tables = {}
 for mode, name in ((INTEGER, "IF5-IC"), (FRACTIONAL, "IF5-FC")):
-    counts = count_citations(corpus, journals, w5, mode, ref_table=ref_table)
+    counts = count_citations(corpus, journals, "five_year", mode,
+                             ref_table=ref_table)
     tables[name] = quasi_if(counts, denom5)
 
 print("\nfield means of the five-year quasi impact factor:")

@@ -17,8 +17,7 @@ from .corpus import (Corpus, CorpusFormatError, Document, Journal,
                      load_corpus, load_journals, merge_journal_parts,
                      save_corpus, save_journals, validate_corpus)
 from .counts import (CountError, CountMode, CountTable, FRACTIONAL,
-                     FRACTIONAL_PLUS, INTEGER, WindowSpec, count_citations,
-                     variable_id)
+                     FRACTIONAL_PLUS, INTEGER, WindowSpec, count_citations)
 from .indicators import (DEFAULT_CITABLE_TYPES, DenominatorTable,
                          IndicatorError, IndicatorTable, compute_denominator,
                          count_indicator, fc_over_p,

@@ -36,21 +36,23 @@ def number(text: str) -> float:
     return float(text)
 
 
-def iter_rows(path: str | Path) -> Iterator[tuple[int, list[str]]]:
-    """Yield (1-based line number, fields) for every line not :func:`skipped`."""
+def iter_rows(path: str | Path) -> Iterator[tuple[str, list[str]]]:
+    """Yield (``NAME:LINE``, fields) for every line not :func:`skipped`,
+    NAME the file's name and LINE its 1-based line number."""
+    name = Path(path).name
     with open(path, encoding="utf-8-sig") as fh:
         for lineno, line in enumerate(fh, start=1):
             line = line.rstrip("\n").rstrip("\r")
             if skipped(line):
                 continue
-            yield lineno, line.split("\t")
+            yield f"{name}:{lineno}", line.split("\t")
 
 
 def iter_key_values(path: str | Path, error: type[Exception]
-                    ) -> Iterator[tuple[int, str, str]]:
-    """Yield (1-based line number, key, value) for every ``key=value`` line
-    of a config file, both sides stripped; blank and comment lines are
-    skipped. A missing file or a line without ``=`` raises ``error``."""
+                    ) -> Iterator[tuple[str, str, str]]:
+    """Yield (``NAME:LINE``, key, value) for every ``key=value`` line of a
+    config file, both sides stripped; blank and comment lines are skipped.
+    A missing file or a line without ``=`` raises ``error``."""
     path = Path(path)
     if not path.is_file():
         raise error(f"config file not found: {path}")
@@ -62,7 +64,7 @@ def iter_key_values(path: str | Path, error: type[Exception]
             key, sep, value = line.partition("=")
             if not sep:
                 raise error(f"{path.name}:{lineno}: expected key=value")
-            yield lineno, key.strip(), value.strip()
+            yield f"{path.name}:{lineno}", key.strip(), value.strip()
 
 
 def write_rows(path: str | Path, header: list[str], rows: Iterable[Iterable[str]],

@@ -32,7 +32,7 @@ from . import synthgen
 from ._tsv import integer, iter_key_values, write_rows
 from .corpus import CorpusFormatError, JournalTableError
 from .counts import (CountError, FRACTIONAL, FRACTIONAL_PLUS, INTEGER,
-                     WindowSpec, count_citations)
+                     count_citations)
 from .indicators import (DEFAULT_CITABLE_TYPES, DENOMINATOR_WINDOWS,
                          IndicatorError, IndicatorTable, compute_denominator,
                          count_indicator, denominator_indicator, fc_over_p,
@@ -67,8 +67,6 @@ OPTIONS = {
                           "outputs do not depend on it"},
     "--census-year": {"type": integer},
     "--journals": {"help": "journal master TSV"},
-    "--format": {"choices": ["auto", "jsonl", "tsv"], "default": "auto",
-                 "help": "corpus file format (default auto)"},
     "--citable-types": {"help": "comma-separated doc types counted as citable"},
     "--percentiles": {"action": "store_true",
                       "help": "also emit percentile ranks"},
@@ -108,9 +106,9 @@ def _read_config(path: str | None) -> dict[str, str]:
     keys = ({flag[2:].replace("-", "_") for flag in OPTIONS}
             - {"config", "external"})
     config = {}
-    for lineno, key, value in iter_key_values(path, CliError):
+    for where, key, value in iter_key_values(path, CliError):
         if key not in keys:
-            raise CliError(f"{Path(path).name}:{lineno}: unknown key {key!r}")
+            raise CliError(f"{where}: unknown key {key!r}")
         config[key] = value
     return config
 
@@ -173,8 +171,7 @@ def _load_inputs(args: argparse.Namespace
                  ) -> tuple[corpus_mod.Corpus, corpus_mod.JournalTable, list[str]]:
     census = _require(args, "census_year")
     journals = corpus_mod.load_journals(_require(args, "journals"))
-    corpus = corpus_mod.load_corpus(args.corpus, format=args.format,
-                                    census_year=census, threads=args.threads)
+    corpus = corpus_mod.load_corpus(args.corpus, census, threads=args.threads)
     warnings = corpus.load_warnings + corpus.load_errors
     corpus, journals = corpus_mod.merge_journal_parts(corpus, journals)
     return corpus, journals, warnings
@@ -218,8 +215,8 @@ def compute_all_tables(corpus, journals, citable_types
     """All citation-total tables plus derived indicators, in report order."""
     census = corpus.census_year
     ref_table = match_corpus(corpus, journals)
-    count_tables = [count_citations(corpus, journals, WindowSpec(kind, census),
-                                    mode, ref_table=ref_table)
+    count_tables = [count_citations(corpus, journals, kind, mode,
+                                    ref_table=ref_table)
                     for kind, mode in COUNT_VARIABLES]
     by_id = {t.variable_id: t for t in count_tables}
 
@@ -439,7 +436,7 @@ def build_parser() -> argparse.ArgumentParser:
             p.add_argument(flag, **OPTIONS[flag])
         return p
 
-    corpus_flags = ("--census-year", "--journals", "--format")
+    corpus_flags = ("--census-year", "--journals")
     command("validate", "reference accounting for a corpus",
             *corpus_flags).add_argument("corpus")
     command("indicators", "citation totals, quasi impact factors, fc/p",

@@ -6,12 +6,15 @@ document in each per-document column, and one int slot per reference into
 a table of reference strings, each split once into venue and year tokens.
 A file is read in byte ranges that start at line boundaries, each parsed
 by its own process when more than one is asked for. Two on-disk formats
-are supported:
+are supported, told apart by a file's first line that is neither blank
+nor a comment: TSV if it holds a tab and does not begin with ``{``, else
+JSONL.
 
 * JSONL: one object per line with keys ``doc_id``, ``journal``, ``year``,
   ``type``, ``nref``, ``refs`` (array of strings).
-* TSV: header row ``doc_id  journal  year  type  nref  refs`` with the
-  references ``;``-joined in the last column.
+* TSV: header row ``doc_id  journal  year  type  nref  refs`` before the
+  records, which hold the references ``;``-joined in the last column; a
+  line equal to the header is not a record.
 
 The journal master is a headerless TSV with columns ``journal_id``,
 ``full_name``, ``abbrevs`` (``|``-joined), ``field``, ``merge_group``,
@@ -30,7 +33,7 @@ from collections import defaultdict
 from collections.abc import Callable, Iterable, Iterator, Sequence
 from dataclasses import dataclass, field
 from functools import cached_property
-from itertools import islice, repeat
+from itertools import repeat
 from pathlib import Path
 from typing import Optional
 
@@ -44,6 +47,7 @@ from .refmatch import (STATUS_FUTURE, STATUS_INVALID, STATUS_PRE1900,
 DOC_TYPES = frozenset({"article", "review", "letter", "other"})
 
 CORPUS_TSV_HEADER = ["doc_id", "journal", "year", "type", "nref", "refs"]
+_HEADER_LINE = "\t".join(CORPUS_TSV_HEADER)
 
 NREF_MAX = 2**63 - 1  # declared reference counts are stored as int64
 
@@ -424,14 +428,14 @@ def _jsonl_fields(line: str) -> Optional[tuple]:
 
 def _tsv_fields(line: str) -> Optional[tuple]:
     """The six fields of the record on a TSV line, unchecked but for its
-    width and integers; None for a blank or comment line."""
-    if skipped(line):
+    width and integers; None for a blank, comment or header line."""
+    if skipped(line) or line == _HEADER_LINE:
         return None
     fields = line.split("\t")
     if len(fields) != 6:
         raise ValueError(f"expected 6 columns, got {len(fields)}")
     doc_id, journal, year, doc_type, nref, refs_joined = fields
-    refs = [r for r in refs_joined.split(";") if r] if refs_joined else []
+    refs = refs_joined.split(";") if refs_joined else []
     return doc_id, journal, integer(year), doc_type, integer(nref), refs
 
 
@@ -519,34 +523,36 @@ def _range_lines(path: Path, start: int, end: int) -> Iterator[str]:
             file_start = False
 
 
-def _tsv_header(path: Path) -> tuple[int, int]:
-    """Check a TSV corpus's header, its first line that is neither blank
-    nor a comment; return its line number and the byte offset just after
-    the ``\\n``-ended run of bytes that holds it."""
+def _corpus_format(path: Path) -> str:
+    """``"tsv"`` or ``"jsonl"``, as a corpus file's first line that is
+    neither blank nor a comment says; a TSV file's must be the header."""
     with open(path, "rb") as fh:
         lineno = 0
         for raw in fh:
             for line in _decoded_lines(raw, lineno == 0):
                 lineno += 1
-                if skipped(line):
+                text = line.strip()
+                if not text or text.startswith("#"):
                     continue
+                if "\t" not in line or text.startswith("{"):
+                    return "jsonl"
                 header = line.split("\t")
                 if header != CORPUS_TSV_HEADER:
                     raise CorpusFormatError(
-                        f"{path}: malformed TSV header {header!r}, "
-                        f"expected {CORPUS_TSV_HEADER!r}")
-                return lineno, fh.tell()
-    raise CorpusFormatError(f"{path}: empty TSV corpus")
+                        f"{path.name}:{lineno}: malformed TSV header "
+                        f"{header!r}, expected {CORPUS_TSV_HEADER!r}")
+                return "tsv"
+    return "jsonl"
 
 
-def _byte_ranges(path: Path, first: int, n: int) -> list[tuple[int, int]]:
+def _byte_ranges(path: Path, n: int) -> list[tuple[int, int]]:
     """At most ``n`` consecutive byte ranges that cover the file, each one
-    after the first starting just after a ``\\n`` at or beyond ``first``."""
+    after the first starting just after a ``\\n``."""
     size = path.stat().st_size
     cuts = [0]
     with open(path, "rb") as fh:
         for i in range(1, n):
-            fh.seek(max(first + (size - first) * i // n, cuts[-1]))
+            fh.seek(max(size * i // n, cuts[-1]))
             fh.readline()
             if fh.tell() >= size:
                 break
@@ -555,14 +561,12 @@ def _byte_ranges(path: Path, first: int, n: int) -> list[tuple[int, int]]:
     return list(zip(cuts, cuts[1:]))
 
 
-def _parse_range(path: Path, format: str, start: int, end: int, skip: int,
+def _parse_range(path: Path, format: str, start: int, end: int,
                  census_year: int) -> _Chunk:
     """Read, check and column the records on the lines of bytes
-    ``[start, end)``, whose first ``skip`` lines are not records (a TSV
-    header). Line numbers count from the range's first line."""
+    ``[start, end)``. Line numbers count from the range's first line."""
     fields = _jsonl_fields if format == "jsonl" else _tsv_fields
-    lines = islice(_range_lines(path, start, end), skip, None)
-    return _records(lines, fields, census_year, skip + 1)
+    return _records(_range_lines(path, start, end), fields, census_year, 1)
 
 
 def _reject_duplicates(joined: _Chunk) -> None:
@@ -596,10 +600,11 @@ def _reject_duplicates(joined: _Chunk) -> None:
         setattr(joined, name, getattr(joined, name)[keep])
 
 
-def load_corpus(path: str | Path, format: str = "auto",
-                census_year: int = 0, threads: int = 1) -> Corpus:
-    """Load a corpus file; malformed records are skipped and recorded in
-    ``Corpus.load_errors``, a malformed TSV header is fatal.
+def load_corpus(path: str | Path, census_year: int, threads: int = 1
+                ) -> Corpus:
+    """Load a corpus file, JSONL or TSV as its first line says; malformed
+    records are skipped and recorded in ``Corpus.load_errors``, a
+    malformed TSV header is fatal.
 
     The file is read as ``min(threads, size // 4 MiB)`` byte ranges (at
     least one), each by its own process; the corpus, its messages and
@@ -608,19 +613,15 @@ def load_corpus(path: str | Path, format: str = "auto",
     path = Path(path)
     if not path.is_file():
         raise CorpusFormatError(f"corpus file not found: {path}")
-    if format == "auto":
-        format = "tsv" if path.suffix.lower() == ".tsv" else "jsonl"
-    if format not in ("jsonl", "tsv"):
-        raise CorpusFormatError(f"unknown corpus format {format!r}")
     if census_year < 1900:
         raise CorpusFormatError(f"census_year {census_year} must be >= 1900")
     if threads < 1:
         raise ValueError(f"threads {threads} must be >= 1")
 
-    skip, first = _tsv_header(path) if format == "tsv" else (0, 0)
+    format = _corpus_format(path)
     n = max(1, min(threads, path.stat().st_size // _MIN_RANGE_BYTES))
-    jobs = [(path, format, start, end, skip if i == 0 else 0, census_year)
-            for i, (start, end) in enumerate(_byte_ranges(path, first, n))]
+    jobs = [(path, format, start, end, census_year)
+            for start, end in _byte_ranges(path, n)]
     parts = run_forked(_parse_range, jobs, f"a process reading {path.name}")
     corpus = Corpus.__new__(Corpus)
     corpus._store(census_year, path.name, parts)
@@ -658,15 +659,15 @@ def load_journals(path: str | Path) -> JournalTable:
     if not path.is_file():
         raise JournalTableError(f"journal file not found: {path}")
     journals: list[Journal] = []
-    for lineno, fields in iter_rows(path):
+    for where, fields in iter_rows(path):
         if fields[0] == "journal_id":  # tolerate a literal header row
             continue
         if len(fields) < 5:
             raise JournalTableError(
-                f"{path.name}:{lineno}: expected at least 5 columns, got {len(fields)}")
+                f"{where}: expected at least 5 columns, got {len(fields)}")
         journal_id, full_name, abbrevs, field_code, merge_group = fields[:5]
         if not journal_id:
-            raise JournalTableError(f"{path.name}:{lineno}: empty journal_id")
+            raise JournalTableError(f"{where}: empty journal_id")
         items: dict[int, int] = {}
         for pair in fields[5:]:
             if not pair:
@@ -676,10 +677,10 @@ def load_journals(path: str | Path) -> JournalTable:
                 year, count = integer(year_s), integer(count_s)
             except ValueError:
                 raise JournalTableError(
-                    f"{path.name}:{lineno}: bad year=count pair {pair!r}") from None
+                    f"{where}: bad year=count pair {pair!r}") from None
             if count < 0:
                 raise JournalTableError(
-                    f"{path.name}:{lineno}: negative item count in {pair!r}")
+                    f"{where}: negative item count in {pair!r}")
             items[year] = items.get(year, 0) + count
         journals.append(Journal(
             journal_id=journal_id, full_name=full_name,

@@ -107,11 +107,6 @@ def total_id(kind: str, label: str) -> str:
     return f"TC-{label[:2]}{_WINDOW_SUFFIX[kind]}{label[2:]}"
 
 
-def variable_id(window: WindowSpec, mode: CountMode) -> str:
-    """Canonical citation-total variable name, e.g. TC-IC2, TC-FC5+."""
-    return total_id(window.kind, mode.label)
-
-
 @dataclass
 class CountTable:
     window: WindowSpec
@@ -121,7 +116,7 @@ class CountTable:
 
     @property
     def variable_id(self) -> str:
-        return variable_id(self.window, self.mode)
+        return total_id(self.window.kind, self.mode.label)
 
     def to_tsv(self, path: str | Path) -> None:
         is_int = self.mode.counting == "integer"
@@ -131,19 +126,18 @@ class CountTable:
         write_rows(path, COUNT_HEADER, rows)
 
 
-def count_citations(corpus: Corpus, journals: JournalTable, w: WindowSpec,
+def count_citations(corpus: Corpus, journals: JournalTable, window: str,
                     mode: CountMode, ref_table: Optional[RefTable] = None
                     ) -> CountTable:
-    """Sum per-journal citation weights over the whole corpus.
+    """Sum per-journal citation weights over the whole corpus for window
+    kind ``window`` of the corpus's census year.
 
     Fractional totals are reduced from exact integer counts of references
     per (journal, k), k being the divisor of each reference's weight, so
     they do not depend on the order of the documents. No corpus holds an
     NRef below its reference count, so a whole-list weight is at most 1/k.
     """
-    if w.census_year != corpus.census_year:
-        raise CountError(
-            f"window census year {w.census_year} != corpus {corpus.census_year}")
+    w = WindowSpec(window, corpus.census_year)
     if ref_table is None:
         ref_table = match_corpus(corpus, journals)
 

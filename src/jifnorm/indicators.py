@@ -71,8 +71,7 @@ def read_tables(path: str | Path, single: bool = False
     tables: dict[str, dict[str, float]] = {}
     header: list[str] = []
     width = 3
-    for lineno, fields in iter_rows(path):
-        where = f"{path}:{lineno}"
+    for where, fields in iter_rows(path):
         if fields[0] == "journal_id":
             header = fields
             if single and header == PERCENTILE_HEADER:
@@ -202,7 +201,7 @@ def import_external_indicator(path: str | Path, indicator_id: str,
     warning in the table's list."""
     values: dict[str, float] = {}
     warnings: list[str] = []
-    for lineno, fields in iter_rows(path):
+    for where, fields in iter_rows(path):
         if fields[0] == "journal_id":
             continue
         if len(fields) == 3:
@@ -210,21 +209,21 @@ def import_external_indicator(path: str | Path, indicator_id: str,
         elif len(fields) == 2:
             jid, value = fields
         else:
-            warnings.append(f"{path}:{lineno}: expected 2 or 3 columns")
+            warnings.append(f"{where}: expected 2 or 3 columns")
             continue
         try:
             v = number(value)
         except ValueError:
-            warnings.append(f"{path}:{lineno}: non-numeric value {value!r}")
+            warnings.append(f"{where}: non-numeric value {value!r}")
             continue
         if not math.isfinite(v):
-            warnings.append(f"{path}:{lineno}: non-finite value {value!r}")
+            warnings.append(f"{where}: non-finite value {value!r}")
             continue
         if jid not in journals.by_id:
-            warnings.append(f"{path}:{lineno}: unknown journal {jid!r}")
+            warnings.append(f"{where}: unknown journal {jid!r}")
             continue
         if jid in values:
-            warnings.append(f"{path}:{lineno}: journal {jid!r} listed twice")
+            warnings.append(f"{where}: journal {jid!r} listed twice")
             continue
         values[jid] = v
     return IndicatorTable(indicator_id=indicator_id, values=values,

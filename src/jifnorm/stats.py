@@ -21,7 +21,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import Optional, Sequence
+from typing import Sequence
 
 import numpy as np
 
@@ -44,7 +44,6 @@ class StatsError(Exception):
 class FieldScheme:
     """A unique assignment of each journal to one broad field."""
 
-    name: str
     assignment: dict[str, str]
     min_group_size: int = 10
 
@@ -78,26 +77,25 @@ class FieldScheme:
                 retained, excluded)
 
 
-def load_field_scheme(path: str | Path, name: Optional[str] = None,
-                      min_group_size: int = 10) -> FieldScheme:
+def load_field_scheme(path: str | Path, min_group_size: int = 10
+                      ) -> FieldScheme:
     """Load a two-column TSV (journal_id, field); an empty journal_id or
     field is fatal."""
     assignment: dict[str, str] = {}
-    for lineno, fields in iter_rows(path):
+    for where, fields in iter_rows(path):
         if fields[0] == "journal_id":
             continue
         if len(fields) != 2:
-            raise StatsError(f"{path}:{lineno}: expected 2 columns")
+            raise StatsError(f"{where}: expected 2 columns")
         jid, code = fields
         if not jid:
-            raise StatsError(f"{path}:{lineno}: empty journal_id")
+            raise StatsError(f"{where}: empty journal_id")
         if not code:
-            raise StatsError(f"{path}:{lineno}: empty field")
+            raise StatsError(f"{where}: empty field")
         if jid in assignment and assignment[jid] != code:
-            raise StatsError(f"{path}:{lineno}: journal {jid!r} assigned twice")
+            raise StatsError(f"{where}: journal {jid!r} assigned twice")
         assignment[jid] = code
-    return FieldScheme(name=name or Path(path).stem, assignment=assignment,
-                       min_group_size=min_group_size)
+    return FieldScheme(assignment=assignment, min_group_size=min_group_size)
 
 
 def save_field_scheme(scheme: FieldScheme, path: str | Path) -> None:
@@ -107,8 +105,7 @@ def save_field_scheme(scheme: FieldScheme, path: str | Path) -> None:
 
 def scheme_from_journals(journals: JournalTable, min_group_size: int = 10
                          ) -> FieldScheme:
-    return FieldScheme(name="journal-table",
-                       assignment={j.journal_id: j.field_code for j in journals},
+    return FieldScheme({j.journal_id: j.field_code for j in journals},
                        min_group_size=min_group_size)
 
 

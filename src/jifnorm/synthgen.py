@@ -273,9 +273,7 @@ def generate_corpus(cfg: SynthConfig
         ref_counts=counts, ref_offsets=offsets,
         ref_slots=np.concatenate(ref_slots), slot_strings=slot_strings)
 
-    scheme = FieldScheme(name="synthetic",
-                         assignment={jid: spec_of[jid].field_code
-                                     for jid in ordered_ids})
+    scheme = FieldScheme({jid: spec_of[jid].field_code for jid in ordered_ids})
     truth = GroundTruth(quality=quality)
     if all(f.cross_field_mix == 0 for f in cfg.fields):
         truth.expected_fc_rate = {
@@ -306,23 +304,21 @@ def load_synth_config(path: str | Path) -> SynthConfig:
     top: dict[str, object] = {}
     per_field: dict[str, dict[str, object]] = {}
     path = Path(path)
-    for lineno, key, value in iter_key_values(path, SynthConfigError):
+    for where, key, value in iter_key_values(path, SynthConfigError):
         if key.startswith("field."):
             parts = key.split(".")
             if len(parts) != 3 or parts[2] not in _FIELD_KEYS:
-                raise SynthConfigError(
-                    f"{path.name}:{lineno}: unknown field key {key!r}")
+                raise SynthConfigError(f"{where}: unknown field key {key!r}")
             _, code, param = parts
             target, cast = per_field.setdefault(code, {}), _FIELD_KEYS[param]
         elif key in _TOP_KEYS:
             target, param, cast = top, key, _TOP_KEYS[key]
         else:
-            raise SynthConfigError(f"{path.name}:{lineno}: unknown key {key!r}")
+            raise SynthConfigError(f"{where}: unknown key {key!r}")
         try:
             target[param] = cast(value)
         except ValueError:
-            raise SynthConfigError(
-                f"{path.name}:{lineno}: bad value {value!r}") from None
+            raise SynthConfigError(f"{where}: bad value {value!r}") from None
     if "census_year" not in top:
         raise SynthConfigError(f"{path.name}: census_year is required")
     fields = []

@@ -6,6 +6,9 @@ from jifnorm import load_corpus, load_journals, merge_journal_parts
 
 DATA = Path(__file__).parent / "data"
 CENSUS = 2010
+# the interpreter flags of the CI test run, for the Python processes a
+# test starts, so that a warning raised only there fails too
+PYTHON_FLAGS = ("-X", "dev", "-W", "error")
 
 
 @pytest.fixture(scope="session")

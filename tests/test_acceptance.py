@@ -12,7 +12,7 @@ import pytest
 
 from jifnorm import load_corpus, load_journals, merge_journal_parts
 from jifnorm.cli import main as cli_main
-from jifnorm.counts import (FRACTIONAL, FRACTIONAL_PLUS, INTEGER, WindowSpec,
+from jifnorm.counts import (FRACTIONAL, FRACTIONAL_PLUS, INTEGER,
                             count_citations)
 from jifnorm.indicators import IndicatorTable, compute_denominator, fc_over_p, quasi_if
 from jifnorm.percentile import build_percentiles, percentile_rank, pr6_class, top_share
@@ -63,7 +63,7 @@ def big_synth():
                              ("five_year", FRACTIONAL_PLUS, "IF5-FC+"),
                              ("two_year", FRACTIONAL, "IF2-FC"),
                              ("two_year", FRACTIONAL_PLUS, "IF2-FC+")):
-        counts = count_citations(corpus, journals, WindowSpec(kind, 2010),
+        counts = count_citations(corpus, journals, kind,
                                  mode, ref_table=ref_table)
         denom = compute_denominator(corpus, journals,
                                     "five_year" if kind == "five_year"
@@ -97,7 +97,7 @@ def test_criterion_1_fixture_exactness(data_dir):
             if label == "FC+" and kind == "all_years":
                 continue
             name = f"TC-{label[:2]}{suffix}" + ("+" if label == "FC+" else "")
-            table = count_citations(corpus, journals, WindowSpec(kind, CENSUS), mode)
+            table = count_citations(corpus, journals, kind, mode)
             for jid, expected in oracle["counts"][name].items():
                 if mode is INTEGER:
                     assert table.values[jid] == expected, (name, jid)
@@ -112,10 +112,10 @@ def test_criterion_1_fixture_exactness(data_dir):
                              ("IF5-FC", "five_year", FRACTIONAL),
                              ("IF2-FC+", "two_year", FRACTIONAL_PLUS),
                              ("IF5-FC+", "five_year", FRACTIONAL_PLUS)):
-        counts = count_citations(corpus, journals, WindowSpec(kind, CENSUS), mode)
+        counts = count_citations(corpus, journals, kind, mode)
         computed[name] = quasi_if(counts, denoms[kind])
     computed["FC/P"] = fc_over_p(
-        count_citations(corpus, journals, WindowSpec("all_years", CENSUS),
+        count_citations(corpus, journals, "all_years",
                         FRACTIONAL), denoms["census_only"])
 
     for name, table in computed.items():
@@ -183,7 +183,7 @@ def test_criterion_5_bookkeeping_identity():
                               FieldSpec("B", 10, 200, 27.0, 6.0)),
                       quality_spread=0.5, years_back=12, seed=55)
     corpus, journals, _, _ = generate_corpus(cfg)
-    w = WindowSpec("all_years", 2010)
+    w = "all_years"
     ic = count_citations(corpus, journals, w, INTEGER)
     fc = count_citations(corpus, journals, w, FRACTIONAL)
     ratio = sum(ic.values.values()) / sum(fc.values.values())
@@ -213,7 +213,7 @@ def test_criterion_6_statistics_oracles():
             values.extend(rng.normal(loc=rng.normal(), size=sizes[g]))
             groups.extend([f"G{g}"] * sizes[g])
         vmap = {f"J{j:04d}": v for j, v in enumerate(values)}
-        scheme = FieldScheme("t", {f"J{j:04d}": g for j, g in enumerate(groups)},
+        scheme = FieldScheme({f"J{j:04d}": g for j, g in enumerate(groups)},
                              min_group_size=1)
         assert abs(varcomp_moments(vmap, scheme).eta2
                    - brute_eta2(values, groups)) < 1e-10
@@ -234,8 +234,8 @@ def test_criterion_6_statistics_oracles():
             values.extend(rep_rng.normal(loc=effect, scale=1.0, size=300))
             groups.extend([f"G{g:02d}"] * 300)
         vmap = {f"J{j:05d}": v for j, v in enumerate(values)}
-        scheme = FieldScheme("t", {f"J{j:05d}": g
-                                   for j, g in enumerate(groups)})
+        scheme = FieldScheme({f"J{j:05d}": g
+                              for j, g in enumerate(groups)})
         estimates.append(varcomp_moments(vmap, scheme).sigma2_between)
     mean_estimate = float(np.mean(estimates))
     assert abs(mean_estimate - 1.0) <= 0.15, mean_estimate
@@ -321,7 +321,7 @@ def test_criterion_8_invariance_suite(big_synth):
     groups = [f"G{g}" for g in range(4) for _ in range(50)]
     base_vals = rng.normal(size=200) + np.repeat([0.0, 0.5, 1.0, 1.5], 50)
     vmap = {f"J{i:04d}": float(v) for i, v in enumerate(base_vals)}
-    scheme = FieldScheme("t", {f"J{i:04d}": g for i, g in enumerate(groups)},
+    scheme = FieldScheme({f"J{i:04d}": g for i, g in enumerate(groups)},
                          min_group_size=1)
     base_eta = varcomp_moments(vmap, scheme).eta2
     base_sigma = varcomp_moments(vmap, scheme).sigma2_between
@@ -338,7 +338,7 @@ def test_criterion_8_invariance_suite(big_synth):
     table = big_synth["tables"]["IF5-FC"]
     order = sorted(table.values, key=lambda j: (table.values[j], j))
     corpus, journals = big_synth["corpus"], big_synth["journals"]
-    counts = count_citations(corpus, journals, WindowSpec("five_year", 2010),
+    counts = count_citations(corpus, journals, "five_year",
                              FRACTIONAL, ref_table=big_synth["ref_table"])
     scaled_counts = CountTable(counts.window, counts.mode,
                                {j: 17.0 * v for j, v in counts.values.items()})

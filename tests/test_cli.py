@@ -6,7 +6,7 @@ import pytest
 
 from jifnorm.cli import main
 
-from conftest import CENSUS
+from conftest import CENSUS, PYTHON_FLAGS
 from _oracle import full_pipeline
 
 
@@ -178,8 +178,8 @@ def test_external_bad_rows_skipped_with_warning(tmp_path, fixture_paths, capsys,
                 "--external", f"X={ext}"])
     assert code == 1
     err = capsys.readouterr().err.splitlines()
-    assert [line for line in err if str(ext) in line] == [
-        f"warning: {ext}:{m}" for m in message]
+    assert [line for line in err if ext.name in line] == [
+        f"warning: {ext.name}:{m}" for m in message]
     lines = read(out / "X.tsv").splitlines()
     assert dict((jid, v) for jid, _, v in
                 (line.split("\t") for line in lines[1:])) == values
@@ -474,6 +474,27 @@ def test_perm_stat_flag_is_a_usage_error(tmp_path, indicator_dir, capsys):
     assert "error: unrecognized arguments: --perm-stat eta2" in err
 
 
+@pytest.mark.parametrize("command", ["validate", "indicators"])
+def test_format_is_neither_a_flag_nor_a_key(tmp_path, fixture_paths, capsys,
+                                            command):
+    """A corpus file's first line gives its format: ``--format`` is a usage
+    error and a ``format`` config key an unknown key."""
+    args = [command, fixture_paths["corpus"], "--journals",
+            fixture_paths["journals"], "--census-year", CENSUS,
+            "--out", tmp_path / "out"]
+    capsys.readouterr()
+    with pytest.raises(SystemExit) as info:
+        run(args + ["--format", "jsonl"])
+    assert info.value.code == 2
+    assert ("error: unrecognized arguments: --format jsonl"
+            in capsys.readouterr().err)
+    conf = tmp_path / "run.cfg"
+    conf.write_text("format = auto\n", encoding="utf-8")
+    assert run(args + ["--config", conf]) == 2
+    assert capsys.readouterr().err == "error: run.cfg:1: unknown key 'format'\n"
+    assert not (tmp_path / "out").exists()
+
+
 def test_one_config_serves_every_command(tmp_path, fixture_paths,
                                          indicator_dir, capsys):
     """A config may hold keys of several commands; each command reads the
@@ -489,7 +510,7 @@ def test_one_config_serves_every_command(tmp_path, fixture_paths,
         f"census_year = {CENSUS}\njournals = {fixture_paths['journals']}\n"
         f"fields = {fixture_paths['fields']}\nseed = 3\nthreads = 1\n"
         "min_group_size = 2\nn_perm = 999\nreference = IF2-IC\n"
-        "citable_types = article,review\nformat = auto\npercentiles = yes\n"
+        "citable_types = article,review\npercentiles = yes\n"
         "top = 3\n", encoding="utf-8")
     ind = indicator_dir
     commands = {
@@ -512,7 +533,8 @@ def test_one_config_serves_every_command(tmp_path, fixture_paths,
 
 
 def test_console_entry_point_runs():
-    proc = subprocess.run([sys.executable, "-m", "jifnorm", "--version"],
+    proc = subprocess.run([sys.executable, *PYTHON_FLAGS, "-m", "jifnorm",
+                           "--version"],
                           capture_output=True, text=True)
     assert proc.returncode == 0
     assert proc.stdout.strip()
@@ -565,7 +587,7 @@ def test_varcomp_imports_no_multiprocessing(tmp_path, indicator_dir,
               "assert 'multiprocessing' not in sys.modules\n"
               "sys.exit(code)\n")
     proc = subprocess.run(
-        [sys.executable, "-c", script, "varcomp",
+        [sys.executable, *PYTHON_FLAGS, "-c", script, "varcomp",
          str(indicator_dir / "IF5-FC.tsv"), str(indicator_dir / "IF2-IC.tsv"),
          "--fields", str(fixture_paths["fields"]), "--min-group-size", "2",
          "--n-perm", "999", "--out", str(tmp_path)],
@@ -574,9 +596,9 @@ def test_varcomp_imports_no_multiprocessing(tmp_path, indicator_dir,
 
 
 COMMAND_FLAGS = {
-    "validate": {"--census-year", "--journals", "--format"},
-    "indicators": {"--census-year", "--journals", "--format",
-                   "--citable-types", "--percentiles", "--external"},
+    "validate": {"--census-year", "--journals"},
+    "indicators": {"--census-year", "--journals", "--citable-types",
+                   "--percentiles", "--external"},
     "rank": {"--top", "--pr6"},
     "correlate": set(),
     "varcomp": {"--fields", "--journals", "--min-group-size", "--n-perm",

@@ -4,11 +4,12 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
+from jifnorm import corpus as corpus_mod
 from jifnorm import (Corpus, CorpusFormatError, Document, Journal,
                      JournalTable, JournalTableError, load_corpus,
                      load_journals, merge_journal_parts, save_corpus,
                      validate_corpus)
-from jifnorm.counts import FRACTIONAL, INTEGER, WindowSpec, count_citations
+from jifnorm.counts import FRACTIONAL, INTEGER, count_citations
 
 from conftest import CENSUS
 from _oracle import full_pipeline, validation_tally, read_corpus, read_journals, merge_journals
@@ -40,15 +41,74 @@ def test_tsv_bad_header_is_fatal(tmp_path):
     path = tmp_path / "c.tsv"
     path.write_text("doc\tjournal\tyear\n", encoding="utf-8")
     with pytest.raises(CorpusFormatError):
-        load_corpus(path, format="tsv", census_year=CENSUS)
+        load_corpus(path, census_year=CENSUS)
 
 
 def test_tsv_round_trip_equals_jsonl(raw_fixture, tmp_path):
     corpus, _ = raw_fixture
     out = tmp_path / "corpus.tsv"
     save_corpus(corpus, out, format="tsv")
-    back = load_corpus(out, format="tsv", census_year=CENSUS)
+    back = load_corpus(out, census_year=CENSUS)
     assert back.documents == corpus.documents
+
+
+# --- a corpus file's first line gives its format ----------------------------
+
+TSV_HEADER = "doc_id\tjournal\tyear\ttype\tnref\trefs\n"
+TSV_ROW = "T1\tJ01\t2010\tarticle\t1\tGAMMA CHEM REV|2009\n"
+T1 = Document("T1", "J01", 2010, "article", ["GAMMA CHEM REV|2009"], 1)
+
+
+@pytest.mark.parametrize("name", ["c.tsv", "c.jsonl", "c.TSV", "corpus"])
+def test_format_comes_from_the_first_line_not_the_name(tmp_path, name):
+    """JSONL named ``.tsv`` is read as JSONL and TSV of any name as TSV; a
+    first line that begins with ``{`` is JSONL even if it holds a tab."""
+    texts = {"jsonl": "# JSONL\n" + _jsonl([T1]),
+             "tsv": "# TSV\n\n" + TSV_HEADER + TSV_ROW,
+             "tab": '{"doc_id":\t"T1", "journal": "J01", "year": 2010, '
+                    '"nref": 1, "type": "article", '
+                    '"refs": ["GAMMA CHEM REV|2009"]}\n'}
+    for kind, text in texts.items():
+        path = tmp_path / kind / name
+        path.parent.mkdir()
+        path.write_text(text, encoding="utf-8")
+        corpus = load_corpus(path, census_year=CENSUS)
+        assert (corpus.load_errors, corpus.load_warnings) == ([], []), kind
+        assert corpus.documents == [T1], kind
+
+
+@pytest.mark.parametrize("text", ["", "\n \n", "# a comment\n\n# another\n"],
+                         ids=["empty", "blank", "comments"])
+def test_empty_or_comment_only_tsv_corpus_is_empty(tmp_path, text):
+    path = tmp_path / "c.tsv"
+    path.write_text(text, encoding="utf-8")
+    corpus = load_corpus(path, census_year=CENSUS)
+    assert (corpus.load_errors, corpus.load_warnings) == ([], [])
+    assert len(corpus.documents) == 0
+
+
+def test_repeated_tsv_header_is_no_record(tmp_path, monkeypatch):
+    """In any byte range: the second header opens the second of two."""
+    monkeypatch.setattr(corpus_mod, "_MIN_RANGE_BYTES", 16)
+    path = tmp_path / "c.tsv"
+    path.write_text(TSV_HEADER + TSV_ROW + TSV_HEADER
+                    + "T2\tJ01\t2010\tarticle\t0\t\n", encoding="utf-8")
+    assert corpus_mod._byte_ranges(path, 2)[1][0] == len(TSV_HEADER + TSV_ROW)
+    for threads in (1, 2):
+        corpus = load_corpus(path, census_year=CENSUS, threads=threads)
+        assert (corpus.load_errors, corpus.load_warnings) == ([], [])
+        assert corpus.documents == [
+            T1, Document("T2", "J01", 2010, "article", [], 0)]
+
+
+def test_whitespace_line_with_a_tab_before_tsv_header_is_a_record(tmp_path):
+    """A line of whitespace is no record to the format rule, but a TSV line
+    that holds a tab is a row."""
+    path = tmp_path / "c.tsv"
+    path.write_text(" \t \n" + TSV_HEADER + TSV_ROW, encoding="utf-8")
+    corpus = load_corpus(path, census_year=CENSUS)
+    assert corpus.load_errors == ["c.tsv:1: expected 6 columns, got 2"]
+    assert corpus.documents == [T1]
 
 
 def test_load_serialize_load_is_idempotent(raw_fixture, tmp_path):
@@ -196,10 +256,9 @@ def test_merge_conserves_counts(raw_fixture, merged_fixture):
     post_c, post_j = merged_fixture
     parts = {"J09A", "J09B", "J09C"}
     for kind in ("two_year", "five_year", "all_years"):
-        w = WindowSpec(kind, CENSUS)
         for mode in (INTEGER, FRACTIONAL):
-            before = count_citations(pre_c, pre_j, w, mode)
-            after = count_citations(post_c, post_j, w, mode)
+            before = count_citations(pre_c, pre_j, kind, mode)
+            after = count_citations(post_c, post_j, kind, mode)
             part_total = sum(before.values[j] for j in parts)
             assert after.values["J09A"] == pytest.approx(part_total, rel=1e-12)
 
@@ -288,16 +347,25 @@ def test_bad_record_reads_alike_from_a_file_and_from_memory(tmp_path, fields,
     bad = replace(Document("d1", "A", 2010, "article",
                            ["J A|2009", "J B|2008"], 2), **fields)
     docs = [FIRST, bad, LAST]
+    built = Corpus(2010, docs)
+    read = [(built, "documents:2")]
     path = tmp_path / "c.jsonl"
     path.write_text(_jsonl(docs), encoding="utf-8")
-    loaded = load_corpus(path, census_year=2010)
-    built = Corpus(2010, docs)
+    read.append((load_corpus(path, census_year=2010), "c.jsonl:2"))
+    if isinstance(bad.doc_id, str) and isinstance(bad.doc_type, str):
+        # the cases a TSV row can hold, one line below its header
+        path = tmp_path / "c.tsv"
+        path.write_text(TSV_HEADER + "".join(
+            "\t".join([d.doc_id, d.journal_id, str(d.pub_year), d.doc_type,
+                       str(d.ref_count), ";".join(d.refs)]) + "\n"
+            for d in docs), encoding="utf-8")
+        read.append((load_corpus(path, census_year=2010), "c.tsv:3"))
     warned = message.startswith("unknown doc_type")
-    for corpus, name in ((loaded, "c.jsonl"), (built, "documents")):
-        messages = [f"{name}:2: {message}"]
+    for corpus, where in read:
+        messages = [f"{where}: {message}"]
         assert (corpus.load_errors, corpus.load_warnings) == (
             ([], messages) if warned else (messages, []))
-    assert built == loaded
+        assert corpus == built
     assert built.doc_types[0] == "article"
     assert built.doc_ids == (["d0", "d1", "d2"] if warned else ["d0", "d2"])
 

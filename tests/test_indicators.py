@@ -69,8 +69,7 @@ def test_library_denominator_matches_indicators_files(fixture_paths,
     assert not journals.by_id["J05"].items_by_year
     denoms = {window: compute_denominator(corpus, journals, window)
               for window in DENOMINATOR_WINDOWS}
-    fcp = fc_over_p(count_citations(corpus, journals,
-                                    WindowSpec("all_years", CENSUS), FRACTIONAL),
+    fcp = fc_over_p(count_citations(corpus, journals, "all_years", FRACTIONAL),
                     denoms["census_only"])
     assert denoms["census_only"].values["J05"] == 4
     assert "J05" in fcp.values
@@ -147,7 +146,7 @@ def test_quasi_ifs_match_oracle(merged_fixture, oracle):
                              ("IF5-FC", "five_year", FRACTIONAL),
                              ("IF2-FC+", "two_year", FRACTIONAL_PLUS),
                              ("IF5-FC+", "five_year", FRACTIONAL_PLUS)):
-        numer = count_citations(corpus, journals, WindowSpec(kind, CENSUS), mode)
+        numer = count_citations(corpus, journals, kind, mode)
         table = quasi_if(numer, denom[kind])
         assert table.indicator_id == name
         expected = oracle["indicators"][name]
@@ -159,8 +158,7 @@ def test_quasi_ifs_match_oracle(merged_fixture, oracle):
 
 def test_fc_over_p_matches_oracle(merged_fixture, oracle):
     corpus, journals = merged_fixture
-    numer = count_citations(corpus, journals, WindowSpec("all_years", CENSUS),
-                            FRACTIONAL)
+    numer = count_citations(corpus, journals, "all_years", FRACTIONAL)
     table = fc_over_p(numer, compute_denominator(corpus, journals, "census_only"))
     for jid, v in oracle["indicators"]["FC/P"].items():
         assert table.values[jid] == pytest.approx(v, rel=1e-9)
@@ -168,8 +166,7 @@ def test_fc_over_p_matches_oracle(merged_fixture, oracle):
 
 def test_numerator_scaling_preserves_rank_order(merged_fixture):
     corpus, journals = merged_fixture
-    numer = count_citations(corpus, journals, WindowSpec("five_year", CENSUS),
-                            FRACTIONAL)
+    numer = count_citations(corpus, journals, "five_year", FRACTIONAL)
     denom = compute_denominator(corpus, journals, "five_year")
     base = quasi_if(numer, denom)
     scaled_numer = _count_table("five_year",
@@ -193,8 +190,7 @@ def test_import_external_indicator(fixture_paths):
 
 def test_indicator_tsv_round_trip(merged_fixture, tmp_path):
     corpus, journals = merged_fixture
-    numer = count_citations(corpus, journals, WindowSpec("five_year", CENSUS),
-                            FRACTIONAL)
+    numer = count_citations(corpus, journals, "five_year", FRACTIONAL)
     table = quasi_if(numer, compute_denominator(corpus, journals, "five_year"))
     out = tmp_path / "IF5-FC.tsv"
     table.to_tsv(out)

@@ -146,11 +146,8 @@ def test_hand_made_inputs_split_where_intended(inputs, name):
     assert b"\r\n" in data and re.search(rb"\r[^\n]", data)
     first_lines = set()
     for threads in THREADS[1:]:
-        header_end = (corpus_mod._tsv_header(path)[1]
-                      if name == "hand_tsv" else 0)
-        ranges = corpus_mod._byte_ranges(path, header_end, threads)
+        ranges = corpus_mod._byte_ranges(path, threads)
         assert len(ranges) == threads
-        assert ranges[0][1] > header_end
         [in_first] = [i for i, (a, b) in enumerate(ranges) if a <= original < b]
         [in_dup] = [i for i, (a, b) in enumerate(ranges) if a <= duplicate < b]
         assert in_first < in_dup
@@ -243,7 +240,7 @@ def test_deep_nesting_is_a_record_error(tmp_path, capsys):
         paths[name] = tmp_path / f"{name}.jsonl"
         paths[name].write_text("\n".join(records + [line, _record("LAST")])
                                + "\n", encoding="utf-8")
-    assert corpus_mod._byte_ranges(paths["deep"], 0, 2)[1][0] < len(
+    assert corpus_mod._byte_ranges(paths["deep"], 2)[1][0] < len(
         "\n".join(records))
     results = {}
     for threads in (1, 2):
@@ -287,7 +284,7 @@ def test_byte_order_mark_before_tsv_header(tmp_path):
         "\t".join([f"B{i}", "J01", str(CENSUS), "article", "1",
                    "GAMMA CHEM REV|2009"]) for i in range(12)]
     path.write_bytes(BOM + "\n".join(rows).encode("utf-8"))
-    assert corpus_mod._tsv_header(path) == (1, len(BOM) + len(rows[0]) + 1)
+    assert corpus_mod._corpus_format(path) == "tsv"
     for threads in (1, 2):
         corpus = load_corpus(path, census_year=CENSUS, threads=threads)
         assert corpus.load_errors == []

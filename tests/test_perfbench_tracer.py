@@ -14,7 +14,7 @@ import pytest
 
 from jifnorm.cli import main
 
-from conftest import CENSUS
+from conftest import CENSUS, PYTHON_FLAGS
 
 ROOT = Path(__file__).resolve().parent.parent
 
@@ -76,11 +76,12 @@ def test_tracer_runs_command_unchanged(tmp_path, tables, fixture_paths,
         args = ["indicators", *corpus_args, "--percentiles"]
     else:
         args = ["validate", *corpus_args]
-    plain = _run([sys.executable, "-m", "jifnorm"],
+    plain = _run([sys.executable, *PYTHON_FLAGS, "-m", "jifnorm"],
                  args + ["--out", tmp_path / "plain"])
     spans_path = tmp_path / "spans.json"
-    traced = _run([sys.executable, str(ROOT / "perfbench" / "tracer.py"),
-                   str(spans_path)], args + ["--out", tmp_path / "traced"])
+    traced = _run([sys.executable, *PYTHON_FLAGS,
+                   str(ROOT / "perfbench" / "tracer.py"), str(spans_path)],
+                  args + ["--out", tmp_path / "traced"])
 
     assert plain[0] in (0, 1), plain[2]
     assert traced == plain

@@ -108,7 +108,7 @@ def loop_permutation_p(values, scheme, n_perm, seed):
 
 
 def _scheme(groups, min_group_size=1):
-    return FieldScheme("test", {f"J{i:04d}": g for i, g in enumerate(groups)},
+    return FieldScheme({f"J{i:04d}": g for i, g in enumerate(groups)},
                        min_group_size=min_group_size)
 
 

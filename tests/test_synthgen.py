@@ -3,7 +3,7 @@ import pytest
 
 from jifnorm import (load_corpus, load_journals, match_corpus, save_corpus,
                      validate_corpus)
-from jifnorm.counts import (FRACTIONAL, FRACTIONAL_PLUS, INTEGER, WindowSpec,
+from jifnorm.counts import (FRACTIONAL, FRACTIONAL_PLUS, INTEGER,
                             count_citations)
 from jifnorm.indicators import compute_denominator, quasi_if
 from jifnorm.stats import analyze_indicators
@@ -105,7 +105,7 @@ def test_generated_corpus_counts_like_jsonl_round_trip(tmp_path):
     corpus, journals, _, _ = generate_corpus(cfg)
     save_corpus(corpus, tmp_path / "c.jsonl")
     loaded = load_corpus(tmp_path / "c.jsonl", census_year=cfg.census_year)
-    w = WindowSpec("five_year", cfg.census_year)
+    w = "five_year"
     generated = count_citations(corpus, journals, w, FRACTIONAL)
     assert count_citations(loaded, journals, w, FRACTIONAL).values == \
         generated.values
@@ -120,7 +120,7 @@ def test_round_trip_through_files(tmp_path):
     corpus2 = load_corpus(tmp_path / "c.jsonl", census_year=cfg.census_year)
     journals2 = load_journals(tmp_path / "j.tsv")
     assert corpus2 == corpus
-    w = WindowSpec("two_year", cfg.census_year)
+    w = "two_year"
     t1 = count_citations(corpus, journals, w, INTEGER)
     t2 = count_citations(corpus2, journals2, w, INTEGER)
     assert t1.values == t2.values
@@ -176,8 +176,7 @@ def test_integer_counts_scale_with_reference_list_length():
                        FieldSpec("LONG", 8, 150, 40.0, 4.0)),
                       quality_spread=0.2, years_back=10, seed=21)
     corpus, journals, scheme, _ = generate_corpus(cfg)
-    table = count_citations(corpus, journals, WindowSpec("five_year", 2010),
-                            INTEGER)
+    table = count_citations(corpus, journals, "five_year", INTEGER)
     by_field = {"SHORT": 0.0, "LONG": 0.0}
     for jid, v in table.values.items():
         by_field[scheme.assignment[jid]] += v
@@ -202,7 +201,7 @@ def test_simulated_mean_matches_closed_form_at_scale():
                       quality_spread=0.5, years_back=12, seed=77)
     corpus, journals, _, _ = generate_corpus(cfg)
     assert len(corpus.documents) == 100_000
-    w = WindowSpec("five_year", 2010)
+    w = "five_year"
     denom = compute_denominator(corpus, journals, "five_year")
     for base, mode in (("in_window", FRACTIONAL), ("all_refs", FRACTIONAL_PLUS)):
         table = quasi_if(count_citations(corpus, journals, w, mode), denom)
@@ -219,7 +218,7 @@ def test_identical_fields_show_no_field_effect():
                       quality_spread=0.3, years_back=10, seed=11)
     corpus, journals, scheme, _ = generate_corpus(cfg)
     table = quasi_if(
-        count_citations(corpus, journals, WindowSpec("five_year", 2010), INTEGER),
+        count_citations(corpus, journals, "five_year", INTEGER),
         compute_denominator(corpus, journals, "five_year"))
     from jifnorm.indicators import IndicatorTable
     [result] = analyze_indicators(

@@ -93,7 +93,7 @@ def test_unknown_window_or_mode_in_count_table_fatal(tmp_path, capsys,
                     encoding="utf-8")
     code, err = run(["rank", path, "--top", 1, "--out", tmp_path], capsys)
     assert code == 2
-    assert err == f"error: {path}:3: {message}\n"
+    assert err == f"error: {path.name}:3: {message}\n"
 
 
 def percentile_file(tables, tmp_path, edit):
@@ -117,7 +117,7 @@ def test_malformed_percentile_row_named(tmp_path, tables, fixture_paths,
                            lambda lines: lines[:3] + [row] + lines[3:])
     code, err, _ = varcomp([path], fixture_paths, tmp_path / "out", capsys)
     assert code == 2
-    assert err == f"error: {path}:4: {message}\n"
+    assert err == f"error: {path.name}:4: {message}\n"
 
 
 def test_percentile_journal_twice_for_one_indicator_fatal(
@@ -129,7 +129,7 @@ def test_percentile_journal_twice_for_one_indicator_fatal(
     path = percentile_file(tables, tmp_path, lambda lines: lines + [lines[1]])
     code, err, _ = varcomp([path], fixture_paths, tmp_path / "out", capsys)
     assert code == 2
-    assert err == f"error: {path}:{len(lines) + 1}: journal 'J01' listed twice\n"
+    assert err == f"error: {path.name}:{len(lines) + 1}: journal 'J01' listed twice\n"
 
 
 def test_indicator_journal_twice_fatal(tmp_path, tables, capsys):
@@ -140,7 +140,7 @@ def test_indicator_journal_twice_fatal(tmp_path, tables, capsys):
     for args in (["rank", path, "--top", 2], ["correlate", path, path]):
         code, err = run(args + ["--out", tmp_path / "out"], capsys)
         assert code == 2
-        assert err == f"error: {path}:{n}: journal 'J01' listed twice\n"
+        assert err == f"error: {path.name}:{n}: journal 'J01' listed twice\n"
 
 
 def test_indicator_row_of_another_indicator_fatal(tmp_path, tables, capsys):
@@ -150,7 +150,7 @@ def test_indicator_row_of_another_indicator_fatal(tmp_path, tables, capsys):
                     encoding="utf-8")
     code, err = run(["rank", path, "--top", 2, "--out", tmp_path], capsys)
     assert code == 2
-    assert err == (f"error: {path}:3: indicator 'IF5-IC' in a table of "
+    assert err == (f"error: {path.name}:3: indicator 'IF5-IC' in a table of "
                    "'IF2-IC'\n")
 
 
@@ -167,7 +167,7 @@ def with_value(source, path, lineno, text):
 def test_non_finite_indicator_value_fatal(tmp_path, tables, fixture_paths,
                                           capsys, text):
     path = with_value(tables / "IF2-IC.tsv", tmp_path / "IF2-IC.tsv", 3, text)
-    want = (2, f"error: {path}:3: bad value {text!r}\n")
+    want = (2, f"error: {path.name}:3: bad value {text!r}\n")
     for args in (["rank", path, "--top", 3],
                  ["correlate", path, tables / "IF5-FC.tsv"]):
         assert run(args + ["--out", tmp_path / "out"], capsys) == want
@@ -178,7 +178,7 @@ def test_non_finite_indicator_value_fatal(tmp_path, tables, fixture_paths,
 def test_non_finite_count_value_fatal(tmp_path, tables, fixture_paths, capsys):
     path = with_value(tables / "TC-FC.tsv", tmp_path / "TC-FC.tsv", 2, "inf")
     code, err, _ = varcomp([path], fixture_paths, tmp_path / "vc", capsys)
-    assert (code, err) == (2, f"error: {path}:2: bad value 'inf'\n")
+    assert (code, err) == (2, f"error: {path.name}:2: bad value 'inf'\n")
 
 
 def test_correlate_reads_percentile_tables(tmp_path, tables, capsys):
@@ -201,7 +201,7 @@ def test_rank_of_a_percentile_file_fatal(tmp_path, tables, capsys):
     path = tables / "percentiles.tsv"
     code, err = run(["rank", path, "--top", 3, "--out", tmp_path], capsys)
     assert code == 2
-    assert err == (f"error: {path}:1: percentile table where one indicator "
+    assert err == (f"error: {path.name}:1: percentile table where one indicator "
                    "table is expected\n")
     assert not (tmp_path / "ranking.tsv").exists()
 
@@ -250,7 +250,7 @@ def test_empty_journal_id_in_a_table_fatal(tmp_path, tables, fixture_paths,
     path.write_text((tables / name).read_text(encoding="utf-8") + row + "\n",
                     encoding="utf-8")
     n = len(path.read_text(encoding="utf-8").splitlines())
-    want = (2, f"error: {path}:{n}: empty journal_id\n")
+    want = (2, f"error: {path.name}:{n}: empty journal_id\n")
     if name != "percentiles.tsv":
         assert run(["rank", path, "--top", 4, "--out", tmp_path / "rank"],
                    capsys) == want
@@ -274,5 +274,5 @@ def test_table_value_is_an_ascii_decimal(tmp_path, tables, capsys, text):
         fh.write(f"J04\tIF2-IC\t{text}\n")
     out = tmp_path / "bad"
     assert run(["rank", path, "--top", 4, "--out", out], capsys) == (
-        2, f"error: {path}:5: bad value {text!r}\n")
+        2, f"error: {path.name}:5: bad value {text!r}\n")
     assert not (out / "ranking.tsv").exists()

@@ -9,7 +9,8 @@ line with a tab stays a row. An integer is an optional sign and ASCII
 digits in TSV corpora, ``year=count`` pairs, config files and flags, and
 a decimal is ASCII text without ``_`` or surrounding whitespace in
 indicator tables, ``--external`` files and synth configs. No table reader
-accepts an empty ``journal_id``."""
+accepts an empty ``journal_id``. Every reader names a file by its name,
+without its directories, in a message about one of its lines."""
 
 import math
 
@@ -182,7 +183,7 @@ def test_line_with_a_tab_stays_a_row(tmp_path, tables):
     n = len(path.read_text(encoding="utf-8").splitlines())
     with pytest.raises(IndicatorError) as info:
         read_indicator_table(path)
-    assert str(info.value) == f"{path}:{n}: expected 3 columns, got 2"
+    assert str(info.value) == f"{path.name}:{n}: expected 3 columns, got 2"
 
 
 def test_blank_lines_in_tsv_corpus(tmp_path, raw_fixture):
@@ -333,8 +334,8 @@ def test_external_values_are_ascii_decimals(tmp_path, fixture_paths, capsys,
                  "--census-year", str(CENSUS), "--out", str(tmp_path / "out"),
                  "--external", f"X={ext}"]) == 1
     err = capsys.readouterr().err.splitlines()
-    assert [line for line in err if str(ext) in line] == [
-        f"warning: {ext}:3: non-numeric value {text!r}"]
+    assert [line for line in err if ext.name in line] == [
+        f"warning: {ext.name}:3: non-numeric value {text!r}"]
     lines = (tmp_path / "out" / "X.tsv").read_text(encoding="utf-8")
     assert lines.splitlines()[1:] == ["J01\tX\t4.500000"]
 
@@ -364,8 +365,66 @@ def test_field_scheme_empty_id_or_field_fatal(tmp_path, fixture_paths, tables,
     n = len(path.read_text(encoding="utf-8").splitlines())
     with pytest.raises(StatsError) as info:
         load_field_scheme(path)
-    assert str(info.value) == f"{path}:{n}: {message}"
+    assert str(info.value) == f"{path.name}:{n}: {message}"
     capsys.readouterr()
     assert main(["varcomp", str(tables / "IF2-IC.tsv"), "--fields", str(path),
                  "--min-group-size", "2", "--out", str(tmp_path / "vc")]) == 2
-    assert capsys.readouterr().err == f"error: {path}:{n}: {message}\n"
+    assert capsys.readouterr().err == f"error: {path.name}:{n}: {message}\n"
+
+
+
+def _on_corpus(command, corpus, journals, *extra):
+    return [command, corpus, "--journals", journals, "--census-year", CENSUS,
+            *extra]
+
+
+# each reader's bad file, the argv that reads it from PATH (given the
+# fixture's paths F and the indicator tables T), and how the message about
+# it begins
+NAMED_FILES = {
+    "corpus-header": ("c.tsv", "# a corpus\ndoc_id\tjournal\n",
+                      lambda p, f, t: _on_corpus("validate", p, f["journals"]),
+                      "error: c.tsv:2: malformed TSV header "),
+    "corpus-record": ("c.jsonl", '{"doc_id": 7}\n',
+                      lambda p, f, t: _on_corpus("validate", p, f["journals"]),
+                      "warning: c.jsonl:1: "),
+    "journals": ("j.tsv", "J01\tJ\tJ A\tF\t\nJ02\n",
+                 lambda p, f, t: _on_corpus("validate", f["corpus"], p),
+                 "error: j.tsv:2: expected at least 5 columns, got 1"),
+    "fields": ("f.tsv", "journal_id\tfield\n\tPHYS\n",
+               lambda p, f, t: ["varcomp", t / "IF2-IC.tsv", "--fields", p],
+               "error: f.tsv:2: empty journal_id"),
+    "table": ("X.tsv", "journal_id\tindicator_id\tvalue\n\tX\t1\n",
+              lambda p, f, t: ["rank", p, "--top", 1],
+              "error: X.tsv:2: empty journal_id"),
+    "external": ("e.tsv", "journal_id\tvalue\nJ99\t1.0\n",
+                 lambda p, f, t: _on_corpus("indicators", f["corpus"],
+                                            f["journals"], "--external",
+                                            f"EXT={p}"),
+                 "warning: e.tsv:2: unknown journal 'J99'"),
+    "config": ("r.cfg", "# run\nn_perms = 3\n",
+               lambda p, f, t: _on_corpus("validate", f["corpus"],
+                                          f["journals"], "--config", p),
+               "error: r.cfg:2: unknown key 'n_perms'"),
+    "synth": ("s.cfg", "census_year = 2010\nbogus = 1\n",
+              lambda p, f, t: ["synth", p],
+              "error: s.cfg:2: unknown key 'bogus'"),
+}
+
+
+@pytest.mark.parametrize("case", NAMED_FILES)
+def test_messages_name_a_file_by_its_name(tmp_path, fixture_paths, tables,
+                                          capsys, case):
+    """Every reader begins a message about a line of a file given by a path
+    with ``NAME:LINE:``, the file's name and the line's number."""
+    name, text, argv, start = NAMED_FILES[case]
+    path = tmp_path / "sub" / name
+    path.parent.mkdir()
+    path.write_text(text, encoding="utf-8")
+    capsys.readouterr()
+    main([str(a) for a in argv(path, fixture_paths, tables)]
+         + ["--out", str(tmp_path / "out")])
+    lines = [line for line in capsys.readouterr().err.splitlines()
+             if name in line]
+    assert lines and all(line.startswith(start) for line in lines), lines
+    assert str(path.parent) not in "".join(lines)
