@@ -17,10 +17,8 @@ component collapses and the permutation test goes silent.
 
 import numpy as np
 
-from jifnorm import (analyze_indicators, compute_denominator, count_citations,
-                     generate_corpus, match_corpus, quasi_if,
+from jifnorm import (analyze_indicators, compute_all_tables, generate_corpus,
                      variance_reduction)
-from jifnorm.counts import FRACTIONAL, INTEGER
 from jifnorm.synthgen import FieldSpec, SynthConfig
 
 cfg = SynthConfig(
@@ -37,14 +35,9 @@ corpus, journals, scheme, truth = generate_corpus(cfg)
 print(f"generated {len(corpus.documents)} citing documents over "
       f"{len(journals)} journals in {len(cfg.fields)} fields")
 
-ref_table = match_corpus(corpus, journals)
-denom5 = compute_denominator(corpus, journals, "five_year")
-
-tables = {}
-for mode, name in ((INTEGER, "IF5-IC"), (FRACTIONAL, "IF5-FC")):
-    counts = count_citations(corpus, journals, "five_year", mode,
-                             ref_table=ref_table)
-    tables[name] = quasi_if(counts, denom5)
+# every table `jifnorm indicators` writes; this demo reads two of them
+_, indicator_tables = compute_all_tables(corpus, journals)
+tables = {t.indicator_id: t for t in indicator_tables}
 
 print("\nfield means of the five-year quasi impact factor:")
 print(f"  {'field':6} {'integer':>10} {'fractional':>12}")

@@ -16,6 +16,7 @@ from .corpus import (Corpus, CorpusFormatError, Document, Journal,
                      JournalTable, JournalTableError, ValidationReport,
                      load_corpus, load_journals, merge_journal_parts,
                      save_corpus, save_journals, validate_corpus)
+from .cli import compute_all_tables
 from .counts import (CountError, CountMode, CountTable, FRACTIONAL,
                      FRACTIONAL_PLUS, INTEGER, WindowSpec, count_citations)
 from .indicators import (DEFAULT_CITABLE_TYPES, DenominatorTable,

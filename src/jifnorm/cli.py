@@ -210,9 +210,15 @@ def _table_file(indicator_id: str) -> str:
     return indicator_id.replace("/", "_") + ".tsv"
 
 
-def compute_all_tables(corpus, journals, citable_types
+def compute_all_tables(corpus, journals, citable_types=DEFAULT_CITABLE_TYPES
                        ) -> tuple[list, list[IndicatorTable]]:
-    """All citation-total tables plus derived indicators, in report order."""
+    """The paper's table set, as ``indicators`` writes it, in report order:
+    the 8 citation totals (``TC-IC``, ``TC-IC2``, ``TC-IC5``, ``TC-FC``,
+    ``TC-FC2``, ``TC-FC5``, ``TC-FC2+``, ``TC-FC5+``) as ``CountTable``s,
+    and the 12 indicators (``IF2-IC``, ``IF5-IC``, ``IF2-FC``, ``IF5-FC``,
+    ``IF2-FC+``, ``IF5-FC+``, ``FC/P``, ``IF2-Num``, ``IF5-Num``,
+    ``IF2-Denom``, ``IF5-Denom``, ``Items<census year>``) as
+    ``IndicatorTable``s. References are matched once, for all 8 counts."""
     census = corpus.census_year
     ref_table = match_corpus(corpus, journals)
     count_tables = [count_citations(corpus, journals, kind, mode,

@@ -31,6 +31,7 @@ import json
 from array import array
 from collections import defaultdict
 from collections.abc import Callable, Iterable, Iterator, Sequence
+from contextlib import closing
 from dataclasses import dataclass, field
 from functools import cached_property
 from itertools import repeat
@@ -526,22 +527,19 @@ def _range_lines(path: Path, start: int, end: int) -> Iterator[str]:
 def _corpus_format(path: Path) -> str:
     """``"tsv"`` or ``"jsonl"``, as a corpus file's first line that is
     neither blank nor a comment says; a TSV file's must be the header."""
-    with open(path, "rb") as fh:
-        lineno = 0
-        for raw in fh:
-            for line in _decoded_lines(raw, lineno == 0):
-                lineno += 1
-                text = line.strip()
-                if not text or text.startswith("#"):
-                    continue
-                if "\t" not in line or text.startswith("{"):
-                    return "jsonl"
-                header = line.split("\t")
-                if header != CORPUS_TSV_HEADER:
-                    raise CorpusFormatError(
-                        f"{path.name}:{lineno}: malformed TSV header "
-                        f"{header!r}, expected {CORPUS_TSV_HEADER!r}")
-                return "tsv"
+    with closing(_range_lines(path, 0, path.stat().st_size)) as lines:
+        for lineno, line in enumerate(lines, start=1):
+            text = line.strip()
+            if not text or text.startswith("#"):
+                continue
+            if "\t" not in line or text.startswith("{"):
+                return "jsonl"
+            header = line.split("\t")
+            if header != CORPUS_TSV_HEADER:
+                raise CorpusFormatError(
+                    f"{path.name}:{lineno}: malformed TSV header "
+                    f"{header!r}, expected {CORPUS_TSV_HEADER!r}")
+            return "tsv"
     return "jsonl"
 
 
@@ -639,16 +637,17 @@ def save_corpus(corpus: Corpus, path: str | Path, format: str = "jsonl") -> None
                 fh.write(json.dumps(obj, ensure_ascii=False) + "\n")
     elif format == "tsv":
         with open(path, "w", encoding="utf-8", newline="\n") as fh:
-            fh.write("\t".join(CORPUS_TSV_HEADER) + "\n")
+            fh.write(_HEADER_LINE + "\n")
             for doc in corpus.documents:
-                for ref in doc.refs:
-                    if ";" in ref or "\t" in ref:
-                        raise CorpusFormatError(
-                            f"reference {ref!r} cannot be stored in TSV; "
-                            "use the JSONL format")
-                refs = ";".join(doc.refs)
-                fh.write("\t".join([doc.doc_id, doc.journal_id, str(doc.pub_year),
-                                    doc.doc_type, str(doc.ref_count), refs]) + "\n")
+                record = _document_fields(doc)
+                line = "\t".join([*map(str, record[:5]), ";".join(doc.refs)])
+                if (line.count("\t") != 5 or "\n" in line or "\r" in line
+                        or _tsv_fields(line) != record):
+                    raise CorpusFormatError(
+                        f"document {doc.doc_id!r} would not read back from "
+                        "TSV (a tab or line break, a leading '#', or a ';' "
+                        "in a reference); use the JSONL format")
+                fh.write(line + "\n")
     else:
         raise CorpusFormatError(f"unknown corpus format {format!r}")
 

@@ -10,13 +10,12 @@ import time
 import numpy as np
 import pytest
 
-from jifnorm import load_corpus, load_journals, merge_journal_parts
+from jifnorm import (compute_all_tables, load_corpus, load_journals,
+                     merge_journal_parts)
 from jifnorm.cli import main as cli_main
-from jifnorm.counts import (FRACTIONAL, FRACTIONAL_PLUS, INTEGER,
-                            count_citations)
-from jifnorm.indicators import IndicatorTable, compute_denominator, fc_over_p, quasi_if
+from jifnorm.counts import FRACTIONAL, INTEGER, count_citations
+from jifnorm.indicators import compute_denominator, quasi_if
 from jifnorm.percentile import build_percentiles, percentile_rank, pr6_class, top_share
-from jifnorm.refmatch import match_corpus
 from jifnorm.stats import (FieldScheme, analyze_indicators,
                            pearson, permutation_test, spearman,
                            varcomp_moments, variance_reduction)
@@ -42,6 +41,14 @@ PAPERS_PER_JOURNAL = 1680
 BIG_SEED = 31416
 
 
+def _tables_by_id(count_tables, indicator_tables):
+    """``compute_all_tables``' output as one dict keyed by table id."""
+    tables = {t.variable_id: t for t in count_tables}
+    tables.update((t.indicator_id, t) for t in indicator_tables)
+    assert len(tables) == len(count_tables) + len(indicator_tables)
+    return tables
+
+
 @pytest.fixture(scope="session")
 def big_synth():
     mus = np.linspace(12.0, 45.0, N_FIELDS)
@@ -55,28 +62,14 @@ def big_synth():
 
     t0 = time.perf_counter()
     corpus, journals, scheme, _ = generate_corpus(cfg)
-    ref_table = match_corpus(corpus, journals)
-
-    tables = {}
-    for kind, mode, name in (("five_year", INTEGER, "IF5-IC"),
-                             ("five_year", FRACTIONAL, "IF5-FC"),
-                             ("five_year", FRACTIONAL_PLUS, "IF5-FC+"),
-                             ("two_year", FRACTIONAL, "IF2-FC"),
-                             ("two_year", FRACTIONAL_PLUS, "IF2-FC+")):
-        counts = count_citations(corpus, journals, kind,
-                                 mode, ref_table=ref_table)
-        denom = compute_denominator(corpus, journals,
-                                    "five_year" if kind == "five_year"
-                                    else "two_year")
-        tables[name] = quasi_if(counts, denom)
+    tables = _tables_by_id(*compute_all_tables(corpus, journals))
 
     names = ("IF5-IC", "IF5-FC")
     results = dict(zip(names, analyze_indicators(
         [tables[name] for name in names], scheme, n_perm=1999, seed=271)))
     elapsed = time.perf_counter() - t0
-    return {"corpus": corpus, "journals": journals, "ref_table": ref_table,
-            "scheme": scheme, "tables": tables, "results": results,
-            "elapsed": elapsed}
+    return {"corpus": corpus, "journals": journals, "scheme": scheme,
+            "tables": tables, "results": results, "elapsed": elapsed}
 
 
 def test_criterion_1_fixture_exactness(data_dir):
@@ -87,46 +80,35 @@ def test_criterion_1_fixture_exactness(data_dir):
     oracle = full_pipeline(data_dir / "fixture_corpus.jsonl",
                            data_dir / "fixture_journals.tsv", CENSUS)
 
-    denoms = {"two_year": compute_denominator(corpus, journals, "two_year"),
-              "five_year": compute_denominator(corpus, journals, "five_year"),
-              "census_only": compute_denominator(corpus, journals, "census_only")}
+    tables = _tables_by_id(*compute_all_tables(corpus, journals))
 
-    for kind, suffix in (("two_year", "2"), ("five_year", "5"), ("all_years", "")):
-        for mode, label in ((INTEGER, "IC"), (FRACTIONAL, "FC"),
-                            (FRACTIONAL_PLUS, "FC+")):
-            if label == "FC+" and kind == "all_years":
-                continue
-            name = f"TC-{label[:2]}{suffix}" + ("+" if label == "FC+" else "")
-            table = count_citations(corpus, journals, kind, mode)
-            for jid, expected in oracle["counts"][name].items():
-                if mode is INTEGER:
-                    assert table.values[jid] == expected, (name, jid)
-                else:
-                    assert table.values[jid] == pytest.approx(
-                        expected, rel=1e-9), (name, jid)
-
-    computed = {}
-    for name, kind, mode in (("IF2-IC", "two_year", INTEGER),
-                             ("IF5-IC", "five_year", INTEGER),
-                             ("IF2-FC", "two_year", FRACTIONAL),
-                             ("IF5-FC", "five_year", FRACTIONAL),
-                             ("IF2-FC+", "two_year", FRACTIONAL_PLUS),
-                             ("IF5-FC+", "five_year", FRACTIONAL_PLUS)):
-        counts = count_citations(corpus, journals, kind, mode)
-        computed[name] = quasi_if(counts, denoms[kind])
-    computed["FC/P"] = fc_over_p(
-        count_citations(corpus, journals, "all_years",
-                        FRACTIONAL), denoms["census_only"])
-
-    for name, table in computed.items():
-        expected = oracle["indicators"][name]
-        assert set(table.values) == set(expected), name
-        assert table.undefined_journals == oracle["indicators"][name + ":undefined"]
-        for jid, v in expected.items():
-            assert table.values[jid] == pytest.approx(v, rel=1e-9), (name, jid)
+    # the oracle's value for each of the 20 tables: integer counts,
+    # numerators and denominators are exact, ratios and fractions close
+    counts = {k: v for k, v in oracle["counts"].items() if ":" not in k}
+    ratios = {k: v for k, v in oracle["indicators"].items() if ":" not in k}
+    denoms = oracle["denominators"]
+    expected = {**counts, **ratios,
+                "IF2-Num": counts["TC-IC2"], "IF5-Num": counts["TC-IC5"],
+                "IF2-Denom": denoms["IF2-Denom"],
+                "IF5-Denom": denoms["IF5-Denom"],
+                f"Items{CENSUS}": denoms["Items"]}
+    assert len(expected) == 20
+    assert set(tables) == set(expected)
+    for name, values in expected.items():
+        table = tables[name]
+        assert set(table.values) == set(values), name
+        for jid, v in values.items():
+            if isinstance(v, int):
+                assert table.values[jid] == v, (name, jid)
+            else:
+                assert table.values[jid] == pytest.approx(v, rel=1e-9), (
+                    name, jid)
+    for name in ratios:
+        assert (tables[name].undefined_journals
+                == oracle["indicators"][name + ":undefined"]), name
 
     for name in ("IF2-IC", "IF5-IC", "IF2-FC", "IF5-FC", "FC/P"):
-        pct = build_percentiles(computed[name])
+        pct = build_percentiles(tables[name])
         for jid, p in oracle["percentiles"][name].items():
             assert pct.pr100[jid] == pytest.approx(p, abs=1e-12), (name, jid)
             assert pct.pr6[jid] == oracle["percentiles"][name + ":pr6"][jid]
@@ -338,8 +320,7 @@ def test_criterion_8_invariance_suite(big_synth):
     table = big_synth["tables"]["IF5-FC"]
     order = sorted(table.values, key=lambda j: (table.values[j], j))
     corpus, journals = big_synth["corpus"], big_synth["journals"]
-    counts = count_citations(corpus, journals, "five_year",
-                             FRACTIONAL, ref_table=big_synth["ref_table"])
+    counts = big_synth["tables"]["TC-FC5"]
     scaled_counts = CountTable(counts.window, counts.mode,
                                {j: 17.0 * v for j, v in counts.values.items()})
     scaled_if = quasi_if(scaled_counts,

@@ -7,12 +7,11 @@ import pytest
 from jifnorm import corpus as corpus_mod
 from jifnorm import (Corpus, CorpusFormatError, Document, Journal,
                      JournalTable, JournalTableError, load_corpus,
-                     load_journals, merge_journal_parts, save_corpus,
-                     validate_corpus)
+                     merge_journal_parts, save_corpus, validate_corpus)
 from jifnorm.counts import FRACTIONAL, INTEGER, count_citations
 
 from conftest import CENSUS
-from _oracle import full_pipeline, validation_tally, read_corpus, read_journals, merge_journals
+from _oracle import validation_tally, read_corpus, read_journals, merge_journals
 
 
 def test_fixture_loads_cleanly(raw_fixture):
@@ -50,6 +49,28 @@ def test_tsv_round_trip_equals_jsonl(raw_fixture, tmp_path):
     save_corpus(corpus, out, format="tsv")
     back = load_corpus(out, census_year=CENSUS)
     assert back.documents == corpus.documents
+
+
+@pytest.mark.parametrize("doc_id, journal, ref", [
+    ("a\tb", "J01", "X|2009"), ("a\nb", "J01", "X|2009"),
+    ("a\rb", "J01", "X|2009"), ("D1", "J\t01", "X|2009"),
+    ("D1", "J\n01", "X|2009"), ("D1", "J\r01", "X|2009"),
+    ("D1", "J01", "X\tY|2009"), ("D1", "J01", "X Y\nZ|2009"),
+    ("D1", "J01", "X\rY|2009"), ("#D1", "J01", "X|2009"),
+    ("D1", "J01", "X;Y|2009"),
+], ids=["id-tab", "id-lf", "id-cr", "journal-tab", "journal-lf",
+        "journal-cr", "ref-tab", "ref-lf", "ref-cr", "id-hash", "ref-semicolon"])
+def test_tsv_refuses_a_document_it_cannot_read_back(tmp_path, doc_id,
+                                                     journal, ref):
+    """Such a document is refused in TSV, and JSONL keeps it unchanged."""
+    corpus = Corpus(CENSUS, [T1, Document(doc_id, journal, 2009, "article",
+                                          [ref], 1)])
+    assert len(corpus.documents) == 2 and not corpus.load_errors
+    with pytest.raises(CorpusFormatError, match="would not read back"):
+        save_corpus(corpus, tmp_path / "c.tsv", format="tsv")
+    save_corpus(corpus, tmp_path / "c.jsonl")
+    back = load_corpus(tmp_path / "c.jsonl", census_year=CENSUS)
+    assert back == corpus and not back.load_errors
 
 
 # --- a corpus file's first line gives its format ----------------------------

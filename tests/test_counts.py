@@ -2,8 +2,7 @@ import numpy as np
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
-from jifnorm import (Corpus, Document, Journal, JournalTable, load_corpus,
-                     match_corpus)
+from jifnorm import Corpus, Document, Journal, JournalTable, match_corpus
 from jifnorm.cli import COUNT_VARIABLES
 from jifnorm.counts import (CountError, CountMode, FRACTIONAL, FRACTIONAL_PLUS,
                             INTEGER, WindowSpec, count_citations, total_id,

@@ -6,10 +6,8 @@ from jifnorm.cli import main
 from jifnorm.counts import (FRACTIONAL, FRACTIONAL_PLUS, INTEGER, WindowSpec,
                             count_citations)
 from jifnorm.indicators import (DENOMINATOR_WINDOWS, DenominatorTable,
-                                IndicatorError,
-                                IndicatorTable, compute_denominator,
-                                fc_over_p, quasi_if,
-                                read_indicator_table)
+                                IndicatorError, compute_denominator,
+                                fc_over_p, quasi_if, read_indicator_table)
 
 from conftest import CENSUS
 from _oracle import full_pipeline

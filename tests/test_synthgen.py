@@ -1,8 +1,7 @@
 import numpy as np
 import pytest
 
-from jifnorm import (load_corpus, load_journals, match_corpus, save_corpus,
-                     validate_corpus)
+from jifnorm import load_corpus, load_journals, save_corpus, validate_corpus
 from jifnorm.counts import (FRACTIONAL, FRACTIONAL_PLUS, INTEGER,
                             count_citations)
 from jifnorm.indicators import compute_denominator, quasi_if

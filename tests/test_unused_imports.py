@@ -1,13 +1,16 @@
-"""Every name a module of the package imports is used in that module.
-``__init__.py`` is left out: its imports are the package's re-exports."""
+"""Every name a module of the package, a test module or a demo imports is
+used in that module. The package's ``__init__.py`` is left out: its
+imports are the package's re-exports."""
 
 import ast
 from pathlib import Path
 
 import pytest
 
-PACKAGE = Path(__file__).resolve().parent.parent / "src" / "jifnorm"
+ROOT = Path(__file__).resolve().parent.parent
+PACKAGE = ROOT / "src" / "jifnorm"
 MODULES = sorted(p for p in PACKAGE.glob("*.py") if p.name != "__init__.py")
+MODULES += sorted(ROOT.glob("tests/*.py")) + sorted(ROOT.glob("demos/*.py"))
 
 
 def _annotations(tree: ast.AST):
@@ -54,6 +57,12 @@ def test_checker_finds_an_unused_import():
     assert unused_imports(source) == ["json (line 2)"]
 
 
-@pytest.mark.parametrize("path", MODULES, ids=lambda p: p.name)
+def _module_id(path: Path) -> str:
+    """A package module by its name, a test or a demo with its folder."""
+    return (path.name if path.parent == PACKAGE
+            else f"{path.parent.name}/{path.name}")
+
+
+@pytest.mark.parametrize("path", MODULES, ids=_module_id)
 def test_no_unused_import(path):
     assert unused_imports(path.read_text(encoding="utf-8")) == []
