@@ -1,17 +1,25 @@
-"""Small shared helpers for reading and writing TSV and key=value files.
+"""Reading and writing of every text file: TSV, JSONL and key=value.
 
-All files are UTF-8 with LF line endings; a byte-order mark that opens a
-file is ignored on input. Lines whose first character is ``#`` are
-comments, and lines of whitespace are blank (in TSV, only those without
-a tab); both are skipped on input. An integer field is an optional sign
-and ASCII digits; a decimal field is what ``float`` reads from ASCII
-text without ``_`` or surrounding whitespace.
+Files are UTF-8. On input, ``\\n``, ``\\r\\n`` and a lone ``\\r`` end a
+line, a byte-order mark that opens a file is dropped, and each reader
+decodes its own lines, so a bad byte is an error of its line. An output
+file is replaced whole, with LF line ends, or left as it was. Lines whose
+first character is ``#`` are comments, and lines of whitespace are blank
+(in TSV, only those without a tab); both are skipped on input. An integer
+field is an optional sign and ASCII digits; a decimal field is what
+``float`` reads from ASCII text without ``_`` or surrounding whitespace.
 """
 
 from __future__ import annotations
 
+import os
+import shutil
+from itertools import chain
 from pathlib import Path
 from typing import Iterable, Iterator
+
+_BLOCK = 1 << 20  # bytes read at a time
+_BOM = b"\xef\xbb\xbf"
 
 
 def skipped(line: str) -> bool:
@@ -36,16 +44,51 @@ def number(text: str) -> float:
     return float(text)
 
 
+def lines(path: str | Path, start: int = 0, end: int | None = None
+          ) -> Iterator[bytes]:
+    """The undecoded lines of bytes ``[start, end)`` of a file (to its end
+    if ``end`` is None), without their ends: ``\\n``, ``\\r\\n`` or a lone
+    ``\\r``. A UTF-8 byte-order mark at byte 0 is dropped. ``start`` and
+    ``end`` lie just after a ``\\n`` or at an end of the file."""
+    with open(path, "rb") as fh:
+        if end is None:
+            end = os.fstat(fh.fileno()).st_size
+        fh.seek(start)
+        if start == 0 and fh.read(len(_BOM)) != _BOM:
+            fh.seek(0)
+        left = end - fh.tell()
+        while left > 0:
+            # a block ends after a \n, so no \r\n is split between two
+            block = fh.read(min(_BLOCK, left))
+            if not block.endswith(b"\n"):
+                block += fh.readline(left - len(block))
+            if not block:
+                break
+            left -= len(block)
+            if b"\r" in block:
+                block = block.replace(b"\r\n", b"\n").replace(b"\r", b"\n")
+            yield from block.removesuffix(b"\n").split(b"\n")
+
+
+def _numbered(path: str | Path) -> Iterator[tuple[str, str]]:
+    """Yield (``NAME:LINE``, text) for every line of a file, NAME its name
+    and LINE its 1-based number; a line that is not UTF-8 raises
+    ``ValueError("NAME:LINE: <the codec's message>")``."""
+    name = Path(path).name
+    for lineno, raw in enumerate(lines(path), start=1):
+        try:
+            text = raw.decode("utf-8")
+        except UnicodeDecodeError as exc:
+            raise ValueError(f"{name}:{lineno}: {exc}") from None
+        yield f"{name}:{lineno}", text
+
+
 def iter_rows(path: str | Path) -> Iterator[tuple[str, list[str]]]:
     """Yield (``NAME:LINE``, fields) for every line not :func:`skipped`,
     NAME the file's name and LINE its 1-based line number."""
-    name = Path(path).name
-    with open(path, encoding="utf-8-sig") as fh:
-        for lineno, line in enumerate(fh, start=1):
-            line = line.rstrip("\n").rstrip("\r")
-            if skipped(line):
-                continue
-            yield f"{name}:{lineno}", line.split("\t")
+    for where, line in _numbered(path):
+        if not skipped(line):
+            yield where, line.split("\t")
 
 
 def iter_key_values(path: str | Path, error: type[Exception]
@@ -56,25 +99,41 @@ def iter_key_values(path: str | Path, error: type[Exception]
     path = Path(path)
     if not path.is_file():
         raise error(f"config file not found: {path}")
-    with open(path, encoding="utf-8-sig") as fh:
-        for lineno, line in enumerate(fh, start=1):
-            line = line.strip()
-            if not line or line.startswith("#"):
-                continue
-            key, sep, value = line.partition("=")
-            if not sep:
-                raise error(f"{path.name}:{lineno}: expected key=value")
-            yield f"{path.name}:{lineno}", key.strip(), value.strip()
+    for where, line in _numbered(path):
+        line = line.strip()
+        if not line or line.startswith("#"):
+            continue
+        key, sep, value = line.partition("=")
+        if not sep:
+            raise error(f"{where}: expected key=value")
+        yield where, key.strip(), value.strip()
+
+
+def write_lines(path: str | Path, lines: Iterable[str]) -> None:
+    """Write ``lines`` to ``path`` as UTF-8, each ended by LF, through a
+    temporary file beside it that then replaces it: on any error, one that
+    making ``lines`` raises included, the temporary file is removed and
+    ``path`` keeps its old bytes. The file gets the permissions
+    ``open(path, "w")`` would give: its own if it exists, else 0o666 less
+    the umask."""
+    path = Path(path)
+    tmp = path.with_name(f".{path.name}.{os.urandom(4).hex()}.tmp")
+    fd = os.open(tmp, os.O_WRONLY | os.O_CREAT | os.O_EXCL, 0o666)
+    try:
+        with open(fd, "w", encoding="utf-8", newline="\n") as fh:
+            for line in lines:
+                fh.write(line + "\n")
+        if path.exists():
+            shutil.copymode(path, tmp)
+        os.replace(tmp, path)
+    except BaseException:
+        tmp.unlink(missing_ok=True)
+        raise
 
 
 def write_rows(path: str | Path, header: list[str], rows: Iterable[Iterable[str]],
                preamble: list[str] | None = None) -> None:
     """Write a TSV with a mandatory header row. ``preamble`` lines are emitted
     as ``#`` comments above the header."""
-    with open(path, "w", encoding="utf-8", newline="\n") as fh:
-        for line in preamble or []:
-            fh.write(f"# {line}\n")
-        fh.write("\t".join(header) + "\n")
-        for row in rows:
-            fh.write("\t".join(row) + "\n")
-
+    write_lines(path, chain([f"# {line}" for line in preamble or []],
+                            ["\t".join(header)], map("\t".join, rows)))

@@ -29,7 +29,7 @@ from . import __version__
 from . import corpus as corpus_mod
 from . import stats as stats_mod
 from . import synthgen
-from ._tsv import integer, iter_key_values, write_rows
+from ._tsv import integer, iter_key_values, write_lines, write_rows
 from .corpus import CorpusFormatError, JournalTableError
 from .counts import (CountError, FRACTIONAL, FRACTIONAL_PLUS, INTEGER,
                      count_citations)
@@ -161,10 +161,8 @@ def write_manifest(out_dir: Path, command: str, inputs: list[Path],
         "parameters": parameters,
         "outputs": sorted(outputs),
     }
-    with open(out_dir / "manifest.json", "w", encoding="utf-8",
-              newline="\n") as fh:
-        json.dump(manifest, fh, indent=2, sort_keys=True)
-        fh.write("\n")
+    write_lines(out_dir / "manifest.json",
+                [json.dumps(manifest, indent=2, sort_keys=True)])
 
 
 def _load_inputs(args: argparse.Namespace
@@ -198,9 +196,7 @@ def cmd_validate(args: argparse.Namespace, out: Path):
                report.to_rows())
     outputs = ["validation.tsv"]
     if corpus.load_errors:
-        with open(out / "load_errors.txt", "w", encoding="utf-8",
-                  newline="\n") as fh:
-            fh.writelines(e + "\n" for e in corpus.load_errors)
+        write_lines(out / "load_errors.txt", corpus.load_errors)
         outputs.append("load_errors.txt")
     return ([Path(args.corpus), Path(args.journals)],
             {"census_year": args.census_year}, outputs, warnings)

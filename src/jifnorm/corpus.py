@@ -20,8 +20,9 @@ The journal master is a headerless TSV with columns ``journal_id``,
 ``full_name``, ``abbrevs`` (``|``-joined), ``field``, ``merge_group``,
 followed by any number of ``year=count`` pairs giving citable-item counts.
 ``#``-prefixed lines are comments and lines of whitespace are blank in all
-formats (in TSV a line with a tab is a row), and a UTF-8 byte-order mark
-that opens a corpus file is ignored. TSV integers are ASCII digits.
+formats (in TSV a line with a tab is a row). Files are read and written by
+``_tsv``, whose line rules hold: a corpus line that is not UTF-8 is a
+record error at its line. TSV integers are ASCII digits.
 """
 
 from __future__ import annotations
@@ -30,18 +31,18 @@ import copy
 import json
 from array import array
 from collections import defaultdict
-from collections.abc import Callable, Iterable, Iterator, Sequence
+from collections.abc import Callable, Iterable, Sequence
 from contextlib import closing
 from dataclasses import dataclass, field
 from functools import cached_property
-from itertools import repeat
+from itertools import chain, repeat
 from pathlib import Path
 from typing import Optional
 
 import numpy as np
 
 from ._fork import run_forked
-from ._tsv import integer, iter_rows, skipped
+from ._tsv import integer, iter_rows, lines, skipped, write_lines
 from .refmatch import (STATUS_FUTURE, STATUS_INVALID, STATUS_PRE1900,
                        _split_reference, match_corpus, normalize_venue)
 
@@ -416,10 +417,10 @@ def _check_record(doc_id, journal, year, doc_type, nref, refs,
     return doc_type.strip().lower()
 
 
-def _jsonl_fields(line: str) -> Optional[tuple]:
-    """The six fields of the record on a JSONL line, unchecked; None for a
-    blank or comment line."""
-    line = line.strip()
+def _jsonl_fields(line: bytes) -> Optional[tuple]:
+    """The six fields of the record on an undecoded JSONL line, unchecked;
+    None for a blank or comment line."""
+    line = line.decode("utf-8").strip()
     if not line or line.startswith("#"):
         return None
     obj = json.loads(line)
@@ -427,9 +428,10 @@ def _jsonl_fields(line: str) -> Optional[tuple]:
             obj.get("type", "other"), obj["nref"], obj.get("refs", []))
 
 
-def _tsv_fields(line: str) -> Optional[tuple]:
-    """The six fields of the record on a TSV line, unchecked but for its
-    width and integers; None for a blank, comment or header line."""
+def _tsv_fields(line: bytes) -> Optional[tuple]:
+    """The six fields of the record on an undecoded TSV line, unchecked but
+    for its width and integers; None for a blank, comment or header line."""
+    line = line.decode("utf-8")
     if skipped(line) or line == _HEADER_LINE:
         return None
     fields = line.split("\t")
@@ -494,41 +496,13 @@ def _records(items: Iterable, fields: Callable[..., Optional[tuple]],
                   errors=errors, warnings=warnings, n_lines=n)
 
 
-def _decoded_lines(raw: bytes, file_start: bool = False) -> Sequence[str]:
-    """The text lines of one ``\\n``-ended run of UTF-8 bytes, without their
-    ends; like text mode's universal newlines, ``\\r\\n`` and a lone ``\\r``
-    also end a line. At ``file_start`` a byte-order mark is dropped after
-    decoding, so a codec error's position still counts it."""
-    line = raw.decode("utf-8")
-    if file_start:
-        line = line.removeprefix("\ufeff")
-    if "\r" in line:
-        line = line.replace("\r\n", "\n").replace("\r", "\n")
-        return line.removesuffix("\n").split("\n")
-    return (line.removesuffix("\n"),)
-
-
-def _range_lines(path: Path, start: int, end: int) -> Iterator[str]:
-    """The text lines of bytes ``[start, end)`` of a file; ``start`` and
-    ``end`` lie just after a ``\\n`` or at an end of the file."""
-    with open(path, "rb") as fh:
-        fh.seek(start)
-        left = end - start
-        file_start = start == 0
-        while left > 0:
-            raw = fh.readline(left)
-            if not raw:
-                break
-            left -= len(raw)
-            yield from _decoded_lines(raw, file_start)
-            file_start = False
-
-
 def _corpus_format(path: Path) -> str:
     """``"tsv"`` or ``"jsonl"``, as a corpus file's first line that is
-    neither blank nor a comment says; a TSV file's must be the header."""
-    with closing(_range_lines(path, 0, path.stat().st_size)) as lines:
-        for lineno, line in enumerate(lines, start=1):
+    neither blank nor a comment says; a TSV file's must be the header. A
+    bad byte reads as U+FFFD here and is the record loop's to report."""
+    with closing(lines(path)) as raw_lines:
+        for lineno, raw in enumerate(raw_lines, start=1):
+            line = raw.decode("utf-8", "replace")
             text = line.strip()
             if not text or text.startswith("#"):
                 continue
@@ -564,7 +538,7 @@ def _parse_range(path: Path, format: str, start: int, end: int,
     """Read, check and column the records on the lines of bytes
     ``[start, end)``. Line numbers count from the range's first line."""
     fields = _jsonl_fields if format == "jsonl" else _tsv_fields
-    return _records(_range_lines(path, start, end), fields, census_year, 1)
+    return _records(lines(path, start, end), fields, census_year, 1)
 
 
 def _reject_duplicates(joined: _Chunk) -> None:
@@ -627,29 +601,31 @@ def load_corpus(path: str | Path, census_year: int, threads: int = 1
 
 
 def save_corpus(corpus: Corpus, path: str | Path, format: str = "jsonl") -> None:
-    path = Path(path)
-    if format == "jsonl":
-        with open(path, "w", encoding="utf-8", newline="\n") as fh:
-            for doc in corpus.documents:
-                obj = {"doc_id": doc.doc_id, "journal": doc.journal_id,
-                       "year": doc.pub_year, "type": doc.doc_type,
-                       "nref": doc.ref_count, "refs": doc.refs}
-                fh.write(json.dumps(obj, ensure_ascii=False) + "\n")
-    elif format == "tsv":
-        with open(path, "w", encoding="utf-8", newline="\n") as fh:
-            fh.write(_HEADER_LINE + "\n")
-            for doc in corpus.documents:
-                record = _document_fields(doc)
-                line = "\t".join([*map(str, record[:5]), ";".join(doc.refs)])
-                if (line.count("\t") != 5 or "\n" in line or "\r" in line
-                        or _tsv_fields(line) != record):
-                    raise CorpusFormatError(
-                        f"document {doc.doc_id!r} would not read back from "
-                        "TSV (a tab or line break, a leading '#', or a ';' "
-                        "in a reference); use the JSONL format")
-                fh.write(line + "\n")
-    else:
+    """Write a corpus as JSONL or TSV, one document a line, replacing
+    ``path`` whole. A document that TSV cannot hold raises
+    ``CorpusFormatError``, and a string that UTF-8 cannot encode
+    ``UnicodeEncodeError``; either way ``path`` keeps its old bytes."""
+    if format not in ("jsonl", "tsv"):
         raise CorpusFormatError(f"unknown corpus format {format!r}")
+
+    def line(doc: Document) -> str:
+        if format == "jsonl":
+            return json.dumps({"doc_id": doc.doc_id, "journal": doc.journal_id,
+                               "year": doc.pub_year, "type": doc.doc_type,
+                               "nref": doc.ref_count, "refs": doc.refs},
+                              ensure_ascii=False)
+        record = _document_fields(doc)
+        text = "\t".join([*map(str, record[:5]), ";".join(doc.refs)])
+        if (text.count("\t") != 5 or "\n" in text or "\r" in text
+                or _tsv_fields(text.encode("utf-8")) != record):
+            raise CorpusFormatError(
+                f"document {doc.doc_id!r} would not read back from TSV (a "
+                "tab or line break, a leading '#', or a ';' in a reference); "
+                "use the JSONL format")
+        return text
+
+    header = [_HEADER_LINE] if format == "tsv" else []
+    write_lines(path, chain(header, map(line, corpus.documents)))
 
 
 def load_journals(path: str | Path) -> JournalTable:
@@ -690,13 +666,13 @@ def load_journals(path: str | Path) -> JournalTable:
 
 
 def save_journals(table: JournalTable, path: str | Path) -> None:
-    with open(path, "w", encoding="utf-8", newline="\n") as fh:
-        fh.write("# journal_id\tfull_name\tabbrevs\tfield\tmerge_group\tyear=count...\n")
-        for j in table.journals:
-            pairs = [f"{y}={c}" for y, c in sorted(j.items_by_year.items())]
-            fh.write("\t".join([j.journal_id, j.full_name,
-                                "|".join(j.abbreviations), j.field_code,
-                                j.merge_group or ""] + pairs) + "\n")
+    rows = ([j.journal_id, j.full_name, "|".join(j.abbreviations),
+             j.field_code, j.merge_group or ""]
+            + [f"{y}={c}" for y, c in sorted(j.items_by_year.items())]
+            for j in table.journals)
+    write_lines(path, chain(
+        ["# journal_id\tfull_name\tabbrevs\tfield\tmerge_group\tyear=count..."],
+        map("\t".join, rows)))
 
 
 def merge_journal_parts(corpus: Corpus, journals: JournalTable

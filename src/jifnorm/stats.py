@@ -256,6 +256,10 @@ def varcomp_moments(values: dict[str, float], scheme: FieldScheme,
     v, g, retained, excluded, ss_between, ss_total, sizes = _one_way(values,
                                                                      scheme)
     k, n_total = len(retained), v.size
+    if n_total <= k:
+        raise StatsError(f"{n_total} journals in {k} retained fields; the "
+                         "within-field variance needs more journals than "
+                         "fields")
     n0 = (n_total - float((sizes ** 2).sum()) / n_total) / (k - 1)
     ms_within = (ss_total - ss_between) / (n_total - k)
 

@@ -7,7 +7,6 @@ import pytest
 from jifnorm.cli import main
 
 from conftest import CENSUS, PYTHON_FLAGS
-from _oracle import full_pipeline
 
 
 def run(args):
@@ -21,22 +20,6 @@ def read(path):
 def dir_bytes(path):
     return {p.name: p.read_bytes() for p in sorted(path.iterdir())
             if p.is_file()}
-
-
-@pytest.fixture(scope="module")
-def oracle(data_dir):
-    return full_pipeline(data_dir / "fixture_corpus.jsonl",
-                         data_dir / "fixture_journals.tsv", CENSUS)
-
-
-@pytest.fixture(scope="module")
-def indicator_dir(tmp_path_factory, fixture_paths):
-    out = tmp_path_factory.mktemp("indicators")
-    code = run(["indicators", fixture_paths["corpus"],
-                "--journals", fixture_paths["journals"],
-                "--census-year", CENSUS, "--percentiles", "--out", out])
-    assert code in (0, 1)
-    return out
 
 
 def test_validate_fixture(tmp_path, fixture_paths, oracle):
@@ -93,11 +76,11 @@ def test_missing_required_flag_exit_2(tmp_path, fixture_paths):
     assert code == 2
 
 
-def test_indicator_files_match_oracle(indicator_dir, oracle):
+def test_indicator_files_match_oracle(tables, oracle):
     for name, expected in oracle["indicators"].items():
         if name.endswith(":undefined"):
             continue
-        path = indicator_dir / f"{name.replace('/', '_')}.tsv"
+        path = tables / f"{name.replace('/', '_')}.tsv"
         assert path.exists(), name
         got = {}
         for line in read(path).splitlines()[1:]:
@@ -109,16 +92,16 @@ def test_indicator_files_match_oracle(indicator_dir, oracle):
             assert got[jid] == pytest.approx(v, abs=1e-6), (name, jid)
 
 
-def test_undefined_sidecar_for_zero_denominator(indicator_dir):
-    sidecar = indicator_dir / "IF2-IC.tsv.undefined"
+def test_undefined_sidecar_for_zero_denominator(tables):
+    sidecar = tables / "IF2-IC.tsv.undefined"
     assert sidecar.exists()
     assert read(sidecar).splitlines()[1:] == ["J10"]
 
 
-def test_count_files_and_wide_table(indicator_dir, oracle):
-    assert read(indicator_dir / "TC-IC2.tsv").splitlines()[0] == \
+def test_count_files_and_wide_table(tables, oracle):
+    assert read(tables / "TC-IC2.tsv").splitlines()[0] == \
         "journal_id\twindow\tmode\tvalue"
-    wide = read(indicator_dir / "indicators_wide.tsv").splitlines()
+    wide = read(tables / "indicators_wide.tsv").splitlines()
     header = wide[0].split("\t")
     assert header[0] == "journal_id"
     for needed in ("TC-IC", "TC-FC5+", "IF5-FC", "FC/P", "IF2-Denom",
@@ -128,8 +111,8 @@ def test_count_files_and_wide_table(indicator_dir, oracle):
     assert j10[header.index("IF2-IC")] == ""     # undefined stays blank
 
 
-def test_percentiles_output(indicator_dir):
-    lines = read(indicator_dir / "percentiles.tsv").splitlines()
+def test_percentiles_output(tables):
+    lines = read(tables / "percentiles.tsv").splitlines()
     assert lines[0] == "journal_id\tindicator_id\tpr100\tpr6"
     ids = {line.split("\t")[1] for line in lines[1:]}
     assert "TC-FC5" in ids and "FC/P" in ids and "IF2-Denom" in ids
@@ -198,9 +181,9 @@ def test_indicators_empty_citation_corpus(tmp_path, fixture_paths):
         assert line.split("\t")[3] == "0"
 
 
-def test_rank_top_k(tmp_path, indicator_dir):
+def test_rank_top_k(tmp_path, tables):
     out = tmp_path / "rank"
-    code = run(["rank", indicator_dir / "IF5-FC.tsv", "--top", 5, "--out", out])
+    code = run(["rank", tables / "IF5-FC.tsv", "--top", 5, "--out", out])
     assert code == 0
     lines = read(out / "ranking.tsv").splitlines()
     assert lines[0] == "rank\tjournal_id\tvalue"
@@ -209,12 +192,12 @@ def test_rank_top_k(tmp_path, indicator_dir):
     assert len(values) == 5
 
 
-def test_rank_top_1_is_max(tmp_path, indicator_dir):
+def test_rank_top_1_is_max(tmp_path, tables):
     out = tmp_path / "rank1"
-    run(["rank", indicator_dir / "IF5-FC.tsv", "--top", 1, "--out", out])
+    run(["rank", tables / "IF5-FC.tsv", "--top", 1, "--out", out])
     top = read(out / "ranking.tsv").splitlines()[1].split("\t")
     table = {line.split("\t")[0]: float(line.split("\t")[2])
-             for line in read(indicator_dir / "IF5-FC.tsv").splitlines()[1:]}
+             for line in read(tables / "IF5-FC.tsv").splitlines()[1:]}
     assert float(top[2]) == pytest.approx(max(table.values()), abs=1e-6)
 
 
@@ -229,9 +212,9 @@ def test_rank_ties_broken_by_journal_id(tmp_path):
     assert order == ["JA", "JB", "JC"]
 
 
-def test_rank_k_beyond_population_warns(tmp_path, indicator_dir):
+def test_rank_k_beyond_population_warns(tmp_path, tables):
     out = tmp_path / "rankbig"
-    code = run(["rank", indicator_dir / "IF5-FC.tsv", "--top", 999, "--out", out])
+    code = run(["rank", tables / "IF5-FC.tsv", "--top", 999, "--out", out])
     assert code == 1
     assert len(read(out / "ranking.tsv").splitlines()) == 10   # header + 9
 
@@ -251,16 +234,16 @@ def test_rank_pr6_lists_top_class_alphabetically(tmp_path):
     assert ids == [f"J{i:04d}" for i in range(198, 200)]   # pr100 >= 99
 
 
-def test_rank_requires_exactly_one_mode(tmp_path, indicator_dir):
-    assert run(["rank", indicator_dir / "IF5-FC.tsv", "--out", tmp_path]) == 2
-    assert run(["rank", indicator_dir / "IF5-FC.tsv", "--top", 3, "--pr6",
+def test_rank_requires_exactly_one_mode(tmp_path, tables):
+    assert run(["rank", tables / "IF5-FC.tsv", "--out", tmp_path]) == 2
+    assert run(["rank", tables / "IF5-FC.tsv", "--top", 3, "--pr6",
                 "--out", tmp_path]) == 2
 
 
-def test_correlate_matrix(tmp_path, indicator_dir):
+def test_correlate_matrix(tmp_path, tables):
     out = tmp_path / "corr"
-    code = run(["correlate", indicator_dir / "IF5-FC.tsv",
-                indicator_dir / "IF5-IC.tsv", indicator_dir / "IF2-FC.tsv",
+    code = run(["correlate", tables / "IF5-FC.tsv",
+                tables / "IF5-IC.tsv", tables / "IF2-FC.tsv",
                 "--out", out])
     assert code == 0
     lines = [l for l in read(out / "correlation_matrix.tsv").splitlines()
@@ -270,9 +253,9 @@ def test_correlate_matrix(tmp_path, indicator_dir):
     assert first[1] == ""        # empty diagonal
 
 
-def test_correlate_file_with_itself(tmp_path, indicator_dir):
+def test_correlate_file_with_itself(tmp_path, tables):
     out = tmp_path / "corr1"
-    run(["correlate", indicator_dir / "IF5-FC.tsv", indicator_dir / "IF5-FC.tsv",
+    run(["correlate", tables / "IF5-FC.tsv", tables / "IF5-FC.tsv",
          "--out", out])
     lines = [l for l in read(out / "correlation_matrix.tsv").splitlines()
              if not l.startswith("#")]
@@ -280,25 +263,25 @@ def test_correlate_file_with_itself(tmp_path, indicator_dir):
     assert lines[2].split("\t")[1] == "1.0000"
 
 
-def test_correlate_constant_indicator_flagged(tmp_path, indicator_dir):
+def test_correlate_constant_indicator_flagged(tmp_path, tables):
     const = tmp_path / "CONST.tsv"
     ids = [line.split("\t")[0]
-           for line in read(indicator_dir / "IF5-FC.tsv").splitlines()[1:]]
+           for line in read(tables / "IF5-FC.tsv").splitlines()[1:]]
     const.write_text("journal_id\tindicator_id\tvalue\n"
                      + "".join(f"{j}\tCONST\t1.000000\n" for j in ids),
                      encoding="utf-8")
     out = tmp_path / "corr2"
-    code = run(["correlate", indicator_dir / "IF5-FC.tsv", const, "--out", out])
+    code = run(["correlate", tables / "IF5-FC.tsv", const, "--out", out])
     assert code == 1
     lines = [l for l in read(out / "correlation_matrix.tsv").splitlines()
              if not l.startswith("#")]
     assert lines[1].split("\t")[2] == ""
 
 
-def test_varcomp_report(tmp_path, indicator_dir, fixture_paths):
+def test_varcomp_report(tmp_path, tables, fixture_paths):
     out = tmp_path / "vc"
-    code = run(["varcomp", indicator_dir / "IF2-IC.tsv",
-                indicator_dir / "IF5-FC.tsv",
+    code = run(["varcomp", tables / "IF2-IC.tsv",
+                tables / "IF5-FC.tsv",
                 "--fields", fixture_paths["fields"],
                 "--min-group-size", 2, "--n-perm", 999, "--seed", 7,
                 "--out", out])
@@ -317,11 +300,11 @@ def test_varcomp_report(tmp_path, indicator_dir, fixture_paths):
     assert dispersion[0] == "indicator_id\tfield\tvar_over_mean"
 
 
-def test_varcomp_same_seed_identical(tmp_path, indicator_dir, fixture_paths):
+def test_varcomp_same_seed_identical(tmp_path, tables, fixture_paths):
     outs = []
     for sub in ("one", "two"):
         out = tmp_path / sub
-        run(["varcomp", indicator_dir / "IF5-FC.tsv",
+        run(["varcomp", tables / "IF5-FC.tsv",
              "--fields", fixture_paths["fields"], "--min-group-size", 2,
              "--n-perm", 999, "--seed", 5, "--reference", "IF5-FC",
              "--out", out])
@@ -329,14 +312,28 @@ def test_varcomp_same_seed_identical(tmp_path, indicator_dir, fixture_paths):
     assert outs[0] == outs[1]
 
 
-def test_varcomp_single_group_fatal(tmp_path, indicator_dir, fixture_paths):
-    code = run(["varcomp", indicator_dir / "IF5-FC.tsv",
+def test_varcomp_single_group_fatal(tmp_path, tables, fixture_paths):
+    code = run(["varcomp", tables / "IF5-FC.tsv",
                 "--fields", fixture_paths["fields"], "--min-group-size", 4,
                 "--out", tmp_path])
     assert code == 2
 
 
-def test_varcomp_field_scheme_from_journal_master(tmp_path, indicator_dir,
+def test_varcomp_one_journal_per_field_exit_2(tmp_path, capsys):
+    table, fields = tmp_path / "x.tsv", tmp_path / "f.tsv"
+    table.write_text("journal_id\tindicator_id\tvalue\n"
+                     "J01\tX\t1.0\nJ02\tX\t2.0\nJ03\tX\t4.0\n",
+                     encoding="utf-8")
+    fields.write_text("J01\tA\nJ02\tB\nJ03\tC\n", encoding="utf-8")
+    code = run(["varcomp", table, "--fields", fields, "--min-group-size", 1,
+                "--out", tmp_path / "out"])
+    assert code == 2
+    assert capsys.readouterr().err == (
+        "error: 3 journals in 3 retained fields; the within-field variance "
+        "needs more journals than fields\n")
+
+
+def test_varcomp_field_scheme_from_journal_master(tmp_path, tables,
                                                  fixture_paths):
     """The journal master's field column gives the fixture's field file's
     scheme (its extra merged-away journals have no values), so the
@@ -344,8 +341,8 @@ def test_varcomp_field_scheme_from_journal_master(tmp_path, indicator_dir,
     outs = {}
     for flag in ("fields", "journals"):
         out = tmp_path / flag
-        assert run(["varcomp", indicator_dir / "IF2-IC.tsv",
-                    indicator_dir / "IF5-FC.tsv", f"--{flag}",
+        assert run(["varcomp", tables / "IF2-IC.tsv",
+                    tables / "IF5-FC.tsv", f"--{flag}",
                     fixture_paths[flag], "--min-group-size", 2,
                     "--out", out]) == 0
         outs[flag] = dir_bytes(out)
@@ -355,19 +352,19 @@ def test_varcomp_field_scheme_from_journal_master(tmp_path, indicator_dir,
     assert len(outs["fields"]) == 3
 
 
-def test_varcomp_without_field_scheme_exit_2(tmp_path, indicator_dir, capsys):
+def test_varcomp_without_field_scheme_exit_2(tmp_path, tables, capsys):
     capsys.readouterr()
     out = tmp_path / "vc"
-    assert run(["varcomp", indicator_dir / "IF2-IC.tsv", "--out", out]) == 2
+    assert run(["varcomp", tables / "IF2-IC.tsv", "--out", out]) == 2
     assert capsys.readouterr().err == (
         "error: varcomp needs --fields or --journals for the field scheme\n")
     assert not list(out.iterdir())
 
 
-def test_varcomp_accepts_percentile_files(tmp_path, indicator_dir,
+def test_varcomp_accepts_percentile_files(tmp_path, tables,
                                           fixture_paths):
     out = tmp_path / "vcp"
-    code = run(["varcomp", indicator_dir / "percentiles.tsv",
+    code = run(["varcomp", tables / "percentiles.tsv",
                 "--fields", fixture_paths["fields"], "--min-group-size", 2,
                 "--reference", "TC-IC:PR100", "--out", out])
     assert code in (0, 1)
@@ -376,7 +373,7 @@ def test_varcomp_accepts_percentile_files(tmp_path, indicator_dir,
     ids = [l.split("\t")[0] for l in lines[1:]]
     # one :PR100/:PR6 pair per indicator in the file, in file order
     sources = []
-    for line in read(indicator_dir / "percentiles.tsv").splitlines()[1:]:
+    for line in read(tables / "percentiles.tsv").splitlines()[1:]:
         source = line.split("\t")[1]
         if source not in sources:
             sources.append(source)
@@ -463,10 +460,10 @@ def test_unknown_config_key_exit_2(tmp_path, fixture_paths, capsys):
     assert not (tmp_path / "out").exists()
 
 
-def test_perm_stat_flag_is_a_usage_error(tmp_path, indicator_dir, capsys):
+def test_perm_stat_flag_is_a_usage_error(tmp_path, tables, capsys):
     capsys.readouterr()
     with pytest.raises(SystemExit) as info:
-        run(["varcomp", indicator_dir / "IF2-IC.tsv", "--perm-stat", "eta2",
+        run(["varcomp", tables / "IF2-IC.tsv", "--perm-stat", "eta2",
              "--out", tmp_path])
     assert info.value.code == 2
     err = capsys.readouterr().err
@@ -496,7 +493,7 @@ def test_format_is_neither_a_flag_nor_a_key(tmp_path, fixture_paths, capsys,
 
 
 def test_one_config_serves_every_command(tmp_path, fixture_paths,
-                                         indicator_dir, capsys):
+                                         tables, capsys):
     """A config may hold keys of several commands; each command reads the
     keys it has and ignores the others."""
     synth_cfg = tmp_path / "synth.cfg"
@@ -512,7 +509,7 @@ def test_one_config_serves_every_command(tmp_path, fixture_paths,
         "min_group_size = 2\nn_perm = 999\nreference = IF2-IC\n"
         "citable_types = article,review\npercentiles = yes\n"
         "top = 3\n", encoding="utf-8")
-    ind = indicator_dir
+    ind = tables
     commands = {
         "validate": [fixture_paths["corpus"]],
         "indicators": [fixture_paths["corpus"]],
@@ -580,7 +577,7 @@ def test_threads_beyond_ranges_start_no_worker(tmp_path, fixture_paths,
     assert results[64] == results[1]
 
 
-def test_varcomp_imports_no_multiprocessing(tmp_path, indicator_dir,
+def test_varcomp_imports_no_multiprocessing(tmp_path, tables,
                                             fixture_paths):
     script = ("import sys\nfrom jifnorm.cli import main\n"
               "code = main(sys.argv[1:])\n"
@@ -588,7 +585,7 @@ def test_varcomp_imports_no_multiprocessing(tmp_path, indicator_dir,
               "sys.exit(code)\n")
     proc = subprocess.run(
         [sys.executable, *PYTHON_FLAGS, "-c", script, "varcomp",
-         str(indicator_dir / "IF5-FC.tsv"), str(indicator_dir / "IF2-IC.tsv"),
+         str(tables / "IF5-FC.tsv"), str(tables / "IF2-IC.tsv"),
          "--fields", str(fixture_paths["fields"]), "--min-group-size", "2",
          "--n-perm", "999", "--out", str(tmp_path)],
         capture_output=True, text=True)
@@ -646,9 +643,9 @@ def _fatal(capsys, tmp_path, args, config=None):
 
 @pytest.mark.parametrize("top", [0, -2])
 @pytest.mark.parametrize("source", ["flag", "config"])
-def test_rank_top_below_one_exit_2(tmp_path, indicator_dir, capsys, top,
+def test_rank_top_below_one_exit_2(tmp_path, tables, capsys, top,
                                    source):
-    args = ["rank", indicator_dir / "IF2-IC.tsv"]
+    args = ["rank", tables / "IF2-IC.tsv"]
     if source == "flag":
         err = _fatal(capsys, tmp_path, [*args, "--top", top])
     else:
@@ -656,14 +653,14 @@ def test_rank_top_below_one_exit_2(tmp_path, indicator_dir, capsys, top,
     assert err == "error: --top must be >= 1\n"
 
 
-def test_negative_seed_exit_2(tmp_path, indicator_dir, fixture_paths, capsys):
+def test_negative_seed_exit_2(tmp_path, tables, fixture_paths, capsys):
     synth_cfg = tmp_path / "synth.cfg"
     synth_text = ("census_year = 2010\nseed = 1\nyears_back = 10\n"
                   "field.A.n_journals = 3\n"
                   "field.A.papers_per_journal_per_year = 10\n"
                   "field.A.mean_ref_len = 8\nfield.A.ref_age_half_life = 3\n")
     synth_cfg.write_text(synth_text, encoding="utf-8")
-    varcomp = ["varcomp", indicator_dir / "IF2-IC.tsv",
+    varcomp = ["varcomp", tables / "IF2-IC.tsv",
                "--fields", fixture_paths["fields"], "--min-group-size", 2]
     for args, config in (([*varcomp, "--seed", -1], None),
                          (varcomp, "seed = -2\n"),
@@ -716,11 +713,11 @@ def test_external_id_or_file_name_in_use_exit_2(tmp_path, fixture_paths,
 
 @pytest.mark.parametrize("names", [["IF2-IC.tsv", "IF2-IC.tsv", "IF5-FC.tsv"],
                                    ["percentiles.tsv", "percentiles.tsv"]])
-def test_varcomp_indicator_read_twice_exit_2(tmp_path, indicator_dir,
+def test_varcomp_indicator_read_twice_exit_2(tmp_path, tables,
                                              fixture_paths, capsys, names):
     out = tmp_path / "vc"
     capsys.readouterr()
-    assert run(["varcomp", *(indicator_dir / n for n in names),
+    assert run(["varcomp", *(tables / n for n in names),
                 "--fields", fixture_paths["fields"], "--min-group-size", 2,
                 "--out", out]) == 2
     first = "IF2-IC" if names[0] == "IF2-IC.tsv" else "TC-IC:PR100"
@@ -731,9 +728,9 @@ def test_varcomp_indicator_read_twice_exit_2(tmp_path, indicator_dir,
 
 @pytest.mark.parametrize("size", [0, -5])
 @pytest.mark.parametrize("source", ["flag", "config"])
-def test_min_group_size_below_one_exit_2(tmp_path, indicator_dir,
+def test_min_group_size_below_one_exit_2(tmp_path, tables,
                                          fixture_paths, capsys, size, source):
-    args = ["varcomp", indicator_dir / "IF5-FC.tsv",
+    args = ["varcomp", tables / "IF5-FC.tsv",
             "--fields", fixture_paths["fields"]]
     if source == "flag":
         err = _fatal(capsys, tmp_path, [*args, "--min-group-size", size])

@@ -9,13 +9,7 @@ from jifnorm.counts import (CountError, CountMode, FRACTIONAL, FRACTIONAL_PLUS,
                             window_years)
 
 from conftest import CENSUS
-from _oracle import count as oracle_count, full_pipeline
-
-
-@pytest.fixture(scope="module")
-def oracle(data_dir):
-    return full_pipeline(data_dir / "fixture_corpus.jsonl",
-                         data_dir / "fixture_journals.tsv", CENSUS)
+from _oracle import count as oracle_count
 
 
 def _one_doc(refs, nref=None):

@@ -2,25 +2,19 @@
 package as it stands, so a renamed or removed public name cannot break a
 demo unnoticed."""
 
-import os
 import subprocess
 import sys
-from pathlib import Path
 
 import pytest
 
-from conftest import PYTHON_FLAGS
+from conftest import PYTHON_FLAGS, ROOT, src_env
 
-ROOT = Path(__file__).resolve().parent.parent
 DEMOS = sorted((ROOT / "demos").glob("*.py"))
 
 
 @pytest.mark.parametrize("demo", DEMOS, ids=[d.stem for d in DEMOS])
 def test_demo_runs(demo):
-    env = dict(os.environ)
-    env["PYTHONPATH"] = os.pathsep.join(
-        [str(ROOT / "src")] + ([env["PYTHONPATH"]] if env.get("PYTHONPATH")
-                               else []))
     proc = subprocess.run([sys.executable, *PYTHON_FLAGS, str(demo)], cwd=ROOT,
-                          env=env, capture_output=True, text=True, timeout=120)
+                          env=src_env(), capture_output=True, text=True,
+                          timeout=120)
     assert proc.returncode == 0, proc.stderr

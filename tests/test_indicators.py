@@ -10,13 +10,6 @@ from jifnorm.indicators import (DENOMINATOR_WINDOWS, DenominatorTable,
                                 fc_over_p, quasi_if, read_indicator_table)
 
 from conftest import CENSUS
-from _oracle import full_pipeline
-
-
-@pytest.fixture(scope="module")
-def oracle(data_dir):
-    return full_pipeline(data_dir / "fixture_corpus.jsonl",
-                         data_dir / "fixture_journals.tsv", CENSUS)
 
 
 def test_denominator_sums_window_years(merged_fixture):

@@ -205,20 +205,30 @@ def test_cli_outputs_do_not_depend_on_threads(inputs, tmp_path, capsys, name,
 
 @pytest.mark.parametrize("bad_line", [0, 20, 40])
 def test_undecodable_byte_in_any_range_is_fatal(tmp_path, capsys, bad_line):
+    """The byte is fatal to its record alone: its line is a load error at
+    its number, in whichever range holds it, every other document is read,
+    and the outputs do not depend on ``--threads``."""
     import multiprocessing
 
     lines = [(_record(f"U{i}") + "\n").encode() for i in range(41)]
     lines[bad_line] = b'{"doc_id": "\xff"}\n'
     path = tmp_path / "bad.jsonl"
     path.write_bytes(b"".join(lines))
-    with pytest.raises(UnicodeDecodeError):
-        load_corpus(path, census_year=CENSUS, threads=3)
-    code = main(["validate", str(path), "--threads", "3",
-                 "--journals", str(DATA / "fixture_journals.tsv"),
-                 "--census-year", str(CENSUS), "--out", str(tmp_path / "out")])
-    assert code == 2
-    assert capsys.readouterr().err.startswith(
-        "error: 'utf-8' codec can't decode byte 0xff in position ")
+    error = (f"bad.jsonl:{bad_line + 1}: 'utf-8' codec can't decode byte "
+             "0xff in position 12: invalid start byte")
+    results = []
+    for threads in CLI_THREADS:
+        corpus = load_corpus(path, census_year=CENSUS, threads=threads)
+        assert corpus.load_errors == [error]
+        assert [d.doc_id for d in corpus.documents] == [
+            f"U{i}" for i in range(41) if i != bad_line]
+        results.append((*_validate(path, threads, tmp_path / str(threads)),
+                        capsys.readouterr().err))
+    code, files, err = results[0]
+    assert code == 1
+    assert files["load_errors.txt"] == f"{error}\n".encode()
+    assert f"warning: {error}\n" in err
+    assert all(r == results[0] for r in results[1:])
     assert multiprocessing.active_children() == []
 
 
@@ -292,9 +302,10 @@ def test_byte_order_mark_before_tsv_header(tmp_path):
             f"B{i}" for i in range(12)]
 
 
-def test_byte_order_mark_elsewhere_is_kept(tmp_path):
+def test_byte_order_mark_elsewhere_is_kept(tmp_path, capsys):
     """Only the mark at byte 0 is dropped: one at a later line's start is
-    that record's error, and a codec error's position counts the first."""
+    that record's error. The first is dropped before decoding, so a codec
+    error on line 1 is a record error whose position does not count it."""
     lines = [(_record(f"M{i}") + "\n").encode() for i in range(20)]
     lines[12] = BOM + lines[12]
     path = tmp_path / "later.jsonl"
@@ -306,7 +317,16 @@ def test_byte_order_mark_elsewhere_is_kept(tmp_path):
             "line 1 column 1 (char 0)"]
         assert len(corpus.documents) == 19
     path.write_bytes(BOM + b'{"doc_id": "\xff"}\n' + b"".join(lines[:12]))
-    for threads in (1, 2):
-        with pytest.raises(UnicodeDecodeError) as info:
-            load_corpus(path, census_year=CENSUS, threads=threads)
-        assert info.value.start == len(BOM) + 12
+    error = ("later.jsonl:1: 'utf-8' codec can't decode byte 0xff in "
+             "position 12: invalid start byte")
+    results = []
+    for threads in CLI_THREADS:
+        corpus = load_corpus(path, census_year=CENSUS, threads=threads)
+        assert corpus.load_errors == [error]
+        assert [d.doc_id for d in corpus.documents] == [
+            f"M{i}" for i in range(12)]
+        results.append((*_validate(path, threads, tmp_path / str(threads)),
+                        capsys.readouterr().err))
+    assert results[0][0] == 1
+    assert results[0][1]["load_errors.txt"] == f"{error}\n".encode()
+    assert all(r == results[0] for r in results[1:])

@@ -141,24 +141,13 @@ def test_worker_without_result_is_an_os_error(monkeypatch, tmp_path, kind):
     assert multiprocessing.active_children() == []
 
 
-@pytest.fixture(scope="module")
-def indicator_dir(tmp_path_factory, fixture_paths):
-    out = tmp_path_factory.mktemp("indicators")
-    code = main(["indicators", str(fixture_paths["corpus"]),
-                 "--journals", str(fixture_paths["journals"]),
-                 "--census-year", str(CENSUS), "--percentiles",
-                 "--out", str(out)])
-    assert code in (0, 1)
-    return out
-
-
 def test_varcomp_outputs_do_not_depend_on_threads(
-        small_blocks, block_counts, indicator_dir, fixture_paths, tmp_path,
+        small_blocks, block_counts, tables, fixture_paths, tmp_path,
         capsys):
     results = []
     for threads in (1, 2, 3):
         out = tmp_path / str(threads)
-        code = main(["varcomp", *(str(indicator_dir / name) for name in
+        code = main(["varcomp", *(str(tables / name) for name in
                                   ("IF2-IC.tsv", "IF5-FC.tsv",
                                    "percentiles.tsv")),
                      "--fields", str(fixture_paths["fields"]),

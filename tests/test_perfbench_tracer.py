@@ -5,47 +5,23 @@ must agree on exit code and output bytes, and the spans must name the
 wrapped layers."""
 
 import json
-import os
 import subprocess
 import sys
-from pathlib import Path
 
 import pytest
 
-from jifnorm.cli import main
-
-from conftest import CENSUS, PYTHON_FLAGS
-
-ROOT = Path(__file__).resolve().parent.parent
-
-
-def _env():
-    env = dict(os.environ)
-    env["PYTHONPATH"] = os.pathsep.join(
-        [str(ROOT / "src")] + ([env["PYTHONPATH"]] if env.get("PYTHONPATH")
-                               else []))
-    return env
+from conftest import CENSUS, PYTHON_FLAGS, ROOT, src_env
 
 
 def _run(prefix, args):
-    proc = subprocess.run(prefix + [str(a) for a in args], cwd=ROOT, env=_env(),
-                          capture_output=True, text=True, timeout=120)
+    proc = subprocess.run(prefix + [str(a) for a in args], cwd=ROOT,
+                          env=src_env(), capture_output=True, text=True,
+                          timeout=120)
     return proc.returncode, proc.stdout, proc.stderr
 
 
 def _dir_bytes(path):
     return {p.name: p.read_bytes() for p in sorted(path.iterdir())}
-
-
-@pytest.fixture(scope="module")
-def tables(tmp_path_factory, fixture_paths):
-    out = tmp_path_factory.mktemp("indicators")
-    code = main(["indicators", str(fixture_paths["corpus"]),
-                 "--journals", str(fixture_paths["journals"]),
-                 "--census-year", str(CENSUS), "--percentiles",
-                 "--out", str(out)])
-    assert code in (0, 1)
-    return out
 
 
 CORPUS_SPANS = {"corpus.load_journals", "corpus.load", "corpus.merge",

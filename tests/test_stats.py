@@ -295,6 +295,15 @@ def test_varcomp_single_group_fatal():
         varcomp_moments(_values([1, 2, 3]), _scheme(list("AAA")))
 
 
+def test_varcomp_one_journal_per_field_fatal():
+    """With no more journals than fields there is no within-field degree
+    of freedom: a StatsError, not a ZeroDivisionError."""
+    scheme = FieldScheme({"J01": "A", "J02": "B", "J03": "C"},
+                         min_group_size=1)
+    with pytest.raises(StatsError, match="3 journals in 3 retained fields"):
+        varcomp_moments({"J01": 1.0, "J02": 2.0, "J03": 4.0}, scheme)
+
+
 def test_min_group_size_filter():
     values = _values(range(25))
     groups = ["A"] * 12 + ["B"] * 11 + ["C"] * 2

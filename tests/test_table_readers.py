@@ -8,21 +8,8 @@ import pytest
 
 from jifnorm.cli import main
 
-from conftest import CENSUS
-
 VARCOMP_OUTPUTS = ("varcomp.tsv", "varcomp_reduction.tsv",
                    "varcomp_dispersion.tsv")
-
-
-@pytest.fixture(scope="module")
-def tables(tmp_path_factory, fixture_paths):
-    out = tmp_path_factory.mktemp("indicators")
-    code = main(["indicators", str(fixture_paths["corpus"]),
-                 "--journals", str(fixture_paths["journals"]),
-                 "--census-year", str(CENSUS), "--percentiles",
-                 "--out", str(out)])
-    assert code in (0, 1)
-    return out
 
 
 def run(args, capsys):

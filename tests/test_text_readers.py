@@ -10,21 +10,26 @@ digits in TSV corpora, ``year=count`` pairs, config files and flags, and
 a decimal is ASCII text without ``_`` or surrounding whitespace in
 indicator tables, ``--external`` files and synth configs. No table reader
 accepts an empty ``journal_id``. Every reader names a file by its name,
-without its directories, in a message about one of its lines."""
+without its directories, in a message about one of its lines. Every
+reader reads CRLF and lone-CR line ends as LF, and a byte that is not
+UTF-8 is an error of its line. A failed save leaves the old file."""
 
 import math
+import os
 
 import pytest
 
-from jifnorm import (IndicatorError, JournalTableError, StatsError,
+from jifnorm import (Corpus, CorpusFormatError, Document, IndicatorError,
+                     JournalTableError, StatsError, import_external_indicator,
                      load_corpus,
                      load_journals, load_field_scheme, load_synth_config,
                      read_indicator_table, save_corpus)
 from jifnorm._tsv import integer, number
 from jifnorm.cli import CliError, _load_varcomp_tables, _read_config, main
+from jifnorm.indicators import read_tables
 from jifnorm.synthgen import SynthConfigError
 
-from conftest import CENSUS
+from conftest import CENSUS, DATA
 
 BOM = "\ufeff".encode("utf-8")
 
@@ -142,17 +147,6 @@ def blank_twins(tmp_path, name, data: bytes):
     (plain / name).write_bytes(data)
     (spaced / name).write_bytes(with_blank_lines(data))
     return plain / name, spaced / name
-
-
-@pytest.fixture(scope="module")
-def tables(tmp_path_factory, fixture_paths):
-    out = tmp_path_factory.mktemp("indicators")
-    code = main(["indicators", str(fixture_paths["corpus"]),
-                 "--journals", str(fixture_paths["journals"]),
-                 "--census-year", str(CENSUS), "--percentiles",
-                 "--out", str(out)])
-    assert code in (0, 1)
-    return out
 
 
 def test_blank_lines_in_journal_master(tmp_path, fixture_paths):
@@ -428,3 +422,132 @@ def test_messages_name_a_file_by_its_name(tmp_path, fixture_paths, tables,
              if name in line]
     assert lines and all(line.startswith(start) for line in lines), lines
     assert str(path.parent) not in "".join(lines)
+
+
+def _read_corpus(path):
+    corpus = load_corpus(path, census_year=CENSUS)
+    return list(corpus.documents), corpus.load_errors, corpus.load_warnings
+
+
+def _fixture_tsv(f, tmp):
+    path = tmp / "fixture.tsv"
+    save_corpus(load_corpus(f["corpus"], census_year=CENSUS), path,
+                format="tsv")
+    return path.read_bytes()
+
+
+def _read_external(path):
+    journals = load_journals(DATA / "fixture_journals.tsv")
+    table = import_external_indicator(path, "EXT", journals)
+    return table.values, table.warnings
+
+
+# each reader: its file's name, the file's LF-ended bytes (given the
+# fixture's paths F, the indicator tables T and a temporary directory), what
+# a read of PATH gives, and the argv that reads PATH in the CLI
+LINE_RULE_READERS = {
+    "jsonl-corpus": ("c.jsonl", lambda f, t, tmp: f["corpus"].read_bytes(),
+                     _read_corpus, NAMED_FILES["corpus-record"][2]),
+    "tsv-corpus": ("c.tsv", lambda f, t, tmp: _fixture_tsv(f, tmp),
+                   _read_corpus, NAMED_FILES["corpus-record"][2]),
+    "journals": ("j.tsv", lambda f, t, tmp: f["journals"].read_bytes(),
+                 lambda p: load_journals(p).journals,
+                 NAMED_FILES["journals"][2]),
+    "fields": ("f.tsv", lambda f, t, tmp: f["fields"].read_bytes(),
+               lambda p: load_field_scheme(p).assignment,
+               NAMED_FILES["fields"][2]),
+    "indicator": ("IF2-IC.tsv",
+                  lambda f, t, tmp: (t / "IF2-IC.tsv").read_bytes(),
+                  read_tables, NAMED_FILES["table"][2]),
+    "count": ("TC-FC2.tsv", lambda f, t, tmp: (t / "TC-FC2.tsv").read_bytes(),
+              read_tables, NAMED_FILES["table"][2]),
+    "percentile": ("percentiles.tsv",
+                   lambda f, t, tmp: (t / "percentiles.tsv").read_bytes(),
+                   read_tables, lambda p, f, t: ["correlate", p]),
+    "external": ("e.tsv", lambda f, t, tmp: f["external"].read_bytes(),
+                 _read_external, NAMED_FILES["external"][2]),
+    "synth": ("s.cfg", lambda f, t, tmp: SYNTH_CONFIG.encode("utf-8"),
+              load_synth_config, NAMED_FILES["synth"][2]),
+    "config": ("r.cfg",
+               lambda f, t, tmp: (f"census_year = {CENSUS}\n"
+                                  f"journals = {f['journals']}\n"
+                                  "threads = 1\n").encode("utf-8"),
+               lambda p: _read_config(str(p)), NAMED_FILES["config"][2]),
+}
+
+
+@pytest.mark.parametrize("case", LINE_RULE_READERS)
+def test_every_reader_keeps_the_line_rules(tmp_path, fixture_paths, tables,
+                                           capsys, case):
+    """CRLF, lone-CR and byte-order-mark copies of a file read as the LF
+    original. A byte that is not UTF-8 on line 2 gets a message that
+    begins ``NAME:2:``: a record error in a corpus, after which the CLI
+    exits 1, and fatal elsewhere, with exit 2."""
+    name, make, read, argv = LINE_RULE_READERS[case]
+    data = make(fixture_paths, tables, tmp_path)
+    assert b"\r" not in data and data.count(b"\n") >= 2
+    copies = {"lf": data, "crlf": data.replace(b"\n", b"\r\n"),
+              "cr": data.replace(b"\n", b"\r"), "bom": BOM + data}
+    results = {}
+    for kind, copy in copies.items():
+        path = tmp_path / kind / name
+        path.parent.mkdir()
+        path.write_bytes(copy)
+        results[kind] = read(path)
+    assert all(result == results["lf"] for result in results.values())
+
+    lines = data.split(b"\n")
+    message = (f"{name}:2: 'utf-8' codec can't decode byte 0xff in position "
+               f"{len(lines[1])}: invalid start byte")
+    lines[1] += b"\xff"
+    path = tmp_path / "bad" / name
+    path.parent.mkdir()
+    path.write_bytes(b"\n".join(lines))
+    in_corpus = case.endswith("corpus")
+    if in_corpus:
+        assert message in read(path)[1]
+    else:
+        with pytest.raises(ValueError) as info:
+            read(path)
+        assert str(info.value) == message
+    capsys.readouterr()
+    code = main([str(a) for a in argv(path, fixture_paths, tables)]
+                + ["--out", str(tmp_path / "out")])
+    err = capsys.readouterr().err.splitlines()
+    if in_corpus:
+        assert (code, f"warning: {message}" in err) == (1, True)
+    else:
+        assert (code, err) == (2, [f"error: {message}"])
+
+
+GOOD = Document("D1", "J01", CENSUS, "article", ["J A|2009"], 1)
+
+
+@pytest.mark.parametrize("format,bad,error", [
+    ("tsv", Document("#x", "J01", CENSUS, "article", [], 0),
+     CorpusFormatError),
+    ("jsonl", Document("D2", "J01", CENSUS, "article", ["\ud800|2009"], 1),
+     UnicodeEncodeError)], ids=["tsv-refused", "jsonl-unencodable"])
+def test_a_failed_save_leaves_the_old_file(tmp_path, format, bad, error):
+    """A save goes through a temporary file: a refused or unencodable
+    document leaves the target's old bytes, and no save leaves a
+    temporary file. A new file gets the mode ``open`` gives one, and an
+    existing file keeps its own."""
+    path = tmp_path / f"corpus.{format}"
+    third = Document("D3", "J02", CENSUS, "review", [], 0)
+    save_corpus(Corpus(CENSUS, [third]), path, format=format)
+    assert os.listdir(tmp_path) == [path.name]
+    with open(tmp_path / "plain", "w", encoding="utf-8"):
+        pass
+    assert path.stat().st_mode == (tmp_path / "plain").stat().st_mode
+    os.remove(tmp_path / "plain")
+    os.chmod(path, 0o640)
+    old = path.read_bytes()
+    with pytest.raises(error):
+        save_corpus(Corpus(CENSUS, [GOOD, bad]), path, format=format)
+    assert path.read_bytes() == old
+    assert os.listdir(tmp_path) == [path.name]
+    save_corpus(Corpus(CENSUS, [GOOD, third]), path, format=format)
+    assert load_corpus(path, census_year=CENSUS).doc_ids == ["D1", "D3"]
+    assert os.listdir(tmp_path) == [path.name]
+    assert path.stat().st_mode & 0o777 == 0o640
