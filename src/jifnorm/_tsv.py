@@ -16,7 +16,7 @@ import os
 import shutil
 from itertools import chain
 from pathlib import Path
-from typing import Iterable, Iterator
+from typing import BinaryIO, Iterable, Iterator
 
 _BLOCK = 1 << 20  # bytes read at a time
 _BOM = b"\xef\xbb\xbf"
@@ -49,7 +49,7 @@ def lines(path: str | Path, start: int = 0, end: int | None = None
     """The undecoded lines of bytes ``[start, end)`` of a file (to its end
     if ``end`` is None), without their ends: ``\\n``, ``\\r\\n`` or a lone
     ``\\r``. A UTF-8 byte-order mark at byte 0 is dropped. ``start`` and
-    ``end`` lie just after a ``\\n`` or at an end of the file."""
+    ``end`` lie just after a line end or at an end of the file."""
     with open(path, "rb") as fh:
         if end is None:
             end = os.fstat(fh.fileno()).st_size
@@ -58,16 +58,43 @@ def lines(path: str | Path, start: int = 0, end: int | None = None
             fh.seek(0)
         left = end - fh.tell()
         while left > 0:
-            # a block ends after a \n, so no \r\n is split between two
+            # a block ends at a line end, so no \r\n is split between two
             block = fh.read(min(_BLOCK, left))
             if not block.endswith(b"\n"):
-                block += fh.readline(left - len(block))
+                block += read_line_end(fh, left - len(block))
             if not block:
                 break
             left -= len(block)
             if b"\r" in block:
                 block = block.replace(b"\r\n", b"\n").replace(b"\r", b"\n")
             yield from block.removesuffix(b"\n").split(b"\n")
+
+
+def read_line_end(fh: BinaryIO, limit: int) -> bytes:
+    """Read a binary file on from its position through the first line end
+    (a ``\\n``, or a ``\\r`` with the ``\\n`` that may follow it), or
+    through ``limit`` bytes if that comes first; at most ``_BLOCK`` bytes
+    are read at a time, and the position is left just after the bytes
+    returned. A ``\\n`` read first ends the ``\\r\\n`` its byte before
+    may open."""
+    pieces = []
+    while limit > 0:
+        piece = fh.readline(min(_BLOCK, limit))
+        cr = piece.find(b"\r")
+        if cr >= 0:
+            end = cr + 1
+            if end == len(piece) < limit:
+                piece += fh.read(1)
+            if piece[end:end + 1] == b"\n":
+                end += 1
+            fh.seek(end - len(piece), os.SEEK_CUR)
+            pieces.append(piece[:end])
+            break
+        pieces.append(piece)
+        limit -= len(piece)
+        if not piece or piece.endswith(b"\n"):
+            break
+    return b"".join(pieces)
 
 
 def _numbered(path: str | Path) -> Iterator[tuple[str, str]]:

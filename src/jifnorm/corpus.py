@@ -42,7 +42,8 @@ from typing import Optional
 import numpy as np
 
 from ._fork import run_forked
-from ._tsv import integer, iter_rows, lines, skipped, write_lines
+from ._tsv import (integer, iter_rows, lines, read_line_end, skipped,
+                   write_lines)
 from .refmatch import (STATUS_FUTURE, STATUS_INVALID, STATUS_PRE1900,
                        _split_reference, match_corpus, normalize_venue)
 
@@ -519,13 +520,15 @@ def _corpus_format(path: Path) -> str:
 
 def _byte_ranges(path: Path, n: int) -> list[tuple[int, int]]:
     """At most ``n`` consecutive byte ranges that cover the file, each one
-    after the first starting just after a ``\\n``."""
+    after the first starting just after a line end: a ``\\n``, a
+    ``\\r\\n`` or a lone ``\\r``, never between the ``\\r`` and ``\\n`` of
+    one."""
     size = path.stat().st_size
     cuts = [0]
     with open(path, "rb") as fh:
         for i in range(1, n):
             fh.seek(max(size * i // n, cuts[-1]))
-            fh.readline()
+            read_line_end(fh, size)
             if fh.tell() >= size:
                 break
             cuts.append(fh.tell())
@@ -649,7 +652,10 @@ def load_journals(path: str | Path) -> JournalTable:
                 continue
             year_s, _, count_s = pair.partition("=")
             try:
-                year, count = integer(year_s), integer(count_s)
+                if pair.isascii() and year_s.isdigit() and count_s.isdigit():
+                    year, count = int(year_s), int(count_s)
+                else:   # a sign, or an error
+                    year, count = integer(year_s), integer(count_s)
             except ValueError:
                 raise JournalTableError(
                     f"{where}: bad year=count pair {pair!r}") from None

@@ -22,6 +22,7 @@ normalizes fractional totals to document counts.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from fractions import Fraction
 from pathlib import Path
 from typing import Optional
 
@@ -29,7 +30,7 @@ import numpy as np
 
 from ._tsv import write_rows
 from .corpus import Corpus, JournalTable
-from .refmatch import RefTable, STATUS_VALID, match_corpus
+from .refmatch import RefTable, match_corpus
 
 # the counting windows, each with the suffix that names variables over it
 _WINDOW_SUFFIX = {"two_year": "2", "five_year": "5", "all_years": ""}
@@ -136,41 +137,132 @@ def count_citations(corpus: Corpus, journals: JournalTable, window: str,
     per (journal, k), k being the divisor of each reference's weight, so
     they do not depend on the order of the documents. No corpus holds an
     NRef below its reference count, so a whole-list weight is at most 1/k.
+    Totals that are equal as rationals are equal floats.
+
+    The window's membership, k and counted references are computed once
+    per ``ref_table`` and corpus, and shared by the window's three modes.
     """
     w = WindowSpec(window, corpus.census_year)
     if ref_table is None:
         ref_table = match_corpus(corpus, journals)
-
+    win = _window(corpus, ref_table, w)
     n_journals = len(ref_table.journal_ids)
-    offsets = corpus.ref_offsets
-    valid = ref_table.status == STATUS_VALID
-    inwin = valid & (ref_table.year >= w.lo) & (ref_table.year <= w.hi)
-
-    # k = valid in-window references per citing document (matched or not):
-    # differences of the running in-window count at the reference offsets
-    k = np.diff(np.concatenate(([0], np.cumsum(inwin)))[offsets])
-    contributing = int((k > 0).sum())
-
-    counted = inwin & (ref_table.journal_index >= 0)
-    jidx = ref_table.journal_index[counted]
 
     if mode.counting == "integer":
-        totals = np.bincount(jidx, minlength=n_journals).astype(np.int64)
-        values = {jid: int(totals[i]) for i, jid in enumerate(ref_table.journal_ids)}
-        return CountTable(window=w, mode=mode, values=values,
-                          contributing_docs=contributing)
+        totals = np.bincount(win.journal, minlength=n_journals).tolist()
+    else:
+        per_doc = win.k if mode.fraction_base == "in_window" else corpus.ref_counts
+        totals = _fractional_totals(win, per_doc, n_journals)
+    return CountTable(window=w, mode=mode,
+                      values=dict(zip(ref_table.journal_ids, totals)),
+                      contributing_docs=win.contributing)
 
-    per_doc = k if mode.fraction_base == "in_window" else corpus.ref_counts
-    # count references exactly per (journal, divisor) pair, then add one
-    # count/divisor term per pair in ascending-divisor order
-    divisors, code = np.unique(per_doc, return_inverse=True)
-    n_div = divisors.size
-    ref_code = np.repeat(code, np.diff(offsets))[counted]
-    pairs, refs_per_pair = np.unique(jidx.astype(np.int64) * n_div + ref_code,
-                                     return_counts=True)
-    totals = np.bincount(pairs // n_div,
-                         weights=refs_per_pair / divisors[pairs % n_div],
-                         minlength=n_journals)
-    values = {jid: float(totals[i]) for i, jid in enumerate(ref_table.journal_ids)}
-    return CountTable(window=w, mode=mode, values=values,
-                      contributing_docs=contributing)
+
+@dataclass(frozen=True)
+class _Window:
+    """What the counts over one window share. Per citing document: ``k``,
+    its valid in-window references, matched or not, and ``counted``, those
+    of them that match a journal. Per counted reference, in (document,
+    reference) order: ``journal``, its journal's position."""
+    k: np.ndarray
+    counted: np.ndarray
+    journal: np.ndarray
+    contributing: int
+
+
+def _window(corpus: Corpus, ref_table: RefTable, w: WindowSpec) -> _Window:
+    """The window's shared arrays, from ``ref_table``'s memo when they were
+    computed for this same corpus."""
+    seen, memo = ref_table._windows
+    if seen is not corpus:
+        memo = {}
+        ref_table._windows = (corpus, memo)
+    if w in memo:
+        return memo[w]
+    if ref_table.year.size >= 2**31:
+        raise CountError("more than 2**31 - 1 references")
+    # valid years are [1900, census year] and an unparseable one is 0, so
+    # with lo at least 1900 one unsigned compare tests validity and
+    # membership at once (a window of a census year before 1905 can
+    # start before 1900)
+    lo = max(w.lo, 1900)
+    member = (ref_table.year - np.int32(lo)).view(np.uint32) < w.hi + 1 - lo
+    # per-document counts: differences of a running count at the offsets
+    running = np.zeros(member.size + 1, dtype=np.int32)
+    np.cumsum(member, dtype=np.int32, out=running[1:])
+    k = np.diff(running[corpus.ref_offsets])
+    member &= ref_table.journal_index >= 0
+    np.cumsum(member, dtype=np.int32, out=running[1:])
+    counted = np.diff(running[corpus.ref_offsets])
+    memo[w] = _Window(k=k, counted=counted,
+                      journal=np.compress(member, ref_table.journal_index),
+                      contributing=int(np.count_nonzero(k)))
+    return memo[w]
+
+
+def _fractional_totals(win: _Window, per_doc: np.ndarray, n_journals: int
+                       ) -> list[float]:
+    """Per-journal sums of count/divisor over the (journal, divisor) pairs,
+    ``per_doc`` giving each document's divisor.
+
+    Each pair adds one term in ascending-divisor order, so every total is
+    reproducible. A total may still be a few ulps from its rational value;
+    a journal whose error interval overlaps another's gets its exact sum,
+    rounded once, so that totals equal as rationals are equal floats.
+    """
+    journal, divisor, refs = _pairs(win, per_doc, n_journals)
+    # with no pairs at all, bincount gives int zeros, even with weights
+    totals = np.bincount(journal, weights=refs / divisor,
+                         minlength=n_journals).astype(np.float64, copy=False)
+    values = totals.tolist()
+    tied = _tie_candidates(totals, np.bincount(journal, minlength=n_journals))
+    if tied.size:
+        exact = {j: Fraction(0) for j in tied.tolist()}
+        pick = np.isin(journal, tied)
+        for j, n, d in zip(journal[pick].tolist(), refs[pick].tolist(),
+                           divisor[pick].tolist()):
+            exact[j] += Fraction(n, d)
+        for j, total in exact.items():
+            values[j] = float(total)
+    return values
+
+
+def _pairs(win: _Window, per_doc: np.ndarray, n_journals: int
+           ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Per nonzero (journal, divisor) pair, in (journal, divisor) order:
+    its journal, its divisor and its number of references."""
+    has = win.counted > 0
+    divisors, code = np.unique(per_doc[has], return_inverse=True)
+    n_div, n_refs = divisors.size, win.journal.size
+    ref_code = np.repeat(code.astype(np.int32), win.counted[has])
+    if n_journals * n_div <= max(n_refs, n_journals):
+        # one bin per (journal, divisor code), no more bins than references
+        # or journals: a linear pass
+        bins = np.bincount(win.journal * n_div + ref_code,
+                           minlength=n_journals * n_div)
+        pairs = np.flatnonzero(bins)
+        refs = bins[pairs]
+    else:
+        # more distinct divisors than bins allow: sort the references' keys
+        pairs, refs = np.unique(win.journal.astype(np.int64) * n_div + ref_code,
+                                return_counts=True)
+    return pairs // n_div, divisors[pairs % n_div], refs
+
+
+def _tie_candidates(totals: np.ndarray, terms: np.ndarray) -> np.ndarray:
+    """The journals whose total could equal another journal's as a
+    rational: their error intervals overlap. A sum of t positive terms,
+    each rounded once, is within gamma(t + 1) * total of its rational
+    value (one more rounding for a divisor above 2**53), plus an ulp of
+    slack for bounding by the rounded total. A journal with no terms is
+    exactly 0 and is left out."""
+    live = np.flatnonzero(terms)
+    value = totals[live]
+    t = (terms[live] + 1) * 2.0**-53
+    err = t / (1 - t) * value + np.spacing(value)
+    order = np.argsort(value - err, kind="stable")
+    low, high = (value - err)[order], (value + err)[order]
+    overlaps = np.zeros(live.size, dtype=bool)
+    overlaps[1:] = np.maximum.accumulate(high)[:-1] >= low[1:]
+    overlaps[:-1] |= high[:-1] >= low[1:]
+    return live[order[overlaps]]

@@ -67,6 +67,12 @@ def pr6_class(percentile: float) -> int:
     return 1
 
 
+def _pr6_classes(percentiles: np.ndarray) -> np.ndarray:
+    """:func:`pr6_class` of each percentile: 1 plus the number of
+    thresholds at or below it."""
+    return np.searchsorted(PR6_THRESHOLDS[::-1], percentiles, side="right") + 1
+
+
 def top_share(pr100: dict[str, float], threshold: float) -> set[str]:
     """Journals at or above a percentile threshold."""
     if not 0.0 <= threshold < 100.0:
@@ -78,6 +84,7 @@ def build_percentiles(indicator: IndicatorTable) -> PercentileTable:
     """Percentile table over the indicator's defined journals (journals
     with undefined values are not part of the rank population)."""
     pr100 = percentile_rank(indicator.values)
-    pr6 = {jid: pr6_class(p) for jid, p in pr100.items()}
+    pr6 = dict(zip(pr100, _pr6_classes(np.fromiter(pr100.values(), float,
+                                                    len(pr100))).tolist()))
     return PercentileTable(source_indicator=indicator.indicator_id,
                            pr100=pr100, pr6=pr6, n=len(pr100))

@@ -22,7 +22,7 @@ Misses are reported as unmatched, never guessed.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import TYPE_CHECKING, Optional
 
 import numpy as np
@@ -124,6 +124,10 @@ class RefTable:
     journal_index: np.ndarray   # int32, row -> journal position, -1 unmatched
     year: np.ndarray            # int32, 0 where the year is unparseable
     status: np.ndarray          # uint8, STATUS_* codes
+    # (corpus, {window: arrays}): what count_citations shares between the
+    # counts of one window, valid only for that corpus
+    _windows: tuple = field(default=(None, None), init=False, repr=False,
+                            compare=False)
 
 
 def match_corpus(corpus: Corpus, journals: JournalTable) -> RefTable:

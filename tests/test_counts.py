@@ -1,8 +1,12 @@
+import tracemalloc
+from fractions import Fraction
+
 import numpy as np
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
-from jifnorm import Corpus, Document, Journal, JournalTable, match_corpus
+from jifnorm import (Corpus, Document, Journal, JournalTable, load_journals,
+                     match_corpus)
 from jifnorm.cli import COUNT_VARIABLES
 from jifnorm.counts import (CountError, CountMode, FRACTIONAL, FRACTIONAL_PLUS,
                             INTEGER, WindowSpec, count_citations, total_id,
@@ -246,3 +250,144 @@ def test_nref_below_in_window_count_names_its_document():
     table = count_citations(corpus, journals, "two_year", FRACTIONAL)
     assert table.values == {"A": 1.0, "B": 0.0}
     assert table.contributing_docs == 1
+
+
+# --- the counting pass against the per-document loop -------------------------
+
+def _tie_groups(values, exact):
+    """The floats that each group of journals equal as rationals got."""
+    groups = {}
+    for jid, v in exact.items():
+        groups.setdefault(v, set()).add(values[jid])
+    return groups
+
+
+def test_equal_fixture_totals_are_equal_floats(merged_fixture, oracle):
+    corpus, journals = merged_fixture
+    for kind, mode in COUNT_VARIABLES:
+        table = count_citations(corpus, journals, kind, mode)
+        for floats in _tie_groups(table.values,
+                                  oracle["counts"][table.variable_id]).values():
+            assert len(floats) == 1, (table.variable_id, floats)
+
+
+# journals J0..J59 with abbreviation "V<i>"; a reference to "V<i>|<year>"
+_JOURNALS = [Journal(f"J{i}", f"J{i}", [f"V{i}"], "F", {}) for i in range(60)]
+_MANY = JournalTable(_JOURNALS)
+_YEARS = st.sampled_from(["2009", "2008", "2007", "2005", "2004", "1950",
+                          "1903", "1901", "1900", "1899", "2010", "2011",
+                          "18", "x"])
+_VENUES = st.one_of(st.integers(0, 59).map(lambda i: f"V{i}"),
+                    st.just("UNKNOWN"))
+_ANY_REF = st.one_of(st.tuples(_VENUES, _YEARS).map("|".join),
+                     st.just("ANON"))
+# reference lists, empty ones and unmatched ones included, and NRef from
+# the list length to far above it
+_LONG_DOCS = st.lists(st.tuples(st.lists(_ANY_REF, max_size=5),
+                                st.integers(0, 10**6)), max_size=300)
+
+
+@given(_LONG_DOCS, st.sampled_from([1900, 1902, 1904, CENSUS]),
+       st.integers(1, 60))
+@example([([f"V{i}|1899", f"V{i}|1900"], i) for i in range(200)], 1901, 60)
+@settings(max_examples=40, deadline=None)
+def test_counting_pass_equals_per_document_loop(docs, census, n_journals):
+    """All 8 totals and the contributing documents equal the oracle's, at
+    census years whose windows start before 1900 too, over few or many
+    journals and up to hundreds of distinct NRef values; totals equal as
+    rationals are equal floats."""
+    journals = JournalTable(_JOURNALS[:n_journals])
+    oracle_journals = {j.journal_id: {"abbrevs": j.abbreviations}
+                       for j in _JOURNALS[:n_journals]}
+    corpus = Corpus(census, [
+        Document(f"d{i}", "J0", census, "article", refs, len(refs) + extra)
+        for i, (refs, extra) in enumerate(docs)])
+    oracle_docs = [{"refs": refs, "nref": len(refs) + extra}
+                   for refs, extra in docs]
+    ref_table = match_corpus(corpus, journals)
+    for kind, mode in COUNT_VARIABLES:
+        table = count_citations(corpus, journals, kind, mode,
+                                ref_table=ref_table)
+        expected, contributing = oracle_count(
+            oracle_docs, oracle_journals, census, kind, mode.label)
+        assert table.contributing_docs == contributing, (kind, mode.label)
+        assert set(table.values) == set(expected)
+        for jid, v in expected.items():
+            got = table.values[jid]
+            assert type(got) is (int if mode is INTEGER else float)
+            assert got == pytest.approx(v, rel=1e-12, abs=0), (kind, jid)
+        for floats in _tie_groups(table.values, expected).values():
+            assert len(floats) == 1, (kind, mode.label, floats)
+
+
+def _cites(journal, divisors, start=0):
+    """One document per divisor k, citing ``journal`` once among k in-window
+    references (the rest unmatched), with NRef k."""
+    return [Document(f"{journal}{start + i}", "J0", CENSUS, "article",
+                     [f"V{journal[1:]}|2009"] + ["UNKNOWN|2009"] * (k - 1), k)
+            for i, k in enumerate(divisors)]
+
+
+def test_a_lone_total_keeps_its_summed_float():
+    # 1/2 + 1/3 + 1/5 added in that order is one ulp below 31/30
+    corpus = Corpus(CENSUS, _cites("J1", [2, 3, 5]))
+    for mode in (FRACTIONAL, FRACTIONAL_PLUS):
+        table = count_citations(corpus, _MANY, "two_year", mode)
+        assert table.values["J1"] == 1.0333333333333332
+
+
+@given(st.integers(2, 40), st.lists(st.integers(1, 60), max_size=12))
+@example(2, [3, 5])
+@settings(max_examples=60, deadline=None)
+def test_equal_totals_by_other_terms_are_equal_floats(d, shared):
+    """Journal J1 gets 1/d and J2 1/(d+1) + 1/(d(d+1)), the same rational;
+    both also get 1/k for each k in ``shared``."""
+    corpus = Corpus(CENSUS, _cites("J1", [d, *shared])
+                    + _cites("J2", [d + 1, d * (d + 1), *shared], start=100))
+    for mode in (FRACTIONAL, FRACTIONAL_PLUS):
+        table = count_citations(corpus, _MANY, "two_year", mode)
+        exact = sum(Fraction(1, k) for k in [d, *shared])
+        assert table.values["J1"] == table.values["J2"] == pytest.approx(
+            float(exact), rel=1e-12)
+
+
+# The tracemalloc peak of this FC+ count before the counting pass was
+# restructured: one np.repeat over every reference and an int64 np.unique.
+_FC_PLUS_PEAK_BEFORE = 2_834_451
+
+
+def test_fc_plus_memory_with_distinct_nref(fixture_paths):
+    journals = load_journals(fixture_paths["journals"])
+    abbrevs = [a for j in journals for a in j.abbreviations]
+    corpus = Corpus(CENSUS, [
+        Document(f"d{i}", "J01", CENSUS, "article",
+                 [f"{abbrevs[(i + r) % len(abbrevs)]}|{2008 + (i + r) % 3}"
+                  for r in range(3)], 3 + i)
+        for i in range(20000)])
+    ref_table = match_corpus(corpus, journals)
+    tracemalloc.start()
+    try:
+        table = count_citations(corpus, journals, "two_year", FRACTIONAL_PLUS,
+                                ref_table=ref_table)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert table.contributing_docs == 20000
+    assert peak <= _FC_PLUS_PEAK_BEFORE
+
+
+def test_window_arrays_serve_only_their_corpus():
+    """One ref table read with two corpora of the same references, split
+    into documents differently, gives each corpus its own k."""
+    refs = ["V1|2009", "V1|2009", "V2|2008"]
+    first = Corpus(CENSUS, [Document("a", "J0", CENSUS, "article", refs[:2], 2),
+                            Document("b", "J0", CENSUS, "article", refs[2:], 1)])
+    second = Corpus(CENSUS, [Document("a", "J0", CENSUS, "article", refs[:1], 1),
+                             Document("b", "J0", CENSUS, "article", refs[1:], 2)])
+    ref_table = match_corpus(first, _MANY)
+    for corpus, j1 in ((first, 1.0), (second, 1.5), (first, 1.0)):
+        table = count_citations(corpus, _MANY, "two_year", FRACTIONAL,
+                                ref_table=ref_table)
+        fresh = count_citations(corpus, _MANY, "two_year", FRACTIONAL)
+        assert table.values == fresh.values
+        assert table.values["J1"] == j1

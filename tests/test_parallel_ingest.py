@@ -11,7 +11,7 @@ import re
 import numpy as np
 import pytest
 
-from jifnorm import corpus as corpus_mod
+from jifnorm import _tsv, corpus as corpus_mod
 from jifnorm import load_corpus, load_journals, match_corpus, save_corpus
 from jifnorm.cli import main
 
@@ -330,3 +330,79 @@ def test_byte_order_mark_elsewhere_is_kept(tmp_path, capsys):
     assert results[0][0] == 1
     assert results[0][1]["load_errors.txt"] == f"{error}\n".encode()
     assert all(r == results[0] for r in results[1:])
+
+
+@pytest.fixture
+def line_end_copies(tmp_path):
+    """The fixture corpus with every line ended by LF, CRLF or a lone CR."""
+    data = (DATA / "fixture_corpus.jsonl").read_bytes().replace(b"\r\n", b"\n")
+    copies = {}
+    for name, end in (("lf", b"\n"), ("crlf", b"\r\n"), ("cr", b"\r")):
+        copies[name] = tmp_path / f"{name}.jsonl"
+        copies[name].write_bytes(data.replace(b"\n", end))
+    return copies
+
+
+def test_every_line_end_splits_into_the_same_ranges(line_end_copies):
+    lf = line_end_copies["lf"]
+    for threads in CLI_THREADS:
+        base, base_table = _read(lf, threads)
+        for path in line_end_copies.values():
+            ranges = corpus_mod._byte_ranges(path, threads)
+            assert len(ranges) == len(corpus_mod._byte_ranges(lf, threads))
+            assert len(ranges) == threads
+            data = path.read_bytes()
+            # no range starts between the \r and \n of one line end
+            assert all(data[a - 1:a + 1] != b"\r\n" for a, _ in ranges)
+            corpus, table = _read(path, threads)
+            assert corpus.load_errors == base.load_errors
+            assert corpus.documents == base.documents
+            for attr in TABLE_ARRAYS:
+                assert np.array_equal(getattr(table, attr),
+                                      getattr(base_table, attr)), attr
+
+
+class _Recording:
+    """A binary file that records the length of what each read returns."""
+
+    def __init__(self, fh, sizes):
+        self._fh, self._sizes = fh, sizes
+
+    def __getattr__(self, name):
+        return getattr(self._fh, name)
+
+    def __enter__(self):
+        return self
+
+    def __exit__(self, *exc):
+        self._fh.close()
+
+    def read(self, n=-1):
+        data = self._fh.read(n)
+        self._sizes.append(len(data))
+        return data
+
+    def readline(self, n=-1):
+        data = self._fh.readline(n)
+        self._sizes.append(len(data))
+        return data
+
+
+def test_lone_cr_file_is_read_a_block_at_a_time(line_end_copies, monkeypatch):
+    block = 256
+    monkeypatch.setattr(_tsv, "_BLOCK", block)
+    sizes = []
+    recording = lambda path, mode: _Recording(open(path, mode), sizes)
+    monkeypatch.setattr(_tsv, "open", recording, raising=False)
+    monkeypatch.setattr(corpus_mod, "open", recording, raising=False)
+    want = list(_tsv.lines(line_end_copies["lf"]))
+    for name in ("cr", "crlf"):
+        path = line_end_copies[name]
+        sizes.clear()
+        ranges = corpus_mod._byte_ranges(path, 3)
+        assert len(ranges) == 3
+        assert [line for a, b in ranges
+                for line in _tsv.lines(path, a, b)] == want
+        assert list(_tsv.lines(path)) == want
+        assert path.stat().st_size > 4 * block
+        assert 0 < max(sizes) <= 2 * block, name

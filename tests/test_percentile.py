@@ -5,7 +5,8 @@ import pytest
 from hypothesis import assume, given, settings, strategies as st
 
 from jifnorm.indicators import IndicatorTable
-from jifnorm.percentile import (PercentileError, build_percentiles,
+from jifnorm.percentile import (PR6_THRESHOLDS, PercentileError,
+                                _pr6_classes, build_percentiles,
                                 percentile_rank, pr6_class, top_share)
 
 from _oracle import pr100 as oracle_pr100, pr6 as oracle_pr6
@@ -140,3 +141,11 @@ def test_build_percentiles_table_output(tmp_path):
     lines = out.read_text().splitlines()
     assert lines[0] == "journal_id\tindicator_id\tpr100\tpr6"
     assert lines[1].split("\t") == ["J0000", "IF5-FC", "0.0000", "1"]
+
+
+def test_pr6_classes_agree_with_pr6_class_at_every_threshold():
+    points = [0.0, 100.0]
+    for threshold in PR6_THRESHOLDS:
+        points += [threshold, math.nextafter(threshold, -math.inf)]
+    got = _pr6_classes(np.array(points)).tolist()
+    assert got == [pr6_class(p) for p in points]
