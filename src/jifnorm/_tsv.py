@@ -30,6 +30,8 @@ def skipped(line: str) -> bool:
 def integer(text: str) -> int:
     """``int(text)`` for an optional sign and ASCII digits, else int()'s
     ``ValueError``: no spaces, ``_`` separators or non-ASCII digits."""
+    if text.isascii() and text.isdigit():  # the common case, unsigned
+        return int(text)
     digits = text[1:] if text[:1] in ("+", "-") else text
     if not (digits.isascii() and digits.isdigit()):
         raise ValueError(f"invalid literal for int() with base 10: {text!r}")

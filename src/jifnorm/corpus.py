@@ -652,10 +652,7 @@ def load_journals(path: str | Path) -> JournalTable:
                 continue
             year_s, _, count_s = pair.partition("=")
             try:
-                if pair.isascii() and year_s.isdigit() and count_s.isdigit():
-                    year, count = int(year_s), int(count_s)
-                else:   # a sign, or an error
-                    year, count = integer(year_s), integer(count_s)
+                year, count = integer(year_s), integer(count_s)
             except ValueError:
                 raise JournalTableError(
                     f"{where}: bad year=count pair {pair!r}") from None

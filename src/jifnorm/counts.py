@@ -233,19 +233,14 @@ def _pairs(win: _Window, per_doc: np.ndarray, n_journals: int
     its journal, its divisor and its number of references."""
     has = win.counted > 0
     divisors, code = np.unique(per_doc[has], return_inverse=True)
-    n_div, n_refs = divisors.size, win.journal.size
-    ref_code = np.repeat(code.astype(np.int32), win.counted[has])
-    if n_journals * n_div <= max(n_refs, n_journals):
-        # one bin per (journal, divisor code), no more bins than references
-        # or journals: a linear pass
-        bins = np.bincount(win.journal * n_div + ref_code,
-                           minlength=n_journals * n_div)
-        pairs = np.flatnonzero(bins)
-        refs = bins[pairs]
-    else:
-        # more distinct divisors than bins allow: sort the references' keys
-        pairs, refs = np.unique(win.journal.astype(np.int64) * n_div + ref_code,
-                                return_counts=True)
+    n_div = divisors.size
+    # each reference's key, journal * n_div + divisor code: int32 when
+    # every key fits, since int32 keys sort faster than int64
+    key_type = np.int32 if n_journals * n_div <= 2**31 else np.int64
+    keys = win.journal.astype(key_type)
+    keys *= n_div
+    keys += np.repeat(code.astype(key_type), win.counted[has])
+    pairs, refs = np.unique(keys, return_counts=True)
     return pairs // n_div, divisors[pairs % n_div], refs
 
 
