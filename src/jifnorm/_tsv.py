@@ -138,11 +138,11 @@ def iter_key_values(path: str | Path, error: type[Exception]
         yield where, key.strip(), value.strip()
 
 
-def write_lines(path: str | Path, lines: Iterable[str]) -> None:
+def write_lines(path: str | Path, lines: Iterable[str]) -> Path:
     """Write ``lines`` to ``path`` as UTF-8, each ended by LF, through a
-    temporary file beside it that then replaces it: on any error, one that
-    making ``lines`` raises included, the temporary file is removed and
-    ``path`` keeps its old bytes. The file gets the permissions
+    temporary file beside it that then replaces it; return ``path``. On any
+    error, one that making ``lines`` raises included, the temporary file is
+    removed and ``path`` keeps its old bytes. The file gets the permissions
     ``open(path, "w")`` would give: its own if it exists, else 0o666 less
     the umask."""
     path = Path(path)
@@ -158,11 +158,12 @@ def write_lines(path: str | Path, lines: Iterable[str]) -> None:
     except BaseException:
         tmp.unlink(missing_ok=True)
         raise
+    return path
 
 
 def write_rows(path: str | Path, header: list[str], rows: Iterable[Iterable[str]],
-               preamble: list[str] | None = None) -> None:
-    """Write a TSV with a mandatory header row. ``preamble`` lines are emitted
-    as ``#`` comments above the header."""
-    write_lines(path, chain([f"# {line}" for line in preamble or []],
-                            ["\t".join(header)], map("\t".join, rows)))
+               preamble: list[str] | None = None) -> Path:
+    """Write a TSV with a mandatory header row, and return its path.
+    ``preamble`` lines are emitted as ``#`` comments above the header."""
+    return write_lines(path, chain([f"# {line}" for line in preamble or []],
+                                   ["\t".join(header)], map("\t".join, rows)))

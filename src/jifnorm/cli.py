@@ -136,13 +136,6 @@ def _available_cpus() -> int:
     return os.cpu_count() or 1
 
 
-def _require(args: argparse.Namespace, key: str):
-    value = getattr(args, key)
-    if value is None:
-        raise CliError(f"missing required option --{key.replace('_', '-')}")
-    return value
-
-
 def _sha256(path: Path) -> str:
     h = hashlib.sha256()
     with open(path, "rb") as fh:
@@ -167,9 +160,12 @@ def write_manifest(out_dir: Path, command: str, inputs: list[Path],
 
 def _load_inputs(args: argparse.Namespace
                  ) -> tuple[corpus_mod.Corpus, corpus_mod.JournalTable, list[str]]:
-    census = _require(args, "census_year")
-    journals = corpus_mod.load_journals(_require(args, "journals"))
-    corpus = corpus_mod.load_corpus(args.corpus, census, threads=args.threads)
+    for key in ("census_year", "journals"):
+        if getattr(args, key) is None:
+            raise CliError(f"missing required option --{key.replace('_', '-')}")
+    journals = corpus_mod.load_journals(args.journals)
+    corpus = corpus_mod.load_corpus(args.corpus, args.census_year,
+                                    threads=args.threads)
     warnings = corpus.load_warnings + corpus.load_errors
     corpus, journals = corpus_mod.merge_journal_parts(corpus, journals)
     return corpus, journals, warnings
@@ -187,19 +183,17 @@ def _citable_types(raw: str | None, warnings: list[str]) -> frozenset[str]:
 
 
 # Each cmd_* writes its outputs into ``out`` and returns (input paths,
-# manifest parameters, output names, warnings); ``main`` writes the manifest.
+# the paths its writers returned, warnings); ``main`` writes the manifest.
 
 def cmd_validate(args: argparse.Namespace, out: Path):
     corpus, journals, warnings = _load_inputs(args)
     report = corpus_mod.validate_corpus(corpus, journals)
-    write_rows(out / "validation.tsv", ["metric", "count", "fraction"],
-               report.to_rows())
-    outputs = ["validation.tsv"]
+    written = [write_rows(out / "validation.tsv",
+                          ["metric", "count", "fraction"], report.to_rows())]
     if corpus.load_errors:
-        write_lines(out / "load_errors.txt", corpus.load_errors)
-        outputs.append("load_errors.txt")
-    return ([Path(args.corpus), Path(args.journals)],
-            {"census_year": args.census_year}, outputs, warnings)
+        written.append(write_lines(out / "load_errors.txt",
+                                   corpus.load_errors))
+    return [Path(args.corpus), Path(args.journals)], written, warnings
 
 
 def _table_file(indicator_id: str) -> str:
@@ -263,13 +257,10 @@ def cmd_indicators(args: argparse.Namespace, out: Path):
         external_paths.append(Path(ext_path))
     # every table as an indicator; a count table's file keeps its own form
     tables = [count_indicator(t) for t in count_tables] + indicator_tables
-    outputs: list[str] = []
+    written: list[Path] = []
     for source, table in zip(count_tables + indicator_tables, tables):
-        name = _table_file(table.indicator_id)
-        source.to_tsv(out / name)
-        outputs.append(name)
+        written += source.to_tsv(out / _table_file(table.indicator_id))
         if table.undefined_journals:
-            outputs.append(name + ".undefined")
             warnings.append(f"{table.indicator_id}: "
                             f"{len(table.undefined_journals)} journals have a "
                             "zero denominator")
@@ -278,9 +269,9 @@ def cmd_indicators(args: argparse.Namespace, out: Path):
     rows = [[jid] + [f"{t.values[jid]:.6f}" if jid in t.values else ""
                      for t in tables]
             for jid in journals.journal_ids]
-    write_rows(out / "indicators_wide.tsv",
-               ["journal_id"] + [t.indicator_id for t in tables], rows)
-    outputs.append("indicators_wide.tsv")
+    written.append(write_rows(out / "indicators_wide.tsv",
+                              ["journal_id"] + [t.indicator_id for t in tables],
+                              rows))
 
     if args.percentiles:
         # percentile ranks are reported for the citation-total family
@@ -289,12 +280,11 @@ def cmd_indicators(args: argparse.Namespace, out: Path):
             t for t in indicator_tables if t.indicator_id in pr_marked]
         pr_rows = [row for t in ranked if t.values
                    for row in build_percentiles(t).to_rows()]
-        write_rows(out / "percentiles.tsv", PERCENTILE_HEADER, pr_rows)
-        outputs.append("percentiles.tsv")
+        written.append(write_rows(out / "percentiles.tsv", PERCENTILE_HEADER,
+                                  pr_rows))
 
     return ([Path(args.corpus), Path(args.journals)] + external_paths,
-            {"census_year": args.census_year,
-             "citable_types": sorted(citable)}, outputs, warnings)
+            written, warnings)
 
 
 def cmd_rank(args: argparse.Namespace, out: Path):
@@ -306,31 +296,28 @@ def cmd_rank(args: argparse.Namespace, out: Path):
 
     if args.pr6:
         pct = build_percentiles(table)
+        header = PERCENTILE_HEADER
         rows = [row for row in pct.to_rows() if pct.pr6[row[0]] == 6]
-        write_rows(out / "ranking.tsv", PERCENTILE_HEADER, rows)
-        params = {"mode": "pr6"}
     else:
         if top > len(table.values):
             warnings.append(f"requested top {top} exceeds population "
                             f"{len(table.values)}; emitting full list")
             top = len(table.values)
         ordered = sorted(table.values.items(), key=lambda kv: (-kv[1], kv[0]))
+        header = ["rank", "journal_id", "value"]
         rows = [[str(rank), jid, f"{value:.6f}"]
                 for rank, (jid, value) in enumerate(ordered[:top], start=1)]
-        write_rows(out / "ranking.tsv", ["rank", "journal_id", "value"], rows)
-        params = {"mode": "top", "k": top}
-    return [Path(args.indicator)], params, ["ranking.tsv"], warnings
+    return ([Path(args.indicator)],
+            [write_rows(out / "ranking.tsv", header, rows)], warnings)
 
 
 def cmd_correlate(args: argparse.Namespace, out: Path):
     paths = [Path(p) for p in args.indicators]
     tables = _load_varcomp_tables(paths)
     matrix = stats_mod.correlation_matrix(tables)
-    matrix.to_tsv(out / "correlation_matrix.tsv")
     warnings = [f"correlation undefined for {a} / {b}"
                 for a, b in matrix.undefined_pairs]
-    return (paths, {"n_journals": matrix.n_journals},
-            ["correlation_matrix.tsv"], warnings)
+    return paths, matrix.to_tsv(out / "correlation_matrix.tsv"), warnings
 
 
 def _load_varcomp_tables(paths: list[Path]) -> list[IndicatorTable]:
@@ -371,9 +358,6 @@ def cmd_varcomp(args: argparse.Namespace, out: Path):
     rows = [[r.indicator_id, f"{r.sigma2_between:.9g}", f"{r.sigma2_within:.9g}",
              f"{r.eta2:.9g}", f"{r.perm_p:.9g}", str(r.groups_used)]
             for r in results]
-    write_rows(out / "varcomp.tsv",
-               ["indicator_id", "sigma2_between", "sigma2_within", "eta2",
-                "perm_p", "groups_used"], rows, preamble=[note])
 
     reference_id = args.reference
     reference = next((r for r in results if r.indicator_id == reference_id), None)
@@ -392,22 +376,19 @@ def cmd_varcomp(args: argparse.Namespace, out: Path):
                 warnings.append(f"variance reduction undefined for "
                                 f"{r.indicator_id} (reference component is 0)")
             red_rows.append([r.indicator_id, reference_id, red])
-    write_rows(out / "varcomp_reduction.tsv",
-               ["indicator_id", "reference_id", "variance_reduction"], red_rows)
 
-    disp_rows = []
-    for r in results:
-        for code in sorted(r.dispersion_by_field):
-            disp_rows.append([r.indicator_id, code,
-                              f"{r.dispersion_by_field[code]:.9g}"])
-    write_rows(out / "varcomp_dispersion.tsv",
-               ["indicator_id", "field", "var_over_mean"], disp_rows)
-
-    return (paths + scheme_input,
-            {"n_perm": args.n_perm, "seed": args.seed, "statistic": "eta2",
-             "min_group_size": min_group, "reference": reference_id},
-            ["varcomp.tsv", "varcomp_reduction.tsv", "varcomp_dispersion.tsv"],
-            warnings)
+    disp_rows = [[r.indicator_id, code, f"{r.dispersion_by_field[code]:.9g}"]
+                 for r in results for code in sorted(r.dispersion_by_field)]
+    written = [
+        write_rows(out / "varcomp.tsv",
+                   ["indicator_id", "sigma2_between", "sigma2_within", "eta2",
+                    "perm_p", "groups_used"], rows, preamble=[note]),
+        write_rows(out / "varcomp_reduction.tsv",
+                   ["indicator_id", "reference_id", "variance_reduction"],
+                   red_rows),
+        write_rows(out / "varcomp_dispersion.tsv",
+                   ["indicator_id", "field", "var_over_mean"], disp_rows)]
+    return paths + scheme_input, written, warnings
 
 
 def cmd_synth(args: argparse.Namespace, out: Path):
@@ -415,14 +396,11 @@ def cmd_synth(args: argparse.Namespace, out: Path):
     if args.seed is not None:   # a synth config carries its own seed
         cfg = replace(cfg, seed=args.seed)
     corpus, journals, scheme, truth = synthgen.generate_corpus(cfg)
-    corpus_mod.save_corpus(corpus, out / "corpus.jsonl")
-    corpus_mod.save_journals(journals, out / "journals.tsv")
-    stats_mod.save_field_scheme(scheme, out / "fields.tsv")
-    truth.save(out)
-    return ([Path(args.config_file)],
-            {"seed": cfg.seed, "census_year": cfg.census_year},
-            ["corpus.jsonl", "journals.tsv", "fields.tsv",
-             "ground_truth_journals.tsv", "ground_truth_fields.tsv"], [])
+    written = [corpus_mod.save_corpus(corpus, out / "corpus.jsonl"),
+               corpus_mod.save_journals(journals, out / "journals.tsv"),
+               stats_mod.save_field_scheme(scheme, out / "fields.tsv"),
+               *truth.save(out)]
+    return [Path(args.config_file)], written, []
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -483,8 +461,12 @@ def main(argv: list[str] | None = None) -> int:
             args.threads = _available_cpus()
         out = Path(args.out)
         out.mkdir(parents=True, exist_ok=True)
-        inputs, parameters, outputs, warnings = COMMANDS[args.command](args, out)
-        write_manifest(out, args.command, inputs, parameters, outputs)
+        inputs, written, warnings = COMMANDS[args.command](args, out)
+        # the command line as parsed, less what changes no output byte
+        parameters = {key: value for key, value in vars(args).items()
+                      if key not in ("command", "config", "out", "threads")}
+        write_manifest(out, args.command, inputs, parameters,
+                       [path.name for path in written])
     except (CliError, *FATAL_ERRORS) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

@@ -53,6 +53,7 @@ CORPUS_TSV_HEADER = ["doc_id", "journal", "year", "type", "nref", "refs"]
 _HEADER_LINE = "\t".join(CORPUS_TSV_HEADER)
 
 NREF_MAX = 2**63 - 1  # declared reference counts are stored as int64
+YEAR_MAX = 9999  # a cited year is read from four digits
 
 _MIN_RANGE_BYTES = 4 << 20  # a corpus file is read in ranges of at least this
 
@@ -63,6 +64,12 @@ class CorpusFormatError(Exception):
 
 class JournalTableError(Exception):
     """Fatal journal-master problem, e.g. ambiguous abbreviations."""
+
+
+def _check_census_year(census_year: int) -> None:
+    if not 1900 <= census_year <= YEAR_MAX:
+        raise CorpusFormatError(
+            f"census_year {census_year} outside [1900, {YEAR_MAX}]")
 
 
 @dataclass
@@ -205,10 +212,12 @@ class Corpus:
     one becomes ``other`` with a warning, and a repeated ``doc_id`` is
     rejected. ``documents`` is a read-only sequence that builds each
     ``Document`` on access. Two corpora are equal when their census years
-    and their documents are, whatever slots their strings got.
+    and their documents are, whatever slots their strings got. A census
+    year outside [1900, ``YEAR_MAX``] is a ``CorpusFormatError``.
     """
 
     def __init__(self, census_year: int, documents: Iterable[Document]):
+        _check_census_year(census_year)
         self._store(census_year, "documents",
                     [_records(documents, _document_fields, census_year, 1)])
 
@@ -219,6 +228,7 @@ class Corpus:
         named as the attributes are, whose slot ``i`` holds
         ``slot_strings[i]``. The columns are not checked record by record,
         but a declared NRef below its reference count is a ValueError."""
+        _check_census_year(census_year)
         if (np.asarray(columns["ref_counts"])
                 < np.diff(columns["ref_offsets"])).any():
             raise ValueError("ref_counts below a document's reference count")
@@ -588,8 +598,7 @@ def load_corpus(path: str | Path, census_year: int, threads: int = 1
     path = Path(path)
     if not path.is_file():
         raise CorpusFormatError(f"corpus file not found: {path}")
-    if census_year < 1900:
-        raise CorpusFormatError(f"census_year {census_year} must be >= 1900")
+    _check_census_year(census_year)
     if threads < 1:
         raise ValueError(f"threads {threads} must be >= 1")
 
@@ -603,10 +612,10 @@ def load_corpus(path: str | Path, census_year: int, threads: int = 1
     return corpus
 
 
-def save_corpus(corpus: Corpus, path: str | Path, format: str = "jsonl") -> None:
+def save_corpus(corpus: Corpus, path: str | Path, format: str = "jsonl") -> Path:
     """Write a corpus as JSONL or TSV, one document a line, replacing
-    ``path`` whole. A document that TSV cannot hold raises
-    ``CorpusFormatError``, and a string that UTF-8 cannot encode
+    ``path`` whole, and return the path. A document that TSV cannot hold
+    raises ``CorpusFormatError``, and a string that UTF-8 cannot encode
     ``UnicodeEncodeError``; either way ``path`` keeps its old bytes."""
     if format not in ("jsonl", "tsv"):
         raise CorpusFormatError(f"unknown corpus format {format!r}")
@@ -628,7 +637,7 @@ def save_corpus(corpus: Corpus, path: str | Path, format: str = "jsonl") -> None
         return text
 
     header = [_HEADER_LINE] if format == "tsv" else []
-    write_lines(path, chain(header, map(line, corpus.documents)))
+    return write_lines(path, chain(header, map(line, corpus.documents)))
 
 
 def load_journals(path: str | Path) -> JournalTable:
@@ -656,9 +665,9 @@ def load_journals(path: str | Path) -> JournalTable:
             except ValueError:
                 raise JournalTableError(
                     f"{where}: bad year=count pair {pair!r}") from None
-            if count < 0:
+            if not 0 <= count <= NREF_MAX:
                 raise JournalTableError(
-                    f"{where}: negative item count in {pair!r}")
+                    f"{where}: item count in {pair!r} outside [0, {NREF_MAX}]")
             items[year] = items.get(year, 0) + count
         journals.append(Journal(
             journal_id=journal_id, full_name=full_name,
@@ -668,12 +677,12 @@ def load_journals(path: str | Path) -> JournalTable:
     return JournalTable(journals)
 
 
-def save_journals(table: JournalTable, path: str | Path) -> None:
+def save_journals(table: JournalTable, path: str | Path) -> Path:
     rows = ([j.journal_id, j.full_name, "|".join(j.abbreviations),
              j.field_code, j.merge_group or ""]
             + [f"{y}={c}" for y, c in sorted(j.items_by_year.items())]
             for j in table.journals)
-    write_lines(path, chain(
+    return write_lines(path, chain(
         ["# journal_id\tfull_name\tabbrevs\tfield\tmerge_group\tyear=count..."],
         map("\t".join, rows)))
 

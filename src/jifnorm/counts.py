@@ -119,12 +119,12 @@ class CountTable:
     def variable_id(self) -> str:
         return total_id(self.window.kind, self.mode.label)
 
-    def to_tsv(self, path: str | Path) -> None:
+    def to_tsv(self, path: str | Path) -> list[Path]:
         is_int = self.mode.counting == "integer"
         rows = [[jid, self.window.kind, self.mode.label,
                  str(int(v)) if is_int else f"{v:.9f}"]
                 for jid, v in sorted(self.values.items())]
-        write_rows(path, COUNT_HEADER, rows)
+        return [write_rows(path, COUNT_HEADER, rows)]
 
 
 def count_citations(corpus: Corpus, journals: JournalTable, window: str,

@@ -47,14 +47,18 @@ class IndicatorTable:
     undefined_journals: set[str] = field(default_factory=set)
     warnings: list[str] = field(default_factory=list)
 
-    def to_tsv(self, path: str | Path) -> None:
+    def to_tsv(self, path: str | Path) -> list[Path]:
+        """Write the table, and its undefined journals to a ``.undefined``
+        sidecar if there are any; return the paths written."""
         rows = [[jid, self.indicator_id, f"{self.values[jid]:.6f}"]
                 for jid in sorted(self.values)]
-        write_rows(path, ["journal_id", "indicator_id", "value"], rows)
+        written = [write_rows(path, ["journal_id", "indicator_id", "value"],
+                              rows)]
         if self.undefined_journals:
-            sidecar = Path(str(path) + ".undefined")
-            write_rows(sidecar, ["journal_id"],
-                       [[jid] for jid in sorted(self.undefined_journals)])
+            written.append(write_rows(
+                Path(str(path) + ".undefined"), ["journal_id"],
+                [[jid] for jid in sorted(self.undefined_journals)]))
+        return written
 
 
 def read_tables(path: str | Path, single: bool = False

@@ -41,8 +41,8 @@ class PercentileTable:
         return [[jid, self.source_indicator, f"{self.pr100[jid]:.4f}",
                  str(self.pr6[jid])] for jid in sorted(self.pr100)]
 
-    def to_tsv(self, path: str | Path) -> None:
-        write_rows(path, PERCENTILE_HEADER, self.to_rows())
+    def to_tsv(self, path: str | Path) -> list[Path]:
+        return [write_rows(path, PERCENTILE_HEADER, self.to_rows())]
 
 
 def percentile_rank(values: dict[str, float]) -> dict[str, float]:

@@ -98,9 +98,9 @@ def load_field_scheme(path: str | Path, min_group_size: int = 10
     return FieldScheme(assignment=assignment, min_group_size=min_group_size)
 
 
-def save_field_scheme(scheme: FieldScheme, path: str | Path) -> None:
+def save_field_scheme(scheme: FieldScheme, path: str | Path) -> Path:
     rows = [[jid, scheme.assignment[jid]] for jid in sorted(scheme.assignment)]
-    write_rows(path, ["journal_id", "field"], rows)
+    return write_rows(path, ["journal_id", "field"], rows)
 
 
 def scheme_from_journals(journals: JournalTable, min_group_size: int = 10
@@ -179,7 +179,7 @@ class CorrelationMatrix:
     n_journals: int
     undefined_pairs: list[tuple[str, str]] = field(default_factory=list)
 
-    def to_tsv(self, path: str | Path) -> None:
+    def to_tsv(self, path: str | Path) -> list[Path]:
         rows = []
         for i, rid in enumerate(self.ids):
             row = [rid]
@@ -187,10 +187,10 @@ class CorrelationMatrix:
                 v = self.matrix[i, j]
                 row.append("" if np.isnan(v) else f"{v:.4f}")
             rows.append(row)
-        write_rows(path, ["indicator_id"] + list(self.ids), rows,
-                   preamble=[f"n_journals\t{self.n_journals}",
-                             "upper triangle: rank-order (Spearman); "
-                             "lower triangle: product-moment (Pearson)"])
+        preamble = [f"n_journals\t{self.n_journals}",
+                    "upper triangle: rank-order (Spearman); "
+                    "lower triangle: product-moment (Pearson)"]
+        return [write_rows(path, ["indicator_id", *self.ids], rows, preamble)]
 
 
 def correlation_matrix(tables: list[IndicatorTable]) -> CorrelationMatrix:

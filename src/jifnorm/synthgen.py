@@ -24,7 +24,7 @@ from typing import Optional
 import numpy as np
 
 from ._tsv import integer, iter_key_values, number, write_rows
-from .corpus import Corpus, Journal, JournalTable
+from .corpus import YEAR_MAX, Corpus, Journal, JournalTable
 from .counts import window_years
 from .stats import FieldScheme
 
@@ -56,8 +56,9 @@ class SynthConfig:
     invalid_ref_rate: float = 0.0
 
     def validate(self) -> None:
-        if self.census_year < 1900:
-            raise SynthConfigError("census_year must be >= 1900")
+        if not 1900 <= self.census_year <= YEAR_MAX:
+            raise SynthConfigError(
+                f"census_year {self.census_year} outside [1900, {YEAR_MAX}]")
         if self.years_back < 5:
             raise SynthConfigError("years_back must be >= 5")
         if self.census_year - self.years_back < 1900:
@@ -106,18 +107,20 @@ class GroundTruth:
     quality: dict[str, float]
     expected_fc_rate: Optional[dict[str, dict[str, float]]] = None
 
-    def save(self, out_dir: str | Path) -> None:
+    def save(self, out_dir: str | Path) -> list[Path]:
+        """Write both ground-truth tables into ``out_dir``; return the paths."""
         out = Path(out_dir)
-        write_rows(out / "ground_truth_journals.tsv",
-                   ["journal_id", "quality"],
-                   [[jid, f"{q:.9f}"] for jid, q in sorted(self.quality.items())])
         rows = []
         if self.expected_fc_rate:
             for window in sorted(self.expected_fc_rate):
                 for code, rate in sorted(self.expected_fc_rate[window].items()):
                     rows.append([window, code, f"{rate:.9f}"])
-        write_rows(out / "ground_truth_fields.tsv",
-                   ["window", "field", "expected_fc_rate"], rows)
+        return [write_rows(out / "ground_truth_journals.tsv",
+                           ["journal_id", "quality"],
+                           [[jid, f"{q:.9f}"]
+                            for jid, q in sorted(self.quality.items())]),
+                write_rows(out / "ground_truth_fields.tsv",
+                           ["window", "field", "expected_fc_rate"], rows)]
 
 
 def _age_probs(half_life: float, years_back: int) -> np.ndarray:

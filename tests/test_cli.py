@@ -737,3 +737,53 @@ def test_min_group_size_below_one_exit_2(tmp_path, tables,
     else:
         err = _fatal(capsys, tmp_path, args, f"min_group_size = {size}\n")
     assert err == "error: --min-group-size must be >= 1\n"
+
+
+@pytest.mark.parametrize("command, census", [("indicators", 3_000_000_000),
+                                             ("validate", 10**29)],
+                         ids=["indicators", "validate"])
+def test_census_year_beyond_four_digits_exit_2(tmp_path, fixture_paths,
+                                               capsys, command, census):
+    """A census year outside [1900, 9999] is fatal before any output, also
+    for a corpus whose record years are as large."""
+    corpus = tmp_path / "c.jsonl"
+    corpus.write_bytes(fixture_paths["corpus"].read_bytes() + json.dumps(
+        {"doc_id": "BIG", "journal": "J01", "year": 10**25, "type": "article",
+         "nref": 1, "refs": ["J A|2009"]}).encode() + b"\n")
+    out = tmp_path / "out"
+    capsys.readouterr()
+    assert run([command, corpus, "--journals", fixture_paths["journals"],
+                "--census-year", census, "--out", out]) == 2
+    assert capsys.readouterr().err == (
+        f"error: census_year {census} outside [1900, 9999]\n")
+    assert not list(out.iterdir())
+
+
+def test_synth_census_year_beyond_four_digits_exit_2(tmp_path, capsys):
+    cfg = tmp_path / "synth.cfg"
+    cfg.write_text(
+        f"census_year = {10**20}\n"
+        "field.A.n_journals = 3\nfield.A.papers_per_journal_per_year = 10\n"
+        "field.A.mean_ref_len = 8\nfield.A.ref_age_half_life = 3\n",
+        encoding="utf-8")
+    capsys.readouterr()
+    assert run(["synth", cfg, "--out", tmp_path / "out"]) == 2
+    assert capsys.readouterr().err == (
+        f"error: census_year {10**20} outside [1900, 9999]\n")
+
+
+def test_item_count_above_int64_exit_2(tmp_path, fixture_paths, capsys):
+    """A year=count pair beyond the int64 range is a fatal error of its
+    journal-master line, not a failed division later."""
+    pair = f"2009={10**399}"
+    journals = tmp_path / "journals.tsv"
+    journals.write_text(fixture_paths["journals"].read_text(encoding="utf-8")
+                        + f"JBIG\tBig\tBIG J\tPHYS\t\t{pair}\n",
+                        encoding="utf-8")
+    lineno = len(journals.read_text(encoding="utf-8").splitlines())
+    capsys.readouterr()
+    assert run(["indicators", fixture_paths["corpus"], "--journals", journals,
+                "--census-year", CENSUS, "--out", tmp_path / "out"]) == 2
+    assert capsys.readouterr().err == (
+        f"error: journals.tsv:{lineno}: item count in {pair!r} outside "
+        f"[0, {2**63 - 1}]\n")

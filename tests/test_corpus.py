@@ -401,3 +401,28 @@ def test_from_columns_rejects_nref_below_reference_count():
     assert corpus.documents[1].refs == ["J A|2009"] * 2
     with pytest.raises(ValueError, match="ref_counts"):
         Corpus.from_columns(2010, ref_counts=np.array([1, 1]), **columns)
+
+
+@pytest.mark.parametrize("census", [1899, 10_000, 10**29],
+                         ids=["1899", "10000", "10**29"])
+def test_census_year_outside_four_digit_years_rejected(tmp_path, census):
+    """Every way of building a corpus takes a census year in [1900, 9999]
+    only, before any record is read."""
+    doc = Document("d", "A", 10**25, "article", [], 0)
+    with pytest.raises(CorpusFormatError, match=f"census_year {census} "):
+        Corpus(census, [doc])
+    with pytest.raises(CorpusFormatError, match=f"census_year {census} "):
+        Corpus.from_columns(census, doc_ids=[], doc_journals=[],
+                            pub_years=np.array([], dtype=np.int64),
+                            doc_types=[], ref_counts=np.array([], dtype=np.int64),
+                            ref_offsets=np.array([0]), ref_slots=np.array([]),
+                            slot_strings=[])
+    path = tmp_path / "c.jsonl"
+    path.write_text(json.dumps({"doc_id": "d", "journal": "A", "year": 10**25,
+                                "nref": 0}) + "\n", encoding="utf-8")
+    with pytest.raises(CorpusFormatError, match=f"census_year {census} "):
+        load_corpus(path, census_year=census)
+    for edge in (1900, 9999):
+        assert Corpus(edge, [replace(doc, pub_year=edge)]).doc_ids == ["d"]
+        assert load_corpus(path, census_year=edge).load_errors == [
+            f"c.jsonl:1: pub_year {10**25} outside [1900, {edge}]"]

@@ -22,6 +22,11 @@ def small_config(seed=1, **overrides):
 
 
 def test_config_validation():
+    small_config(census_year=9999).validate()
+    for census in (1899, 10_000, 10**20):
+        with pytest.raises(SynthConfigError,
+                           match=rf"census_year {census} outside \[1900, 9999\]"):
+            small_config(census_year=census).validate()
     with pytest.raises(SynthConfigError):
         small_config(fields=()).validate()
     with pytest.raises(SynthConfigError):

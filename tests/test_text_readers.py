@@ -225,6 +225,20 @@ def test_year_count_pairs_are_ascii_digits(tmp_path, pair):
     assert str(info.value) == f"journals.tsv:1: bad year=count pair {pair!r}"
 
 
+@pytest.mark.parametrize("count", [-1, 2**63, 10**399],
+                         ids=["negative", "2**63", "400 digits"])
+def test_item_count_outside_int64_fatal(tmp_path, count):
+    row = "J01\tAnnals\tANN\tPHYS\t\t2009={}\n"
+    path = tmp_path / "journals.tsv"
+    path.write_text(row.format(2**63 - 1), encoding="utf-8")
+    assert load_journals(path).by_id["J01"].items_by_year == {2009: 2**63 - 1}
+    path.write_text(row.format(count), encoding="utf-8")
+    with pytest.raises(JournalTableError) as info:
+        load_journals(path)
+    assert str(info.value) == (f"journals.tsv:1: item count in '2009={count}' "
+                               f"outside [0, {2**63 - 1}]")
+
+
 def test_empty_journal_id_fatal(tmp_path, fixture_paths, capsys):
     path = tmp_path / "journals.tsv"
     path.write_text("J01\tAnnals\tANN\tPHYS\t\t2009=5\n"
