@@ -145,14 +145,16 @@ def _sha256(path: Path) -> str:
 
 
 def write_manifest(out_dir: Path, command: str, inputs: list[Path],
-                   parameters: dict, outputs: list[str]) -> None:
+                   parameters: dict, outputs: list[Path]) -> None:
+    """Write ``manifest.json``: the sha256 of each input by its path as
+    given, and of each output by its file name."""
     manifest = {
         "tool": "jifnorm",
         "version": __version__,
         "command": command,
         "inputs": {str(p): _sha256(p) for p in inputs},
         "parameters": parameters,
-        "outputs": sorted(outputs),
+        "outputs": {p.name: _sha256(p) for p in outputs},
     }
     write_lines(out_dir / "manifest.json",
                 [json.dumps(manifest, indent=2, sort_keys=True)])
@@ -465,8 +467,7 @@ def main(argv: list[str] | None = None) -> int:
         # the command line as parsed, less what changes no output byte
         parameters = {key: value for key, value in vars(args).items()
                       if key not in ("command", "config", "out", "threads")}
-        write_manifest(out, args.command, inputs, parameters,
-                       [path.name for path in written])
+        write_manifest(out, args.command, inputs, parameters, written)
     except (CliError, *FATAL_ERRORS) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

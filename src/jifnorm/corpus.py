@@ -56,6 +56,10 @@ NREF_MAX = 2**63 - 1  # declared reference counts are stored as int64
 YEAR_MAX = 9999  # a cited year is read from four digits
 
 _MIN_RANGE_BYTES = 4 << 20  # a corpus file is read in ranges of at least this
+# A part of a corpus whose first _INTERN_SAMPLE references (counted to the
+# end of a document) are more than 7/8 new strings stops interning them: its
+# strings name single cited papers, so a dictionary would save no split.
+_INTERN_SAMPLE = 1 << 16
 
 
 class CorpusFormatError(Exception):
@@ -202,8 +206,9 @@ class Corpus:
     slot holds one reference string, split once into a venue token and a
     year token whose codes are ``slot_venue`` and ``slot_year``, indices into
     the distinct ``venue_tokens`` and ``year_tokens``. A string seen in
-    several byte ranges of a corpus file has a slot per range, and a slot
-    may be used by no reference.
+    several byte ranges of a corpus file has a slot per range, a string
+    repeated in a range that stopped interning (see ``_records``) may have
+    several, and a slot may be used by no reference.
 
     ``Corpus(census_year, documents)`` reads ``Document`` objects as
     :func:`load_corpus` reads a file's lines: a malformed document is
@@ -465,7 +470,12 @@ def _records(items: Iterable, fields: Callable[..., Optional[tuple]],
     that holds no record. A malformed record is skipped with an error, and
     a type outside ``DOC_TYPES`` becomes ``other`` with a warning, each
     at the item's number; the chunk's ``n_lines`` is the last number.
-    Each distinct reference string gets a slot, in first-seen order."""
+
+    Each distinct reference string gets a slot, in first-seen order, while
+    strings repeat. The part is judged once, at the first document end at
+    or after ``_INTERN_SAMPLE`` references: if more than 7/8 of those were
+    new strings, every later reference gets a slot of its own, so a string
+    repeated after that point has several slots."""
     doc_ids: list[str] = []
     doc_journals: list[str] = []
     doc_types: list[str] = []
@@ -473,6 +483,8 @@ def _records(items: Iterable, fields: Callable[..., Optional[tuple]],
     ref_offsets = array("q", [0])
     ref_slots: list[int] = []
     slot_ids = id_table()
+    unshared: list[str] = []  # a slot each, once interning stops
+    judged = stopped = False
     errors: list[tuple[int, str]] = []
     warnings: list[tuple[int, str]] = []
     n = first - 1
@@ -497,13 +509,23 @@ def _records(items: Iterable, fields: Callable[..., Optional[tuple]],
         pub_years.append(year)
         ref_counts.append(nref)
         doc_lines.append(n)
-        ref_slots += map(slot_ids.__getitem__, refs)
-        ref_offsets.append(len(ref_slots))
+        if stopped:
+            unshared += refs
+        else:
+            ref_slots += map(slot_ids.__getitem__, refs)
+            if not judged and len(ref_slots) >= _INTERN_SAMPLE:
+                judged = True
+                stopped = 8 * len(slot_ids) > 7 * len(ref_slots)
+        ref_offsets.append(len(ref_slots) + len(unshared))
+    n_interned = len(slot_ids)
+    slots = np.concatenate([
+        np.array(ref_slots, dtype=np.int32),
+        np.arange(n_interned, n_interned + len(unshared), dtype=np.int32)])
     return _Chunk(doc_ids=doc_ids, doc_journals=doc_journals,
                   pub_years=pub_years, doc_types=doc_types,
                   ref_counts=ref_counts, ref_offsets=ref_offsets,
-                  ref_slots=np.array(ref_slots, dtype=np.int32),
-                  doc_lines=doc_lines, **_string_columns(list(slot_ids)),
+                  ref_slots=slots, doc_lines=doc_lines,
+                  **_string_columns(list(slot_ids) + unshared),
                   errors=errors, warnings=warnings, n_lines=n)
 
 

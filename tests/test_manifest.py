@@ -1,7 +1,9 @@
 """The manifest is the record of a run: its ``outputs`` are the files the
-run wrote, and its ``command`` and ``parameters`` alone re-run it."""
+run wrote, each with its sha256, and its ``command`` and ``parameters``
+alone re-run it."""
 
 import argparse
+import hashlib
 import json
 
 import pytest
@@ -80,7 +82,8 @@ def test_manifest_outputs_are_the_files_written(name, tmp_path, tables,
     code, manifest = run_into(
         command_line(name, tables, fixture_paths, tmp_path), out)
     assert code in (0, 1)
-    written = sorted(p.name for p in out.iterdir() if p.name != "manifest.json")
+    written = {p.name: hashlib.sha256(p.read_bytes()).hexdigest()
+               for p in out.iterdir() if p.name != "manifest.json"}
     assert manifest["outputs"] == written
     assert MUST_LIST[name] <= set(written)
 

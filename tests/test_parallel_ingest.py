@@ -1,8 +1,11 @@
 """Reading a corpus in byte ranges, one process each, gives the corpus, the
-messages and the CLI outputs of reading it whole.
+messages and the CLI outputs of reading it whole, whether each range
+interns its reference strings or stops interning them.
 
 The minimum range size is lowered to a few dozen bytes so that the small
-inputs here split into as many ranges as processes are asked for.
+inputs here split into as many ranges as processes are asked for, and the
+interning sample is lowered to one or two references so that a range
+judges its strings on its first documents.
 """
 
 import json
@@ -10,9 +13,11 @@ import re
 
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, given, settings, strategies as st
 
 from jifnorm import _tsv, corpus as corpus_mod
-from jifnorm import load_corpus, load_journals, match_corpus, save_corpus
+from jifnorm import (Corpus, Document, load_corpus, load_journals,
+                     match_corpus, save_corpus)
 from jifnorm.cli import main
 
 from conftest import CENSUS, DATA
@@ -20,6 +25,9 @@ from conftest import CENSUS, DATA
 THREADS = (1, 2, 3, 5, 8)
 CLI_THREADS = (1, 2, 3)
 TABLE_ARRAYS = ("journal_index", "year", "status")
+INTERN_SAMPLE = corpus_mod._INTERN_SAMPLE
+SAMPLES = (1, 2, INTERN_SAMPLE)
+INPUTS = ("fixture", "bad", "fixture_tsv", "hand_jsonl", "hand_tsv")
 
 
 @pytest.fixture(autouse=True)
@@ -106,37 +114,142 @@ def _path(entry):
     return entry[0] if isinstance(entry, tuple) else entry
 
 
-def _read(path, threads):
+def _read(path, threads, sample=INTERN_SAMPLE):
     journals = load_journals(DATA / "fixture_journals.tsv")
-    corpus = load_corpus(path, census_year=CENSUS, threads=threads)
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(corpus_mod, "_INTERN_SAMPLE", sample)
+        corpus = load_corpus(path, census_year=CENSUS, threads=threads)
     table = match_corpus(corpus, journals)
     return corpus, table
 
 
-@pytest.mark.parametrize("name", ["fixture", "bad", "fixture_tsv",
-                                  "hand_jsonl", "hand_tsv"])
-def test_corpus_does_not_depend_on_ranges(inputs, name):
-    path = _path(inputs[name])
-    base, base_table = _read(path, 1)
-    for threads in THREADS[1:]:
-        corpus, table = _read(path, threads)
-        assert corpus.load_errors == base.load_errors
-        assert corpus.load_warnings == base.load_warnings
-        assert corpus.documents == base.documents
-        for attr in ("ref_offsets", "ref_counts"):
-            got, want = getattr(corpus, attr), getattr(base, attr)
-            assert got.dtype == want.dtype and np.array_equal(got, want), attr
-        # the venue and year token of each reference, whatever its slot
-        for tokens, codes in (("venue_tokens", "slot_venue"),
-                              ("year_tokens", "slot_year")):
-            got, want = (
-                [getattr(c, tokens)[i]
+def _with_samples(names):
+    """(name, intern sample) parameters; the default sample keeps the id
+    of the name alone."""
+    return [pytest.param(name, sample, id=name if sample == INTERN_SAMPLE
+                         else f"{name}-sample{sample}")
+            for name in names for sample in SAMPLES]
+
+
+def _assert_same_corpus(got, want):
+    """Equal (corpus, match table) pairs, whatever slots the strings got."""
+    (corpus, table), (base, base_table) = got, want
+    assert corpus.load_errors == base.load_errors
+    assert corpus.load_warnings == base.load_warnings
+    assert corpus.documents == base.documents
+    for attr in ("ref_offsets", "ref_counts"):
+        a, b = getattr(corpus, attr), getattr(base, attr)
+        assert a.dtype == b.dtype and np.array_equal(a, b), attr
+    # the venue and year token of each reference, whatever its slot
+    for tokens, codes in (("venue_tokens", "slot_venue"),
+                          ("year_tokens", "slot_year")):
+        a, b = ([getattr(c, tokens)[i]
                  for i in getattr(c, codes)[c.ref_slots].tolist()]
                 for c in (corpus, base))
-            assert got == want, tokens
-        for attr in TABLE_ARRAYS:
-            got, want = getattr(table, attr), getattr(base_table, attr)
-            assert got.dtype == want.dtype and np.array_equal(got, want), attr
+        assert a == b, tokens
+    for attr in TABLE_ARRAYS:
+        a, b = getattr(table, attr), getattr(base_table, attr)
+        assert a.dtype == b.dtype and np.array_equal(a, b), attr
+
+
+@pytest.mark.parametrize("name, sample", _with_samples(INPUTS))
+def test_corpus_does_not_depend_on_ranges(inputs, name, sample):
+    """Every read equals one range read at the default sample."""
+    path = _path(inputs[name])
+    base = _read(path, 1)
+    for threads in THREADS:
+        _assert_same_corpus(_read(path, threads, sample), base)
+
+
+def _slot_use(refs):
+    """The slot count and ``ref_slots`` of a corpus built in memory from
+    one document per list of references, which reads back unchanged."""
+    documents = [Document(f"D{i}", "J01", CENSUS, "article", r, len(r))
+                 for i, r in enumerate(refs)]
+    corpus = Corpus(CENSUS, documents)
+    assert corpus.documents == documents
+    return len(corpus._slot_lens), corpus.ref_slots.tolist()
+
+
+@pytest.mark.parametrize("new", [7, 8])
+def test_interning_stops_only_past_seven_eighths_new(monkeypatch, new):
+    """Judged at the first document end at or after the sample: 8 new
+    strings of 8 references stop interning, so each later reference gets
+    a slot of its own; 7 of 8 keep one slot per distinct string."""
+    monkeypatch.setattr(corpus_mod, "_INTERN_SAMPLE", 6)
+    first = [f"V{i} J|2009" for i in range(new)]
+    first += first[:8 - new]
+    refs = [first[:5], first[5:], ["V0 J|2009", "V0 J|2009"], ["X J|2008"],
+            ["V1 J|2009"]]
+    if new == 8:
+        assert _slot_use(refs) == (12, list(range(12)))
+    else:
+        assert _slot_use(refs) == (8, [0, 1, 2, 3, 4, 5, 6, 0, 0, 0, 7, 1])
+
+
+def test_a_part_under_the_sample_interns(monkeypatch):
+    """A part whose references end before the sample keeps interning,
+    however many of them are new."""
+    refs = [["A J|2009", "B J|2008"], ["A J|2009"]]
+    monkeypatch.setattr(corpus_mod, "_INTERN_SAMPLE", 4)
+    assert _slot_use(refs) == (2, [0, 1, 0])
+    monkeypatch.setattr(corpus_mod, "_INTERN_SAMPLE", 2)
+    assert _slot_use(refs) == (3, [0, 1, 2])
+
+
+def test_a_part_is_judged_once(monkeypatch):
+    """A part that keeps interning at the sample keeps it to its end, even
+    where its later references are all new."""
+    new = [f"N{i} J|2009" for i in range(20)]
+    monkeypatch.setattr(corpus_mod, "_INTERN_SAMPLE", 2)
+    assert _slot_use([["A J|2009", "A J|2009"], new, new[:1]]) == (
+        21, [0, 0, *range(1, 21), 1])
+
+
+VENUES = ("GAMMA CHEM REV", "DELTA CHEM J", "BETA MATER LETT",
+          "KAPPA MATH J", "NO SUCH J")
+SMALL_POOL = [f"{v}|{y}" for v in VENUES[:3] for y in (2008, 2009)]
+# a drawn number makes nearly every string of the large pool distinct
+large_refs = st.builds(
+    "SMITH J, {}, {}, V{}, P{}".format,
+    st.sampled_from(["2009", "2006", "1899", "2011", "18", "X"]),
+    st.sampled_from(VENUES), st.integers(1, 9), st.integers(0, 10**6))
+small_refs = st.sampled_from(SMALL_POOL)
+
+
+@st.composite
+def jsonl_corpora(draw):
+    """JSONL lines from a small or a large string pool, with record errors,
+    unknown types and repeated ids among them."""
+    refs = draw(st.sampled_from([small_refs, large_refs]))
+    lines = []
+    for _ in range(draw(st.integers(1, 40))):
+        if draw(st.integers(0, 19)) == 0:
+            lines.append('{"doc_id": "BROKEN"')
+            continue
+        doc_refs = draw(st.lists(refs, max_size=8))
+        lines.append(json.dumps({
+            "doc_id": f"P{draw(st.integers(0, 50))}",
+            "journal": draw(st.sampled_from(["J01", "J02", "J05"])),
+            "year": CENSUS, "type": draw(st.sampled_from(
+                ["article", "review", "weird"])),
+            "nref": len(doc_refs) + draw(st.integers(0, 2)),
+            "refs": doc_refs}))
+    return "\n".join(lines) + "\n"
+
+
+@settings(max_examples=25, deadline=None,
+          suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(text=jsonl_corpora())
+def test_interning_changes_no_result(tmp_path_factory, text):
+    """Any sample and any number of ranges give the corpus, the messages
+    and the match table of one range read at the default sample."""
+    path = tmp_path_factory.mktemp("drawn") / "corpus.jsonl"
+    path.write_text(text, encoding="utf-8")
+    base = _read(path, 1)
+    for sample in (1, INTERN_SAMPLE):
+        for threads in CLI_THREADS:
+            _assert_same_corpus(_read(path, threads, sample), base)
 
 
 @pytest.mark.parametrize("name", ["hand_jsonl", "hand_tsv"])
@@ -183,15 +296,18 @@ def test_hand_made_tsv_messages(inputs):
     assert [d.doc_id for d in corpus.documents][-2:] == ["T23", "T24"]
 
 
-@pytest.mark.parametrize("name", ["fixture", "bad", "fixture_tsv",
-                                  "hand_jsonl", "hand_tsv"])
+@pytest.mark.parametrize("name, sample", _with_samples(INPUTS))
 @pytest.mark.parametrize("command", ["validate", "indicators"])
-def test_cli_outputs_do_not_depend_on_threads(inputs, tmp_path, capsys, name,
+def test_cli_outputs_do_not_depend_on_threads(inputs, tmp_path, capsys,
+                                              monkeypatch, name, sample,
                                               command):
+    """Every run writes what one process writes at the default sample."""
     path = _path(inputs[name])
     results = []
-    for threads in CLI_THREADS:
-        out = tmp_path / str(threads)
+    for threads, at in [(1, INTERN_SAMPLE)] + [(t, sample)
+                                               for t in CLI_THREADS]:
+        monkeypatch.setattr(corpus_mod, "_INTERN_SAMPLE", at)
+        out = tmp_path / f"{threads}-{at}"
         extra = ["--percentiles"] if command == "indicators" else []
         code = main([command, str(path), *extra,
                      "--journals", str(DATA / "fixture_journals.tsv"),
