@@ -67,9 +67,7 @@ def lines(path: str | Path, start: int = 0, end: int | None = None
             if not block:
                 break
             left -= len(block)
-            if b"\r" in block:
-                block = block.replace(b"\r\n", b"\n").replace(b"\r", b"\n")
-            yield from block.removesuffix(b"\n").split(b"\n")
+            yield from block.splitlines()
 
 
 def read_line_end(fh: BinaryIO, limit: int) -> bytes:

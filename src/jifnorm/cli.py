@@ -37,7 +37,7 @@ from .indicators import (DEFAULT_CITABLE_TYPES, DENOMINATOR_WINDOWS,
                          IndicatorError, IndicatorTable, compute_denominator,
                          count_indicator, denominator_indicator, fc_over_p,
                          import_external_indicator, quasi_if,
-                         read_indicator_table, read_tables)
+                         read_indicator_table, read_tables, value_text)
 from .percentile import PERCENTILE_HEADER, PercentileError, build_percentiles
 from .refmatch import match_corpus
 from .stats import StatsError, analyze_indicators, variance_reduction
@@ -84,6 +84,11 @@ OPTIONS = {
                     "help": "reference indicator for the variance-reduction "
                             "block"},
 }
+
+
+# the arguments that name input files, --external as ID=PATH
+PATH_ARGUMENTS = ("corpus", "indicator", "indicators", "config_file",
+                  "journals", "fields", "external")
 
 
 class CliError(Exception):
@@ -144,15 +149,29 @@ def _sha256(path: Path) -> str:
     return h.hexdigest()
 
 
+def _recorded(key: str, value):
+    """A parameter as the manifest records it: a path, and the PATH of
+    ``--external ID=PATH``, made absolute and normalized with symlinks
+    kept, so that the run replays from any directory."""
+    if key not in PATH_ARGUMENTS or value is None:
+        return value
+    if isinstance(value, list):
+        return [_recorded(key, item) for item in value]
+    if key == "external":
+        indicator_id, _, path = value.partition("=")
+        return f"{indicator_id}={os.path.abspath(path)}"
+    return os.path.abspath(value)
+
+
 def write_manifest(out_dir: Path, command: str, inputs: list[Path],
                    parameters: dict, outputs: list[Path]) -> None:
-    """Write ``manifest.json``: the sha256 of each input by its path as
-    given, and of each output by its file name."""
+    """Write ``manifest.json``: the sha256 of each input by its absolute
+    path, and of each output by its file name."""
     manifest = {
         "tool": "jifnorm",
         "version": __version__,
         "command": command,
-        "inputs": {str(p): _sha256(p) for p in inputs},
+        "inputs": {os.path.abspath(p): _sha256(p) for p in inputs},
         "parameters": parameters,
         "outputs": {p.name: _sha256(p) for p in outputs},
     }
@@ -268,7 +287,7 @@ def cmd_indicators(args: argparse.Namespace, out: Path):
                             "zero denominator")
 
     # combined wide table: journals x variables, blanks where undefined
-    rows = [[jid] + [f"{t.values[jid]:.6f}" if jid in t.values else ""
+    rows = [[jid] + [value_text(t.values[jid]) if jid in t.values else ""
                      for t in tables]
             for jid in journals.journal_ids]
     written.append(write_rows(out / "indicators_wide.tsv",
@@ -307,7 +326,7 @@ def cmd_rank(args: argparse.Namespace, out: Path):
             top = len(table.values)
         ordered = sorted(table.values.items(), key=lambda kv: (-kv[1], kv[0]))
         header = ["rank", "journal_id", "value"]
-        rows = [[str(rank), jid, f"{value:.6f}"]
+        rows = [[str(rank), jid, value_text(value)]
                 for rank, (jid, value) in enumerate(ordered[:top], start=1)]
     return ([Path(args.indicator)],
             [write_rows(out / "ranking.tsv", header, rows)], warnings)
@@ -465,7 +484,8 @@ def main(argv: list[str] | None = None) -> int:
         out.mkdir(parents=True, exist_ok=True)
         inputs, written, warnings = COMMANDS[args.command](args, out)
         # the command line as parsed, less what changes no output byte
-        parameters = {key: value for key, value in vars(args).items()
+        parameters = {key: _recorded(key, value)
+                      for key, value in vars(args).items()
                       if key not in ("command", "config", "out", "threads")}
         write_manifest(out, args.command, inputs, parameters, written)
     except (CliError, *FATAL_ERRORS) as exc:

@@ -728,31 +728,25 @@ def merge_journal_parts(corpus: Corpus, journals: JournalTable
 
     remap: dict[str, str] = {}
     merged: list[Journal] = []
-    merged_ids: set[str] = set()
     for group_id, parts in groups.items():
         fields = {p.field_code for p in parts}
         if len(fields) > 1:
             raise JournalTableError(
                 f"merge group {group_id!r} spans field codes {sorted(fields)}")
-        parts = sorted(parts, key=lambda p: p.journal_id)
-        canonical = parts[0]
+        canonical = parts[0]  # the table lists journals in id order
         items: dict[int, int] = {}
-        abbrevs: list[str] = []
         for p in parts:
-            merged_ids.add(p.journal_id)
             remap[p.journal_id] = canonical.journal_id
             for y, c in p.items_by_year.items():
                 items[y] = items.get(y, 0) + c
-            for a in p.abbreviations:
-                if a not in abbrevs:
-                    abbrevs.append(a)
         merged.append(Journal(journal_id=canonical.journal_id,
                               full_name=canonical.full_name,
-                              abbreviations=sorted(abbrevs),
+                              abbreviations=sorted({a for p in parts
+                                                    for a in p.abbreviations}),
                               field_code=canonical.field_code,
                               items_by_year=items, merge_group=None))
 
-    keep = [j for j in journals if j.journal_id not in merged_ids]
+    keep = [j for j in journals if j.journal_id not in remap]
     new_table = JournalTable(keep + merged)
 
     new_corpus = copy.copy(corpus)  # shares every column but the journal

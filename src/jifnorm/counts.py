@@ -207,7 +207,7 @@ def _fractional_totals(win: _Window, per_doc: np.ndarray, n_journals: int
 
     Each pair adds one term in ascending-divisor order, so every total is
     reproducible. A total may still be a few ulps from its rational value;
-    a journal whose error interval overlaps another's gets its exact sum,
+    a journal whose total lies that near another's gets its exact sum,
     rounded once, so that totals equal as rationals are equal floats.
     """
     journal, divisor, refs = _pairs(win, per_doc, n_journals)
@@ -246,18 +246,19 @@ def _pairs(win: _Window, per_doc: np.ndarray, n_journals: int
 
 def _tie_candidates(totals: np.ndarray, terms: np.ndarray) -> np.ndarray:
     """The journals whose total could equal another journal's as a
-    rational: their error intervals overlap. A sum of t positive terms,
-    each rounded once, is within gamma(t + 1) * total of its rational
-    value (one more rounding for a divisor above 2**53), plus an ulp of
-    slack for bounding by the rounded total. A journal with no terms is
-    exactly 0 and is left out."""
+    rational: both of each adjacent pair, in sorted order, at most
+    2 * (T + 2) * 2**-52 times the larger total apart, T the most terms of
+    any journal. Totals equal as rationals, of t terms each rounded once
+    (twice for a divisor above 2**53), and every adjacent pair between
+    them, lie within about (ti + tj + 2) * 2**-53 times their value of each
+    other, under half that bound. A journal with no terms is exactly 0 and
+    is left out."""
     live = np.flatnonzero(terms)
-    value = totals[live]
-    t = (terms[live] + 1) * 2.0**-53
-    err = t / (1 - t) * value + np.spacing(value)
-    order = np.argsort(value - err, kind="stable")
-    low, high = (value - err)[order], (value + err)[order]
-    overlaps = np.zeros(live.size, dtype=bool)
-    overlaps[1:] = np.maximum.accumulate(high)[:-1] >= low[1:]
-    overlaps[:-1] |= high[:-1] >= low[1:]
-    return live[order[overlaps]]
+    order = live[np.argsort(totals[live])]
+    value = totals[order]
+    bound = 2 * (int(terms.max(initial=0)) + 2) * 2.0**-52
+    near = np.diff(value) <= bound * value[1:]
+    marked = np.zeros(order.size, dtype=bool)
+    marked[:-1] = near
+    marked[1:] |= near
+    return order[marked]

@@ -30,6 +30,11 @@ class IndicatorError(Exception):
     pass
 
 
+def value_text(value: float) -> str:
+    """The text of an indicator value in every output file."""
+    return f"{value:.6f}"
+
+
 @dataclass
 class DenominatorTable:
     window: str                  # two_year | five_year | census_only
@@ -50,7 +55,7 @@ class IndicatorTable:
     def to_tsv(self, path: str | Path) -> list[Path]:
         """Write the table, and its undefined journals to a ``.undefined``
         sidecar if there are any; return the paths written."""
-        rows = [[jid, self.indicator_id, f"{self.values[jid]:.6f}"]
+        rows = [[jid, self.indicator_id, value_text(self.values[jid])]
                 for jid in sorted(self.values)]
         written = [write_rows(path, ["journal_id", "indicator_id", "value"],
                               rows)]

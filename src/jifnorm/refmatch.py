@@ -102,10 +102,7 @@ def parse_reference(raw: str, census_year: Optional[int] = None) -> CitedRef:
 
 def match_venue(venue_abbrev: str, journals: JournalTable) -> Optional[str]:
     """Exact lookup of a (normalized) venue abbreviation; None on miss."""
-    key = normalize_venue(venue_abbrev)
-    if not key:
-        return None
-    return journals.abbrev_index.get(key)
+    return journals.abbrev_index.get(normalize_venue(venue_abbrev))
 
 
 @dataclass
@@ -142,7 +139,7 @@ def match_corpus(corpus: Corpus, journals: JournalTable) -> RefTable:
     journal_ids = journals.journal_ids
     journal_pos = {jid: i for i, jid in enumerate(journal_ids)}
     venue_journal = np.array(
-        [journal_pos.get(journals.abbrev_index.get(normalize_venue(v)), -1)
+        [journal_pos.get(match_venue(v, journals), -1)
          for v in corpus.venue_tokens], dtype=np.int32)
     years = [_year_of_token(t) for t in corpus.year_tokens]
     year_value = np.array([y or 0 for y in years], dtype=np.int32)

@@ -16,8 +16,8 @@ That contrast is the ground truth the analysis layer is tested against.
 
 from __future__ import annotations
 
+import dataclasses
 import math
-from dataclasses import dataclass
 from pathlib import Path
 from typing import Optional
 
@@ -36,7 +36,7 @@ class SynthConfigError(Exception):
     pass
 
 
-@dataclass(frozen=True)
+@dataclasses.dataclass(frozen=True)
 class FieldSpec:
     field_code: str
     n_journals: int
@@ -46,7 +46,7 @@ class FieldSpec:
     cross_field_mix: float = 0.0
 
 
-@dataclass(frozen=True)
+@dataclasses.dataclass(frozen=True)
 class SynthConfig:
     census_year: int
     fields: tuple[FieldSpec, ...]
@@ -98,7 +98,7 @@ class SynthConfig:
             raise SynthConfigError("need at least 2 journals overall")
 
 
-@dataclass
+@dataclasses.dataclass
 class GroundTruth:
     """Latent journal quality plus the analytic per-field expected
     fractional in-window citation rates (two- and five-year windows;
@@ -294,11 +294,12 @@ def _finite(text: str) -> float:
     return value
 
 
-_FIELD_KEYS = {"n_journals": integer, "papers_per_journal_per_year": integer,
-               "mean_ref_len": _finite, "ref_age_half_life": _finite,
-               "cross_field_mix": _finite}
-_TOP_KEYS = {"census_year": integer, "years_back": integer, "seed": integer,
-             "quality_spread": _finite, "invalid_ref_rate": _finite}
+# the keys of a config: the int and float fields, each cast by its type
+_CASTS = {"int": integer, "float": _finite}
+_FIELD_KEYS = {f.name: _CASTS[f.type] for f in dataclasses.fields(FieldSpec)
+               if f.type in _CASTS}
+_TOP_KEYS = {f.name: _CASTS[f.type] for f in dataclasses.fields(SynthConfig)
+             if f.type in _CASTS}
 
 
 def load_synth_config(path: str | Path) -> SynthConfig:
@@ -327,9 +328,9 @@ def load_synth_config(path: str | Path) -> SynthConfig:
     fields = []
     for code in sorted(per_field):
         params = per_field[code]
-        missing = [k for k in ("n_journals", "papers_per_journal_per_year",
-                               "mean_ref_len", "ref_age_half_life")
-                   if k not in params]
+        missing = [f.name for f in dataclasses.fields(FieldSpec)
+                   if f.name in _FIELD_KEYS and f.name not in params
+                   and f.default is dataclasses.MISSING]
         if missing:
             raise SynthConfigError(
                 f"{path.name}: field {code!r} missing {', '.join(missing)}")

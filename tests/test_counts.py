@@ -285,11 +285,13 @@ def test_counts_equal_oracle_with_empty_reference_lists(docs, census,
             assert len(floats) == 1, (kind, mode.label, floats)
 
 
-def _cites(journal, divisors, start=0):
-    """One document per divisor k, citing ``journal`` once among k in-window
-    references (the rest unmatched), with NRef k."""
+def _cites(journal, divisors, start=0, padded=True):
+    """One document per divisor k, citing ``journal`` once, with NRef k:
+    among k in-window references (the rest unmatched) when ``padded``,
+    else alone, so that only its FC+ weight is 1/k."""
     return [Document(f"{journal}{start + i}", "J0", CENSUS, "article",
-                     [f"V{journal[1:]}|2009"] + ["UNKNOWN|2009"] * (k - 1), k)
+                     [f"V{journal[1:]}|2009"]
+                     + ["UNKNOWN|2009"] * (k - 1 if padded else 0), k)
             for i, k in enumerate(divisors)]
 
 
@@ -301,15 +303,33 @@ def test_a_lone_total_keeps_its_summed_float():
         assert table.values["J1"] == 1.0333333333333332
 
 
+# 1/2 + 1/3 + 1/7 + 1/43 = 1 - 1/1806
+_SYLVESTER = [2, 3, 7, 43]
+
+
 @given(st.integers(2, 40), st.lists(st.integers(1, 60), max_size=12))
 @example(2, [3, 5])
+# exact totals just below and just above 1 and 2
+@example(1807, _SYLVESTER)
+@example(1805, _SYLVESTER)
+@example(1807, [1, *_SYLVESTER])
+@example(1805, [1, *_SYLVESTER])
+@example(2**27 + 1, _SYLVESTER + [1806])
+@example(2**27 + 1, [1, 1])
+# FC+ divisors above 2**53: d(d+1) and NRef itself
+@example(2**27 + 1, [1])
+@example(3 * 2**30 + 1, [2**60 + 1, 2**53 + 1, 3])
+@example(3_000_000_001, [2**62 + 3, *_SYLVESTER, 1806])
 @settings(max_examples=60, deadline=None)
 def test_equal_totals_by_other_terms_are_equal_floats(d, shared):
     """Journal J1 gets 1/d and J2 1/(d+1) + 1/(d(d+1)), the same rational;
-    both also get 1/k for each k in ``shared``."""
-    corpus = Corpus(CENSUS, _cites("J1", [d, *shared])
-                    + _cites("J2", [d + 1, d * (d + 1), *shared], start=100))
-    for mode in (FRACTIONAL, FRACTIONAL_PLUS):
+    both also get 1/k for each k in ``shared``. A divisor too large for a
+    list of that many references is tested in FC+ alone."""
+    padded = max([d * (d + 1), *shared]) <= 2000
+    corpus = Corpus(CENSUS, _cites("J1", [d, *shared], padded=padded)
+                    + _cites("J2", [d + 1, d * (d + 1), *shared], start=100,
+                             padded=padded))
+    for mode in (FRACTIONAL, FRACTIONAL_PLUS) if padded else (FRACTIONAL_PLUS,):
         table = count_citations(corpus, _MANY, "two_year", mode)
         exact = sum(Fraction(1, k) for k in [d, *shared])
         assert table.values["J1"] == table.values["J2"] == pytest.approx(

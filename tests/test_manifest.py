@@ -5,6 +5,8 @@ alone re-run it."""
 import argparse
 import hashlib
 import json
+import os
+from pathlib import Path
 
 import pytest
 
@@ -114,13 +116,34 @@ def replay_argv(manifest):
     return argv
 
 
+def _relative(arg, start):
+    """A path argument of an argv, or the PATH of an ``ID=PATH``, made
+    relative to ``start``; any other argument as it is."""
+    if isinstance(arg, Path):
+        return os.path.relpath(arg, start)
+    if isinstance(arg, str) and arg.startswith("EXT="):
+        return "EXT=" + os.path.relpath(arg[4:], start)
+    return arg
+
+
 @pytest.mark.parametrize("name", sorted(MUST_LIST))
-def test_manifest_replays_its_run(name, tmp_path, tables, fixture_paths):
-    """Re-running the argv rebuilt from a manifest, at another --threads,
-    writes the same bytes into a fresh directory, the manifest included."""
-    argv = command_line(name, tables, fixture_paths, tmp_path)
+def test_manifest_replays_its_run(name, tmp_path, tables, fixture_paths,
+                                  monkeypatch):
+    """A run given relative paths records each input absolute, so the argv
+    rebuilt from its manifest, re-run from another working directory at
+    another --threads, writes the same bytes into a fresh directory, the
+    manifest included."""
+    # at another depth, so that no relative path finds its file there
+    here, elsewhere = tmp_path / "here", tmp_path / "else" / "where"
+    here.mkdir()
+    elsewhere.mkdir(parents=True)
+    argv = [_relative(a, here)
+            for a in command_line(name, tables, fixture_paths, tmp_path)]
     first, second = tmp_path / "first", tmp_path / "second"
+    monkeypatch.chdir(here)
     code, manifest = run_into(argv + ["--threads", 2], first)
+    assert all(os.path.isabs(path) for path in manifest["inputs"])
+    monkeypatch.chdir(elsewhere)
     assert run_into(replay_argv(manifest) + ["--threads", 1],
                     second)[0] == code
     written = sorted(p.name for p in first.iterdir())

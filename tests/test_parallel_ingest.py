@@ -478,6 +478,30 @@ def test_every_line_end_splits_into_the_same_ranges(line_end_copies):
                                       getattr(base_table, attr)), attr
 
 
+@pytest.mark.parametrize("block", [1, 2, 3, 5, 8])
+def test_no_block_size_cuts_a_line_end(tmp_path, monkeypatch, block):
+    """Every cut search over the fixture's first lines, with a blank line
+    among them, at every range count up to the file size: no range starts
+    between a ``\\r`` and its ``\\n``, whatever bytes the last read
+    ended on, and the ranges read back the LF lines."""
+    monkeypatch.setattr(_tsv, "_BLOCK", block)
+    head = (DATA / "fixture_corpus.jsonl").read_bytes().split(b"\n")[:4]
+    text = b"\n".join(head[:2] + [b""] + head[2:]) + b"\n"
+    want = text.split(b"\n")[:-1]
+    for end in (b"\n", b"\r\n", b"\r"):
+        path = tmp_path / "copy.jsonl"
+        data = text.replace(b"\n", end)
+        path.write_bytes(data)
+        seen = set()
+        for n in range(1, len(data) + 1):
+            ranges = tuple(corpus_mod._byte_ranges(path, n))
+            assert all(data[a - 1:a + 1] != b"\r\n" for a, _ in ranges), n
+            if ranges not in seen:
+                seen.add(ranges)
+                assert [line for a, b in ranges
+                        for line in _tsv.lines(path, a, b)] == want, n
+
+
 class _Recording:
     """A binary file that records the length of what each read returns."""
 

@@ -24,6 +24,7 @@ from jifnorm import (Corpus, CorpusFormatError, Document, IndicatorError,
                      load_corpus,
                      load_journals, load_field_scheme, load_synth_config,
                      read_indicator_table, save_corpus)
+from jifnorm import _tsv
 from jifnorm._tsv import integer, number
 from jifnorm.cli import CliError, _load_varcomp_tables, _read_config, main
 from jifnorm.indicators import read_tables
@@ -532,6 +533,16 @@ def test_every_reader_keeps_the_line_rules(tmp_path, fixture_paths, tables,
         assert (code, f"warning: {message}" in err) == (1, True)
     else:
         assert (code, err) == (2, [f"error: {message}"])
+
+
+def test_only_lf_crlf_and_cr_end_a_line(tmp_path):
+    """A vertical tab, a form feed, the bytes 0x1c to 0x1e and NEL (U+0085)
+    stay inside their line, where ``str.splitlines`` would split."""
+    inside = b"a\x0bb\x0cc\x1cd\x1de\x1ef\xc2\x85g"
+    path = tmp_path / "ends.txt"
+    path.write_bytes(b"\n".join([inside, inside + b"\r",
+                                  inside + b"\r" + inside]))
+    assert list(_tsv.lines(path)) == [inside] * 4
 
 
 GOOD = Document("D1", "J01", CENSUS, "article", ["J A|2009"], 1)
