@@ -14,7 +14,8 @@ from __future__ import annotations
 
 import os
 import shutil
-from itertools import chain
+from array import array
+from itertools import accumulate, chain
 from pathlib import Path
 from typing import BinaryIO, Iterable, Iterator
 
@@ -46,6 +47,29 @@ def number(text: str) -> float:
     return float(text)
 
 
+def _blocks(fh: BinaryIO, start: int, end: int | None) -> Iterator[bytes]:
+    """The consecutive blocks of bytes ``[start, end)`` of a binary file
+    (to its end if ``end`` is None), each ending at a line end or at
+    ``end``; the file's position is just after each block as it is
+    yielded. A UTF-8 byte-order mark at byte 0 is dropped. ``start`` and
+    ``end`` lie just after a line end or at an end of the file."""
+    if end is None:
+        end = os.fstat(fh.fileno()).st_size
+    fh.seek(start)
+    if start == 0 and fh.read(len(_BOM)) != _BOM:
+        fh.seek(0)
+    offset = fh.tell()
+    while offset < end:
+        # a block ends at a line end, so no \r\n is split between two
+        block = fh.read(min(_BLOCK, end - offset))
+        if not block.endswith(b"\n"):
+            block += read_line_end(fh, end - offset - len(block))
+        if not block:
+            break
+        offset += len(block)
+        yield block
+
+
 def lines(path: str | Path, start: int = 0, end: int | None = None
           ) -> Iterator[bytes]:
     """The undecoded lines of bytes ``[start, end)`` of a file (to its end
@@ -53,21 +77,19 @@ def lines(path: str | Path, start: int = 0, end: int | None = None
     ``\\r``. A UTF-8 byte-order mark at byte 0 is dropped. ``start`` and
     ``end`` lie just after a line end or at an end of the file."""
     with open(path, "rb") as fh:
-        if end is None:
-            end = os.fstat(fh.fileno()).st_size
-        fh.seek(start)
-        if start == 0 and fh.read(len(_BOM)) != _BOM:
-            fh.seek(0)
-        left = end - fh.tell()
-        while left > 0:
-            # a block ends at a line end, so no \r\n is split between two
-            block = fh.read(min(_BLOCK, left))
-            if not block.endswith(b"\n"):
-                block += read_line_end(fh, left - len(block))
-            if not block:
-                break
-            left -= len(block)
-            yield from block.splitlines()
+        yield from chain.from_iterable(
+            map(bytes.splitlines, _blocks(fh, start, end)))
+
+
+def line_starts(fh: BinaryIO) -> array:
+    """The byte offset in a binary file of each line :func:`lines` yields
+    from it, in order, from one pass over the file."""
+    starts = array("q")
+    for block in _blocks(fh, 0, None):
+        parts = block.splitlines(keepends=True)
+        starts.extend(accumulate(map(len, parts[:-1]),
+                                 initial=fh.tell() - len(block)))
+    return starts
 
 
 def read_line_end(fh: BinaryIO, limit: int) -> bytes:

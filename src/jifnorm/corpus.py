@@ -2,13 +2,19 @@
 
 A corpus is a census year's worth of citing documents, each carrying its
 raw cited-reference strings. It is stored column by column: one entry per
-document in each per-document column, and one int slot per reference into
-a table of reference strings, each split once into venue and year tokens.
-A file is read in byte ranges that start at line boundaries, each parsed
-by its own process when more than one is asked for. Two on-disk formats
-are supported, told apart by a file's first line that is neither blank
-nor a comment: TSV if it holds a tab and does not begin with ``{``, else
-JSONL.
+document in each per-document column, and one int slot per reference whose
+string was split once into a venue token and a year token, kept as codes
+into the distinct tokens. A file is read in byte ranges that start at line
+boundaries, each parsed by its own process when more than one is asked
+for. What a range sends back holds no reference text, so neither does a
+corpus loaded from a file: ``Corpus.documents`` reads a document's
+references again from its line of the file, and raises
+``CorpusFormatError`` if the file's size or modification time is not what
+it was at load. A corpus built in memory keeps its strings.
+
+Two on-disk formats are supported, told apart by a file's first line that
+is neither blank nor a comment: TSV if it holds a tab and does not begin
+with ``{``, else JSONL.
 
 * JSONL: one object per line with keys ``doc_id``, ``journal``, ``year``,
   ``type``, ``nref``, ``refs`` (array of strings).
@@ -29,12 +35,12 @@ from __future__ import annotations
 
 import copy
 import json
+import os
 from array import array
 from collections import defaultdict
 from collections.abc import Callable, Iterable, Sequence
 from contextlib import closing
 from dataclasses import dataclass, field
-from functools import cached_property
 from itertools import chain, repeat
 from pathlib import Path
 from typing import Optional
@@ -42,10 +48,10 @@ from typing import Optional
 import numpy as np
 
 from ._fork import run_forked
-from ._tsv import (integer, iter_rows, lines, read_line_end, skipped,
-                   write_lines)
+from ._tsv import (integer, iter_rows, line_starts, lines, read_line_end,
+                   skipped, write_lines)
 from .refmatch import (STATUS_FUTURE, STATUS_INVALID, STATUS_PRE1900,
-                       _split_reference, match_corpus, normalize_venue)
+                       _split_references, match_corpus, normalize_venue)
 
 DOC_TYPES = frozenset({"article", "review", "letter", "other"})
 
@@ -60,6 +66,10 @@ _MIN_RANGE_BYTES = 4 << 20  # a corpus file is read in ranges of at least this
 # end of a document) are more than 7/8 new strings stops interning them: its
 # strings name single cited papers, so a dictionary would save no split.
 _INTERN_SAMPLE = 1 << 16
+# Reference strings split at a time. A batch's tokens die together but for
+# the first of each distinct one, which a larger batch leaves scattered
+# over more of the small-object heap (1 << 14 kept 4 MiB more than this).
+_SPLIT_BATCH = 1 << 10
 
 
 class CorpusFormatError(Exception):
@@ -101,20 +111,35 @@ def id_table() -> defaultdict[str, int]:
     return table
 
 
-def _string_columns(strings: list[str]) -> dict:
-    """Slot columns for a list of reference strings: the strings joined and
-    their lengths, and the codes of each one's venue token and year token,
-    from one ``_split_reference`` per string."""
-    venue_ids, year_ids = id_table(), id_table()
-    slot_venue, slot_year = array("i"), array("i")
-    for raw in strings:
-        venue, year = _split_reference(raw)
-        slot_venue.append(venue_ids[venue])
-        slot_year.append(year_ids[year])
-    return dict(slot_text="".join(strings),
-                slot_lens=array("i", map(len, strings)),
-                slot_venue=slot_venue, slot_year=slot_year,
-                venue_tokens=list(venue_ids), year_tokens=list(year_ids))
+class _StringColumns:
+    """Slot columns built from reference strings given in slot order, a
+    list at a time: the codes of each string's venue token and year token
+    into the distinct ``venue_tokens`` and ``year_tokens``. The strings are
+    split by one ``_split_references`` per ``_SPLIT_BATCH`` of them, and
+    each distinct year token is stripped once, at the end. The strings are
+    not kept, unless ``keep``: then ``strings`` lists them all."""
+
+    def __init__(self, keep: bool = False):
+        self.venue_ids, self.year_ids = id_table(), id_table()
+        self.slot_venue, self.slot_year = array("i"), array("i")
+        self.strings: Optional[list[str]] = [] if keep else None
+
+    def add(self, strings: list[str]) -> None:
+        for i in range(0, len(strings), _SPLIT_BATCH):
+            venues, years = _split_references(strings[i:i + _SPLIT_BATCH])
+            self.slot_venue.extend(map(self.venue_ids.__getitem__, venues))
+            self.slot_year.extend(map(self.year_ids.__getitem__, years))
+        if self.strings is not None:
+            self.strings += strings
+
+    def columns(self) -> dict:
+        stripped_ids = id_table()
+        strip = np.fromiter((stripped_ids[t.strip()] for t in self.year_ids),
+                            dtype=np.int32, count=len(self.year_ids))
+        return dict(slot_venue=self.slot_venue,
+                    slot_year=strip[np.asarray(self.slot_year, dtype=np.intp)],
+                    venue_tokens=list(self.venue_ids),
+                    year_tokens=list(stripped_ids))
 
 
 @dataclass
@@ -126,9 +151,9 @@ class _Chunk:
     ``doc_types``, ``ref_counts`` and ``doc_lines`` (its line number, or
     its position in memory), plus ``ref_offsets``, one longer. Per
     reference: ``ref_slots``, an index into the part's string slots. Per
-    slot: its text (``slot_text`` cut at ``slot_lens``) and its
-    ``slot_venue`` and ``slot_year`` codes into ``venue_tokens`` and
-    ``year_tokens``. Messages are ``(line, text)`` pairs in line order.
+    slot: its ``slot_venue`` and ``slot_year`` codes into ``venue_tokens``
+    and ``year_tokens``. No reference text: a byte range's chunk is what its
+    process sends back. Messages are ``(line, text)`` pairs in line order.
     """
 
     doc_ids: list[str]
@@ -138,8 +163,6 @@ class _Chunk:
     ref_counts: Sequence[int]
     ref_offsets: Sequence[int]
     ref_slots: Sequence[int]
-    slot_text: str
-    slot_lens: Sequence[int]
     slot_venue: Sequence[int]
     slot_year: Sequence[int]
     venue_tokens: list[str]
@@ -173,7 +196,6 @@ def _join(chunks: list[_Chunk]) -> _Chunk:
             np.asarray(c.ref_offsets, dtype=np.int64)[1:] + ref_base)
         arrays["ref_slots"].append(
             np.asarray(c.ref_slots, dtype=np.int32) + slot_base)
-        arrays["slot_lens"].append(np.asarray(c.slot_lens, dtype=np.int32))
         for tokens, ids, codes, key in (
                 (c.venue_tokens, venue_ids, c.slot_venue, "slot_venue"),
                 (c.year_tokens, year_ids, c.slot_year, "slot_year")):
@@ -182,15 +204,43 @@ def _join(chunks: list[_Chunk]) -> _Chunk:
             arrays[key].append(renumber[np.asarray(codes, dtype=np.intp)])
         line_base += c.n_lines
         ref_base += len(c.ref_slots)
-        slot_base += len(c.slot_lens)
+        slot_base += len(c.slot_venue)
     arrays["ref_offsets"].insert(0, np.zeros(1, np.int64))
     joined = {key: np.concatenate(parts) for key, parts in arrays.items()}
     return _Chunk(doc_ids=doc_ids, doc_journals=doc_journals,
                   doc_types=doc_types,
-                  slot_text="".join(c.slot_text for c in chunks),
                   venue_tokens=list(venue_ids), year_tokens=list(year_ids),
                   errors=errors, warnings=warnings, n_lines=line_base,
                   **joined)
+
+
+@dataclass
+class _CorpusFile:
+    """The file a corpus was loaded from, as it was then: its path, its
+    record rule (``_jsonl_fields`` or ``_tsv_fields``), and its size and
+    modification time at load."""
+
+    path: Path
+    fields: Callable[[bytes], Optional[tuple]]
+    size: int
+    mtime_ns: int
+    # the byte offset of each line, from one pass on first use
+    starts: Optional[array] = None
+
+    def refs(self, line: int) -> list[str]:
+        """The reference strings of the record on line ``line`` (1-based),
+        read again; a ``CorpusFormatError`` if the file has changed."""
+        with open(self.path, "rb") as fh:
+            stat = os.fstat(fh.fileno())
+            if (stat.st_size, stat.st_mtime_ns) != (self.size, self.mtime_ns):
+                raise CorpusFormatError(
+                    f"{self.path.name} has changed since it was loaded")
+            if self.starts is None:
+                self.starts = line_starts(fh)
+            start = self.starts[line - 1]
+            fh.seek(start)
+            text = read_line_end(fh, self.size - start).splitlines()[0]
+        return self.fields(text)[5]
 
 
 class Corpus:
@@ -203,9 +253,9 @@ class Corpus:
     per-reference columns.
 
     Each reference is an index into string slots (``ref_slots``); every
-    slot holds one reference string, split once into a venue token and a
-    year token whose codes are ``slot_venue`` and ``slot_year``, indices into
-    the distinct ``venue_tokens`` and ``year_tokens``. A string seen in
+    slot stands for one reference string, split once into a venue token and
+    a year token whose codes are ``slot_venue`` and ``slot_year``, indices
+    into the distinct ``venue_tokens`` and ``year_tokens``. A string seen in
     several byte ranges of a corpus file has a slot per range, a string
     repeated in a range that stopped interning (see ``_records``) may have
     several, and a slot may be used by no reference.
@@ -216,15 +266,25 @@ class Corpus:
     its 1-based position, a document type is lower-cased and an unknown
     one becomes ``other`` with a warning, and a repeated ``doc_id`` is
     rejected. ``documents`` is a read-only sequence that builds each
-    ``Document`` on access. Two corpora are equal when their census years
-    and their documents are, whatever slots their strings got. A census
-    year outside [1900, ``YEAR_MAX``] is a ``CorpusFormatError``.
+    ``Document`` on access. A corpus built in memory keeps the string of
+    each slot; one loaded from a file keeps no reference text, and
+    ``documents[i]`` reads document ``i``'s references again from its line
+    of the file, every other field from the columns. It raises
+    ``CorpusFormatError`` if the file's size or modification time is not
+    what it was at load; ``len(documents)`` reads nothing. Two corpora are
+    equal when their census years and their documents are, whatever slots
+    their strings got. A census year outside [1900, ``YEAR_MAX``] is a
+    ``CorpusFormatError``.
     """
+
+    _slot_strings: Optional[list[str]] = None  # built in memory
+    _file: Optional[_CorpusFile] = None        # loaded from a file
 
     def __init__(self, census_year: int, documents: Iterable[Document]):
         _check_census_year(census_year)
-        self._store(census_year, "documents",
-                    [_records(documents, _document_fields, census_year, 1)])
+        chunk, self._slot_strings = _records(documents, _document_fields,
+                                             census_year, 1, keep=True)
+        self._store(census_year, "documents", [chunk])
 
     @classmethod
     def from_columns(cls, census_year: int, *, slot_strings: list[str],
@@ -238,10 +298,13 @@ class Corpus:
                 < np.diff(columns["ref_offsets"])).any():
             raise ValueError("ref_counts below a document's reference count")
         n_docs = len(columns["doc_ids"])
+        slot_columns = _StringColumns()
+        slot_columns.add(slot_strings)
         chunk = _Chunk(doc_lines=np.arange(1, n_docs + 1), **columns,
-                       **_string_columns(slot_strings))
+                       **slot_columns.columns())
         corpus = cls.__new__(cls)
         corpus._store(census_year, "columns", [chunk])
+        corpus._slot_strings = slot_strings
         return corpus
 
     def _store(self, census_year: int, name: str, parts: list[_Chunk]
@@ -265,14 +328,14 @@ class Corpus:
         self.slot_year = joined.slot_year
         self.venue_tokens = joined.venue_tokens
         self.year_tokens = joined.year_tokens
-        self._slot_text = joined.slot_text
-        self._slot_lens = joined.slot_lens
+        self._doc_lines = joined.doc_lines
 
-    @cached_property
-    def _slot_strings(self) -> list[str]:
-        ends = np.cumsum(self._slot_lens, dtype=np.int64).tolist()
-        text = self._slot_text
-        return [text[a:b] for a, b in zip([0] + ends, ends)]
+    def _refs(self, i: int) -> list[str]:
+        """The reference strings of document ``i``."""
+        if self._file is not None:
+            return self._file.refs(int(self._doc_lines[i]))
+        slots = self.ref_slots[self.ref_offsets[i]:self.ref_offsets[i + 1]]
+        return [self._slot_strings[k] for k in slots.tolist()]
 
     @property
     def documents(self) -> "_DocumentView":
@@ -299,12 +362,9 @@ class _DocumentView(Sequence):
             return [self[i] for i in range(len(self))[index]]
         i = range(len(self))[index]
         c = self._corpus
-        strings = c._slot_strings
-        slots = c.ref_slots[c.ref_offsets[i]:c.ref_offsets[i + 1]].tolist()
         return Document(doc_id=c.doc_ids[i], journal_id=c.doc_journals[i],
                         pub_year=int(c.pub_years[i]), doc_type=c.doc_types[i],
-                        refs=[strings[k] for k in slots],
-                        ref_count=int(c.ref_counts[i]))
+                        refs=c._refs(i), ref_count=int(c.ref_counts[i]))
 
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, (_DocumentView, list)):
@@ -458,24 +518,31 @@ def _tsv_fields(line: bytes) -> Optional[tuple]:
     return doc_id, journal, integer(year), doc_type, integer(nref), refs
 
 
+_FIELDS = {"jsonl": _jsonl_fields, "tsv": _tsv_fields}
+
+
 def _document_fields(d: Document) -> tuple:
     """The six fields of a ``Document``, unchecked."""
     return d.doc_id, d.journal_id, d.pub_year, d.doc_type, d.ref_count, d.refs
 
 
 def _records(items: Iterable, fields: Callable[..., Optional[tuple]],
-             census_year: int, first: int) -> _Chunk:
+             census_year: int, first: int, keep: bool = False
+             ) -> tuple[_Chunk, Optional[list[str]]]:
     """Read, check and column the records of ``items``, numbered from
     ``first``: ``fields`` gives an item's six fields, or None for an item
     that holds no record. A malformed record is skipped with an error, and
     a type outside ``DOC_TYPES`` becomes ``other`` with a warning, each
     at the item's number; the chunk's ``n_lines`` is the last number.
+    Returns the chunk and, if ``keep``, the string of each of its slots.
 
     Each distinct reference string gets a slot, in first-seen order, while
     strings repeat. The part is judged once, at the first document end at
     or after ``_INTERN_SAMPLE`` references: if more than 7/8 of those were
     new strings, every later reference gets a slot of its own, so a string
-    repeated after that point has several slots."""
+    repeated after that point has several slots. From then on the slots
+    are numbered, so the strings are split as they come, ``_SPLIT_BATCH``
+    at a time, and not held."""
     doc_ids: list[str] = []
     doc_journals: list[str] = []
     doc_types: list[str] = []
@@ -483,7 +550,9 @@ def _records(items: Iterable, fields: Callable[..., Optional[tuple]],
     ref_offsets = array("q", [0])
     ref_slots: list[int] = []
     slot_ids = id_table()
-    unshared: list[str] = []  # a slot each, once interning stops
+    slot_columns = _StringColumns(keep)
+    unshared: list[str] = []  # a slot each, once interning stops, not yet split
+    n_unshared = 0
     judged = stopped = False
     errors: list[tuple[int, str]] = []
     warnings: list[tuple[int, str]] = []
@@ -511,22 +580,31 @@ def _records(items: Iterable, fields: Callable[..., Optional[tuple]],
         doc_lines.append(n)
         if stopped:
             unshared += refs
+            n_unshared += len(refs)
+            if len(unshared) >= _SPLIT_BATCH:
+                slot_columns.add(unshared)
+                unshared = []
         else:
             ref_slots += map(slot_ids.__getitem__, refs)
             if not judged and len(ref_slots) >= _INTERN_SAMPLE:
                 judged = True
                 stopped = 8 * len(slot_ids) > 7 * len(ref_slots)
-        ref_offsets.append(len(ref_slots) + len(unshared))
+                if stopped:
+                    slot_columns.add(list(slot_ids))
+        ref_offsets.append(len(ref_slots) + n_unshared)
     n_interned = len(slot_ids)
     slots = np.concatenate([
         np.array(ref_slots, dtype=np.int32),
-        np.arange(n_interned, n_interned + len(unshared), dtype=np.int32)])
+        np.arange(n_interned, n_interned + n_unshared, dtype=np.int32)])
+    if not stopped:
+        slot_columns.add(list(slot_ids))
+    slot_columns.add(unshared)
     return _Chunk(doc_ids=doc_ids, doc_journals=doc_journals,
                   pub_years=pub_years, doc_types=doc_types,
                   ref_counts=ref_counts, ref_offsets=ref_offsets,
                   ref_slots=slots, doc_lines=doc_lines,
-                  **_string_columns(list(slot_ids) + unshared),
-                  errors=errors, warnings=warnings, n_lines=n)
+                  **slot_columns.columns(), errors=errors, warnings=warnings,
+                  n_lines=n), slot_columns.strings
 
 
 def _corpus_format(path: Path) -> str:
@@ -572,8 +650,9 @@ def _parse_range(path: Path, format: str, start: int, end: int,
                  census_year: int) -> _Chunk:
     """Read, check and column the records on the lines of bytes
     ``[start, end)``. Line numbers count from the range's first line."""
-    fields = _jsonl_fields if format == "jsonl" else _tsv_fields
-    return _records(lines(path, start, end), fields, census_year, 1)
+    chunk, _ = _records(lines(path, start, end), _FIELDS[format],
+                        census_year, 1)
+    return chunk
 
 
 def _reject_duplicates(joined: _Chunk) -> None:
@@ -615,7 +694,9 @@ def load_corpus(path: str | Path, census_year: int, threads: int = 1
 
     The file is read as ``min(threads, size // 4 MiB)`` byte ranges (at
     least one), each by its own process; the corpus, its messages and
-    their order do not depend on how many.
+    their order do not depend on how many. The corpus keeps the file's
+    path, size and modification time, and no reference text: its
+    ``documents`` read the references from the file again.
     """
     path = Path(path)
     if not path.is_file():
@@ -624,13 +705,16 @@ def load_corpus(path: str | Path, census_year: int, threads: int = 1
     if threads < 1:
         raise ValueError(f"threads {threads} must be >= 1")
 
+    stat = path.stat()
     format = _corpus_format(path)
-    n = max(1, min(threads, path.stat().st_size // _MIN_RANGE_BYTES))
+    n = max(1, min(threads, stat.st_size // _MIN_RANGE_BYTES))
     jobs = [(path, format, start, end, census_year)
             for start, end in _byte_ranges(path, n)]
     parts = run_forked(_parse_range, jobs, f"a process reading {path.name}")
     corpus = Corpus.__new__(Corpus)
     corpus._store(census_year, path.name, parts)
+    corpus._file = _CorpusFile(path.absolute(), _FIELDS[format],
+                               stat.st_size, stat.st_mtime_ns)
     return corpus
 
 

@@ -65,17 +65,24 @@ def classify_year(year: int, census_year: Optional[int]) -> int:
     return STATUS_VALID
 
 
-def _split_reference(raw: str) -> tuple[str, str]:
-    """The layout rules: the venue token (not yet normalized) and the
-    stripped year token of one raw string."""
-    if "|" in raw and raw.count("|") == 1:
-        left, _, right = raw.partition("|")
-        if not left.strip():
-            return "", ""
-        return left, right.strip()
-    tokens = raw.split(",", 3)
-    n = len(tokens)
-    return tokens[2] if n > 2 else "", tokens[1].strip() if n > 1 else ""
+def _split_references(raws: list[str]) -> tuple[list[str], list[str]]:
+    """The layout rules, over a list of raw strings: the venue token (not
+    yet normalized) and the year token (not yet stripped) of each."""
+    venues: list[str] = []
+    years: list[str] = []
+    for raw in raws:
+        if "|" in raw and raw.count("|") == 1:
+            venue, _, year = raw.partition("|")
+            if not venue.strip():
+                venue = year = ""
+        else:
+            tokens = raw.split(",", 3)
+            n = len(tokens)
+            venue = tokens[2] if n > 2 else ""
+            year = tokens[1] if n > 1 else ""
+        venues.append(venue)
+        years.append(year)
+    return venues, years
 
 
 def _year_of_token(token: str) -> Optional[int]:
@@ -93,8 +100,8 @@ def parse_reference(raw: str, census_year: Optional[int] = None) -> CitedRef:
     """
     if not raw:
         raise ValueError("empty reference string")
-    venue, year_token = _split_reference(raw)
-    year = _year_of_token(year_token)
+    (venue,), (year_token,) = _split_references([raw])
+    year = _year_of_token(year_token.strip())
     status = STATUS_INVALID if year is None else classify_year(year, census_year)
     return CitedRef(venue_abbrev=normalize_venue(venue), year=year,
                     year_status=status)

@@ -1,6 +1,8 @@
 """Reading a corpus in byte ranges, one process each, gives the corpus, the
 messages and the CLI outputs of reading it whole, whether each range
-interns its reference strings or stops interning them.
+interns its reference strings or stops interning them. The codes stored
+for each reference give its parsed venue and year, and a loaded corpus,
+which holds no reference text, reads its documents back from its file.
 
 The minimum range size is lowered to a few dozen bytes so that the small
 inputs here split into as many ranges as processes are asked for, and the
@@ -8,19 +10,29 @@ interning sample is lowered to one or two references so that a range
 judges its strings on its first documents.
 """
 
+import itertools
 import json
+import os
+import pickle
 import re
+import subprocess
+import sys
+import textwrap
 
 import numpy as np
 import pytest
 from hypothesis import HealthCheck, given, settings, strategies as st
 
 from jifnorm import _tsv, corpus as corpus_mod
-from jifnorm import (Corpus, Document, load_corpus, load_journals,
-                     match_corpus, save_corpus)
+from jifnorm import (Corpus, CorpusFormatError, Document, load_corpus,
+                     load_journals, match_corpus, merge_journal_parts,
+                     save_corpus)
 from jifnorm.cli import main
+from jifnorm.refmatch import (STATUS_FUTURE, STATUS_INVALID, STATUS_PRE1900,
+                              STATUS_VALID, normalize_venue, parse_reference)
 
-from conftest import CENSUS, DATA
+from _oracle import parse as oracle_parse
+from conftest import CENSUS, DATA, PYTHON_FLAGS, src_env
 
 THREADS = (1, 2, 3, 5, 8)
 CLI_THREADS = (1, 2, 3)
@@ -168,7 +180,7 @@ def _slot_use(refs):
                  for i, r in enumerate(refs)]
     corpus = Corpus(CENSUS, documents)
     assert corpus.documents == documents
-    return len(corpus._slot_lens), corpus.ref_slots.tolist()
+    return len(corpus.slot_venue), corpus.ref_slots.tolist()
 
 
 @pytest.mark.parametrize("new", [7, 8])
@@ -546,3 +558,266 @@ def test_lone_cr_file_is_read_a_block_at_a_time(line_end_copies, monkeypatch):
         assert list(_tsv.lines(path)) == want
         assert path.stat().st_size > 4 * block
         assert 0 < max(sizes) <= 2 * block, name
+
+
+@pytest.mark.parametrize("block", [1, 2, 3, 5, 8, 1 << 20])
+def test_line_starts_are_where_lines_begin(tmp_path, monkeypatch, block):
+    """At any block size, each offset ``line_starts`` gives is where the
+    line ``lines`` yields in its place begins, under every line end and
+    after a byte-order mark."""
+    monkeypatch.setattr(_tsv, "_BLOCK", block)
+    head = (DATA / "fixture_corpus.jsonl").read_bytes().split(b"\n")[:4]
+    text = b"\n".join(head[:2] + [b"", b"#"] + head[2:])
+    for mark in (b"", BOM):
+        for end in (b"\n", b"\r\n", b"\r"):
+            path = tmp_path / "copy.jsonl"
+            data = mark + text.replace(b"\n", end)
+            path.write_bytes(data)
+            with open(path, "rb") as fh:
+                starts = _tsv.line_starts(fh)
+            want = list(_tsv.lines(path))
+            assert len(starts) == len(want) == 6
+            assert [data[a:].splitlines()[0] if a < len(data) else b""
+                    for a in starts] == want
+
+
+# --- the codes a corpus stores for each reference ---------------------------
+
+SPLIT_BATCHES = (1, 2, corpus_mod._SPLIT_BATCH)
+PADS = ("", "\x1c", "\xa0", " ", "\u3000")
+YEAR_TEXT = ("2009", "2010", "2011", "1899", "18", "X", "", "\uff12009")
+VENUE_TEXT = ("GAMMA CHEM REV", " delta  chem j. ", "", "  ", "KAPPA MATH J;")
+
+
+@st.composite
+def raw_references(draw):
+    """A reference string with 0, 1 or 2 ``|`` and 0 to 5 commas, whose
+    year token has whitespace around it that ``str.strip`` removes."""
+    year = (draw(st.sampled_from(PADS)) + draw(st.sampled_from(YEAR_TEXT))
+            + draw(st.sampled_from(PADS)))
+    venue = draw(st.sampled_from(VENUE_TEXT))
+    commas = draw(st.integers(0, 5))
+    pipes = draw(st.integers(0, 2))
+    if pipes == 1 and draw(st.booleans()):  # VENUE|YEAR, commas either side
+        left = draw(st.integers(0, commas))
+        return f"{venue}{',' * left}|{year}{',' * (commas - left)}"
+    raw = ",".join(["SMITH J", year, venue, "V1", "P2", "X"][:commas + 1])
+    for _ in range(pipes):
+        at = draw(st.integers(0, len(raw)))
+        raw = raw[:at] + "|" + raw[at:]
+    return raw
+
+
+@settings(max_examples=20, deadline=None,
+          suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(pool=st.lists(raw_references(), min_size=1, max_size=6),
+       data=st.data())
+def test_stored_codes_resolve_to_parse_reference(tmp_path_factory, pool,
+                                                  data):
+    """Every reference's venue code and year code give ``parse_reference``'s
+    venue and year status and value, at any sample, any split batch and any
+    number of ranges, in memory and from a file; and ``parse_reference``
+    gives the oracle's reading of each string."""
+    ref_lists = data.draw(st.lists(st.lists(st.sampled_from(pool),
+                                            max_size=6),
+                                   min_size=1, max_size=8))
+    docs = [Document(f"D{i}", "J01", CENSUS, "article", refs, len(refs))
+            for i, refs in enumerate(ref_lists)]
+    want = [parse_reference(r, CENSUS) for d in docs for r in d.refs]
+    oracle_status = {"valid": STATUS_VALID, "invalid": STATUS_INVALID,
+                     "pre1900": STATUS_PRE1900, "future": STATUS_FUTURE}
+    for raw in pool:
+        venue, year, status = oracle_parse(raw, CENSUS)
+        ref = parse_reference(raw, CENSUS)
+        assert (ref.venue_abbrev, ref.year, ref.year_status) == (
+            venue, year, oracle_status[status]), raw
+    path = tmp_path_factory.mktemp("refs") / "corpus.jsonl"
+    path.write_text("".join(
+        json.dumps({"doc_id": d.doc_id, "journal": d.journal_id,
+                    "year": d.pub_year, "nref": d.ref_count, "refs": d.refs})
+        + "\n" for d in docs), encoding="utf-8")
+    journals = load_journals(DATA / "fixture_journals.tsv")
+    for sample, batch in itertools.product(SAMPLES, SPLIT_BATCHES):
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(corpus_mod, "_INTERN_SAMPLE", sample)
+            patch.setattr(corpus_mod, "_SPLIT_BATCH", batch)
+            corpora = [Corpus(CENSUS, docs)] + [
+                load_corpus(path, census_year=CENSUS, threads=threads)
+                for threads in CLI_THREADS]
+        for corpus in corpora:
+            slots = corpus.ref_slots
+            assert [normalize_venue(corpus.venue_tokens[v])
+                    for v in corpus.slot_venue[slots].tolist()] == [
+                r.venue_abbrev for r in want]
+            table = match_corpus(corpus, journals)
+            assert table.status.tolist() == [r.year_status for r in want]
+            assert table.year.tolist() == [r.year or 0 for r in want]
+
+
+# --- a loaded corpus's documents, read again from its file ------------------
+
+def _documents_in_memory(path):
+    """Every record of a corpus file as a ``Document``, malformed or not,
+    read with ``json`` or a tab split: a line that yields no six fields is
+    left out."""
+    docs = []
+    for line in path.read_bytes().removeprefix(BOM).splitlines():
+        try:
+            text = line.decode("utf-8")
+            if path.suffix == ".tsv":
+                doc_id, journal, year, doc_type, nref, refs = text.split("\t")
+                if doc_id != "doc_id":
+                    docs.append(Document(doc_id, journal, int(year), doc_type,
+                                         refs.split(";") if refs else [],
+                                         int(nref)))
+            else:
+                obj = json.loads(text)
+                docs.append(Document(obj["doc_id"], obj["journal"],
+                                     obj["year"], obj.get("type", "other"),
+                                     obj.get("refs", []), obj["nref"]))
+        except (KeyError, TypeError, ValueError, RecursionError):
+            continue
+    return docs
+
+
+@pytest.fixture(scope="module")
+def document_inputs(inputs, tmp_path_factory):
+    """The ingest inputs, and CRLF and byte-order-mark copies of the
+    fixture and of its TSV copy."""
+    root = tmp_path_factory.mktemp("documents")
+    paths = {name: _path(inputs[name]) for name in INPUTS}
+    for name in ("fixture", "fixture_tsv"):
+        data = paths[name].read_bytes()
+        for kind, copy in (("crlf", data.replace(b"\n", b"\r\n")),
+                           ("bom", BOM + data)):
+            paths[f"{name}_{kind}"] = root / f"{kind}{paths[name].suffix}"
+            paths[f"{name}_{kind}"].write_bytes(copy)
+    return paths
+
+
+DOCUMENT_INPUTS = INPUTS + ("fixture_crlf", "fixture_bom", "fixture_tsv_crlf",
+                            "fixture_tsv_bom")
+
+
+@pytest.mark.parametrize("name", DOCUMENT_INPUTS)
+def test_loaded_documents_equal_the_records_built_in_memory(document_inputs,
+                                                            name):
+    path = document_inputs[name]
+    built = Corpus(CENSUS, _documents_in_memory(path))
+    assert built.documents
+    for threads in CLI_THREADS:
+        corpus = load_corpus(path, census_year=CENSUS, threads=threads)
+        assert list(corpus.documents) == list(built.documents)
+        assert corpus.documents[::-3] == built.documents[::-3]
+        assert corpus == built
+
+
+def _strings(value):
+    """Every string held in a value, through lists, tuples, dicts, sets,
+    object arrays and dataclass fields."""
+    if isinstance(value, str):
+        yield value
+    elif isinstance(value, (list, tuple, set, frozenset)):
+        for item in value:
+            yield from _strings(item)
+    elif isinstance(value, dict):
+        for item in value.items():
+            yield from _strings(item)
+    elif isinstance(value, np.ndarray) and value.dtype == object:
+        yield from _strings(value.tolist())
+    elif hasattr(value, "__dataclass_fields__"):
+        yield from _strings(list(vars(value).values()))
+
+
+@pytest.mark.parametrize("name", ["fixture", "hand_jsonl", "hand_tsv"])
+def test_a_loaded_corpus_and_its_ranges_hold_no_reference_text(
+        document_inputs, name):
+    path = document_inputs[name]
+    refs = {r for d in _documents_in_memory(path) for r in d.refs}
+    assert refs
+    for threads in CLI_THREADS:
+        corpus = load_corpus(path, census_year=CENSUS, threads=threads)
+        assert not refs & set(_strings(list(vars(corpus).values())))
+    format = corpus_mod._corpus_format(path)
+    for start, end in corpus_mod._byte_ranges(path, 3):
+        blob = pickle.dumps(corpus_mod._parse_range(path, format, start, end,
+                                                    CENSUS))
+        assert not [r for r in refs if r.encode("utf-8") in blob]
+
+
+def test_merged_documents_carry_the_merged_journal():
+    journals = load_journals(DATA / "fixture_journals.tsv")
+    path = DATA / "fixture_corpus.jsonl"
+    built, _ = merge_journal_parts(Corpus(CENSUS, _documents_in_memory(path)),
+                                   journals)
+    for threads in CLI_THREADS:
+        loaded = load_corpus(path, census_year=CENSUS, threads=threads)
+        merged, _ = merge_journal_parts(loaded, journals)
+        assert [d.journal_id for d in merged.documents] == merged.doc_journals
+        assert merged.documents == built.documents
+        parts = {"J09B", "J09C"}
+        assert not parts & {d.journal_id for d in merged.documents}
+        assert parts <= {d.journal_id for d in loaded.documents}
+
+
+def test_documents_of_a_changed_file_raise(tmp_path):
+    """A loaded corpus reads its file only while its size and modification
+    time are those it had at load; ``len`` reads nothing."""
+    path = tmp_path / "c.jsonl"
+    data = (DATA / "fixture_corpus.jsonl").read_bytes()
+    path.write_bytes(data)
+    stat = path.stat()
+    changed = "c.jsonl has changed since it was loaded"
+    corpus = load_corpus(path, census_year=CENSUS)
+    with path.open("ab") as fh:    # before the first read
+        fh.write(b"\n")
+    with pytest.raises(CorpusFormatError, match=changed):
+        corpus.documents[0]
+    path.write_bytes(data)
+    os.utime(path, ns=(stat.st_atime_ns, stat.st_mtime_ns))
+    first = corpus.documents[3]
+    assert first.refs == _documents_in_memory(path)[3].refs
+    with path.open("ab") as fh:
+        fh.write(b"\n")
+    with pytest.raises(CorpusFormatError, match=changed):
+        corpus.documents[3]
+    path.write_bytes(data)
+    os.utime(path, ns=(stat.st_atime_ns, stat.st_mtime_ns))
+    assert corpus.documents[3] == first
+    os.utime(path, ns=(stat.st_atime_ns, stat.st_mtime_ns + 1))
+    with pytest.raises(CorpusFormatError, match=changed):
+        corpus.documents[3]
+    with pytest.raises(CorpusFormatError, match=changed):
+        corpus == corpus
+    path.unlink()
+    assert len(corpus.documents) == 60
+
+
+def test_documents_leave_no_file_open(tmp_path):
+    """Reading documents, and failing to, closes every file it opens: a
+    child run under the CI's warning flags writes nothing to stderr."""
+    path = tmp_path / "c.jsonl"
+    path.write_bytes((DATA / "fixture_corpus.jsonl").read_bytes())
+    script = textwrap.dedent(f"""
+        import gc, os
+        from jifnorm import CorpusFormatError, corpus, load_corpus
+        corpus._MIN_RANGE_BYTES = 64
+        path = {str(path)!r}
+        for threads in (1, 2, 3):
+            docs = list(load_corpus(path, {CENSUS}, threads).documents)
+            assert len(docs) == 60
+        loaded = load_corpus(path, {CENSUS})
+        os.utime(path, ns=(0, 0))
+        try:
+            loaded.documents[0]
+        except CorpusFormatError:
+            pass
+        else:
+            raise SystemExit("a changed file was read")
+        del loaded
+        gc.collect()
+    """)
+    proc = subprocess.run([sys.executable, *PYTHON_FLAGS, "-c", script],
+                          capture_output=True, text=True, env=src_env(),
+                          timeout=120)
+    assert (proc.returncode, proc.stderr) == (0, "")
