@@ -40,7 +40,7 @@ from array import array
 from collections import defaultdict
 from collections.abc import Callable, Iterable, Sequence
 from contextlib import closing
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from itertools import chain, repeat
 from pathlib import Path
 from typing import Optional
@@ -173,10 +173,23 @@ class _Chunk:
     n_lines: int = 0
 
 
+# the dtype of each array column of a joined part
+_DTYPES = dict(pub_years=np.int64, ref_counts=np.int64, doc_lines=np.int64,
+               ref_offsets=np.int64, ref_slots=np.int32, slot_venue=np.int32,
+               slot_year=np.int32)
+
+
 def _join(chunks: list[_Chunk]) -> _Chunk:
     """One part from parts in file order: line numbers shifted by the lines
     of the parts before, slots and references concatenated, and the venue
-    and year token tables merged and the slot codes renumbered into them."""
+    and year token tables merged and the slot codes renumbered into them.
+    A single part is returned as it is, its array columns viewed, not
+    copied, as their joined dtypes: its codes index its own distinct
+    tokens already."""
+    if len(chunks) == 1:
+        return replace(chunks[0], **{
+            key: np.asarray(getattr(chunks[0], key), dtype=dtype)
+            for key, dtype in _DTYPES.items()})
     venue_ids, year_ids = id_table(), id_table()
     doc_ids, doc_journals, doc_types = [], [], []
     errors, warnings = [], []
@@ -292,10 +305,15 @@ class Corpus:
         """A corpus over given per-document columns and ``ref_slots``,
         named as the attributes are, whose slot ``i`` holds
         ``slot_strings[i]``. The columns are not checked record by record,
-        but a declared NRef below its reference count is a ValueError."""
+        but a declared NRef below its reference count is a ValueError.
+        They are copied once, so the corpus shares no list or array with
+        the caller."""
         _check_census_year(census_year)
-        if (np.asarray(columns["ref_counts"])
-                < np.diff(columns["ref_offsets"])).any():
+        columns = {key: np.array(column, dtype=_DTYPES[key])
+                   if key in _DTYPES else list(column)
+                   for key, column in columns.items()}
+        slot_strings = list(slot_strings)
+        if (columns["ref_counts"] < np.diff(columns["ref_offsets"])).any():
             raise ValueError("ref_counts below a document's reference count")
         n_docs = len(columns["doc_ids"])
         slot_columns = _StringColumns()

@@ -4,12 +4,15 @@ Field effects are tested without distributional assumptions: a one-way
 random-effects decomposition by the method of moments gives the between-
 and within-field variance components, and a label-permutation test of
 eta2 gives the significance of the observed separation (a permutation
-keeps SS_total, so eta2 orders draws by SS_between). The permutation
-p-value uses the add-one estimator (1 + exceedances) / (n_perm + 1), so
-it can never be exactly zero. Components are on the raw scale of the
-indicator, so reductions and significance patterns are comparable across
-counting variants but coefficient magnitudes are not comparable with
-model-based estimates on transformed scales.
+keeps SS_total, so eta2 orders draws by SS_between). Permutation i of a
+table of n journals keeps the positions below n of one shuffle of n
+rounded up to a multiple of 256 positions, drawn from child i of the
+seed, so it depends on n alone. The permutation p-value uses the add-one
+estimator (1 + exceedances) / (n_perm + 1), so it can never be exactly
+zero. Components are on the raw scale of the indicator, so reductions
+and significance patterns are comparable across counting variants but
+coefficient magnitudes are not comparable with model-based estimates on
+transformed scales.
 
 Fields smaller than ``min_group_size`` journals are excluded before any
 of these computations, mirroring the usual treatment of tiny residual
@@ -34,6 +37,10 @@ from .indicators import IndicatorTable
 # a block of the permutation test permutes at least this many labels,
 # summed over its permutations and tables
 _MIN_PERM_WORK = 1 << 22
+
+# a permutation shuffles one size class of positions for all tables of n
+# journals with n rounded up to the same multiple of this
+_SIZE_CLASS = 256
 
 
 class StatsError(Exception):
@@ -194,7 +201,9 @@ class CorrelationMatrix:
 
 
 def correlation_matrix(tables: list[IndicatorTable]) -> CorrelationMatrix:
-    """Pairwise correlations over the journals common to all tables."""
+    """Pairwise correlations over the journals common to all tables; each
+    table is ranked once, and a rank-order correlation is the Pearson
+    correlation of two tables' ranks, as in :func:`spearman`."""
     if len(tables) < 2:
         raise StatsError("need at least two indicator tables")
     common = set(tables[0].values)
@@ -205,13 +214,14 @@ def correlation_matrix(tables: list[IndicatorTable]) -> CorrelationMatrix:
             f"only {len(common)} journals shared by all tables; need >= 3")
     ids = sorted(common)
     data = [np.array([t.values[j] for j in ids]) for t in tables]
+    ranks = [average_ranks(x) for x in data]
     k = len(tables)
     matrix = np.full((k, k), np.nan)
     undefined = []
     for i in range(k):
         for j in range(i + 1, k):
             try:
-                matrix[i, j] = spearman(data[i], data[j])
+                matrix[i, j] = pearson(ranks[i], ranks[j])
                 matrix[j, i] = pearson(data[i], data[j])
             except StatsError:
                 undefined.append((tables[i].indicator_id, tables[j].indicator_id))
@@ -280,19 +290,45 @@ def varcomp_moments(values: dict[str, float], scheme: FieldScheme,
 
 def _perm_block(tables: list[tuple], seed: int, first: int, stop: int
                 ) -> list[int]:
-    """Per-table exceedance counts over permutations ``first..stop-1``;
-    permutation i draws from child i of the ``seed`` seed sequence."""
-    lengths = {v.size for v, *_ in tables}
-    exceed = [0] * len(tables)
+    """Per-table exceedance counts over permutations ``first..stop-1``,
+    drawn as :func:`permutation_test` says. Tables with equal labels share
+    one gather of them a permutation, and tables with equal field counts
+    are scored as the rows of one array."""
+    by_fields: dict[int, list[int]] = {}
+    for t, (_, _, k, *_) in enumerate(tables):
+        by_fields.setdefault(k, []).append(t)
+    scores = []
+    for k, rows in by_fields.items():
+        sizes, mean, ss_total, observed = (
+            np.array([tables[t][c] for t in rows]) for c in (3, 4, 5, 6))
+        # a row whose SS_total is 0 has eta2 0, as in _eta2
+        scores.append((rows, np.empty((len(rows), k)), sizes, mean[:, None],
+                       ss_total > 0, np.where(ss_total > 0, ss_total, 1.0),
+                       observed, np.zeros(len(rows), dtype=np.int64)))
+    gathers: dict[bytes, tuple] = {}
+    for rows, sums, *_ in scores:
+        for t, row in zip(rows, sums):
+            v, g, k, *_ = tables[t]
+            gathers.setdefault(g.tobytes(), (g, k, []))[2].append((row, v))
+    classes = {n: -(-n // _SIZE_CLASS) * _SIZE_CLASS
+               for n in {g.size for g, *_ in gathers.values()}}
     for i in range(first, stop):
         child = np.random.SeedSequence(seed, spawn_key=(i,))
-        orders = {n: np.random.default_rng(child).permutation(n)
-                  for n in lengths}
-        for t, (v, g, k, sizes, mean, ss_total, observed) in enumerate(tables):
-            sums = np.bincount(g[orders[v.size]], weights=v, minlength=k)
-            if _eta2(_ss_between(sizes, sums, mean), ss_total) >= observed:
-                exceed[t] += 1
-    return exceed
+        shuffled = {m: np.random.default_rng(child).permutation(m)
+                    for m in set(classes.values())}
+        orders = {n: shuffled[m][shuffled[m] < n] for n, m in classes.items()}
+        for g, k, targets in gathers.values():
+            labels = g[orders[g.size]]
+            for row, v in targets:
+                row[:] = np.bincount(labels, weights=v, minlength=k)
+        for _, sums, sizes, mean, defined, ss_total, observed, exceed in scores:
+            ss_between = (sizes * (sums / sizes - mean) ** 2).sum(axis=1)
+            exceed += np.where(defined, ss_between / ss_total, 0.0) >= observed
+    counts = [0] * len(tables)
+    for rows, *_, exceed in scores:
+        for t, c in zip(rows, exceed.tolist()):
+            counts[t] = c
+    return counts
 
 
 def permutation_test(value_maps: Sequence[dict[str, float]],
@@ -302,12 +338,15 @@ def permutation_test(value_maps: Sequence[dict[str, float]],
     of each value map, in input order.
 
     Field labels are shuffled uniformly; permutation i of a table with n
-    journals draws from seed-sequence child i, so a map's p-value does not
-    depend on the other maps. A shuffle's swaps depend on n alone, so one
-    draw of n positions per child serves every table of that size. The
-    permutations are cut into at most ``threads`` contiguous blocks, each
-    run by its own process when there is enough work; their exceedance
-    counts are summed, so the p-values do not depend on ``threads``.
+    journals shuffles m positions, m being n rounded up to a multiple of
+    ``_SIZE_CLASS`` (256), with a generator made from seed-sequence child
+    i, and takes the positions below n in their shuffled order. That
+    depends on n alone, so a map's p-value does not depend on the other
+    maps, and one shuffle per child serves every table of a size class.
+    The permutations are cut into at most ``threads`` contiguous blocks,
+    each run by its own process when there is enough work; their
+    exceedance counts are summed, so the p-values do not depend on
+    ``threads``.
     """
     if n_perm < 999:
         raise StatsError("n_perm must be at least 999")

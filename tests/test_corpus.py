@@ -403,6 +403,49 @@ def test_from_columns_rejects_nref_below_reference_count():
         Corpus.from_columns(2010, ref_counts=np.array([1, 1]), **columns)
 
 
+def test_from_columns_shares_nothing_with_its_caller():
+    columns = dict(doc_ids=["d0", "d1"], doc_journals=["A", "A"],
+                   pub_years=np.array([2010, 2010]),
+                   doc_types=["article", "article"],
+                   ref_counts=np.array([1, 2]), ref_offsets=np.array([0, 1, 3]),
+                   ref_slots=np.array([0, 0, 0], dtype=np.int32))
+    slot_strings = ["J A|2009"]
+    corpus = Corpus.from_columns(2010, slot_strings=slot_strings, **columns)
+    for name, column in columns.items():
+        held = getattr(corpus, name)
+        assert held is not column
+        assert list(held) == list(column)
+        if isinstance(column, np.ndarray):
+            assert not np.shares_memory(held, column)
+    assert corpus._slot_strings is not slot_strings
+    columns["ref_slots"][:] = 5
+    columns["doc_ids"][0] = "changed"
+    assert corpus.documents[1].refs == ["J A|2009"] * 2
+    assert corpus.doc_ids == ["d0", "d1"]
+
+
+def test_a_single_part_is_joined_without_copies(tmp_path):
+    path = tmp_path / "c.jsonl"
+    path.write_text("".join(json.dumps(
+        {"doc_id": f"d{i}", "journal": "A", "year": 2009, "type": "article",
+         "nref": 2, "refs": [f"J {i % 3}|2008", "J B| 2007"]}) + "\n"
+        for i in range(9)),
+        encoding="utf-8")
+    part = corpus_mod._parse_range(path, "jsonl", 0, path.stat().st_size,
+                                   CENSUS)
+    joined = corpus_mod._join([part])
+    for name, dtype in corpus_mod._DTYPES.items():
+        column = getattr(joined, name)
+        assert column.dtype == dtype
+        assert np.shares_memory(column, np.asarray(getattr(part, name)))
+    assert joined.doc_ids is part.doc_ids
+    assert (joined.venue_tokens, joined.year_tokens) == (part.venue_tokens,
+                                                         part.year_tokens)
+    assert load_corpus(path, CENSUS) == Corpus(CENSUS, [
+        Document(f"d{i}", "A", 2009, "article",
+                 [f"J {i % 3}|2008", "J B| 2007"], 2) for i in range(9)])
+
+
 @pytest.mark.parametrize("census", [1899, 10_000, 10**29],
                          ids=["1899", "10000", "10**29"])
 def test_census_year_outside_four_digit_years_rejected(tmp_path, census):

@@ -86,8 +86,9 @@ def loop_average_ranks(x):
 
 
 def loop_permutation_p(values, scheme, n_perm, seed):
-    """One table at a time, eta2 recomputed from scratch for every draw:
-    the per-table loop that the shared-draw ``permutation_test`` replaced."""
+    """One table at a time, eta2 recomputed from scratch for every draw,
+    where draw i shuffles n rounded up to a multiple of 256 positions with
+    a generator made from child i and keeps those below n, in order."""
     v, g, retained, _ = scheme.group_arrays(values)
     k = len(retained)
     sizes = np.bincount(g, minlength=k).astype(np.float64)
@@ -100,9 +101,11 @@ def loop_permutation_p(values, scheme, n_perm, seed):
         return ss_between / ss_total if ss_total > 0 else 0.0
 
     observed = stat(g)
+    m = -(-v.size // 256) * 256
     exceed = 0
     for child in np.random.SeedSequence(seed).spawn(n_perm):
-        if stat(np.random.default_rng(child).permutation(g)) >= observed:
+        order = np.random.default_rng(child).permutation(m)
+        if stat(g[order[order < v.size]]) >= observed:
             exceed += 1
     return (1 + exceed) / (n_perm + 1)
 
@@ -216,6 +219,32 @@ def test_matrix_compositional_oracle():
             y = [tables[j].values[k] for k in sorted(tables[j].values)]
             expected = spearman(x, y) if i < j else pearson(x, y)
             assert m.matrix[i, j] == pytest.approx(expected, abs=1e-12)
+
+
+def test_matrix_equals_per_pair_spearman_and_pearson():
+    """Ranking each table once gives the very floats of ranking it for
+    every pair, over tied, untied and constant tables."""
+    rng = np.random.default_rng(31)
+    maps = [_values(rng.normal(size=40)),
+            _values(np.round(rng.normal(size=40), 1)),
+            _values(rng.integers(1, 7, size=40)),
+            _values(np.exp(rng.normal(size=40))),
+            _values([2.0] * 40)]
+    maps[1].pop("J0007")
+    tables = [IndicatorTable(f"T{i}", m) for i, m in enumerate(maps)]
+    m = correlation_matrix(tables)
+    ids = sorted(set(maps[0]) - {"J0007"})
+    data = [[t.values[j] for j in ids] for t in tables]
+    assert m.n_journals == len(ids) == 39
+    for i in range(5):
+        for j in range(i + 1, 5):
+            if 4 in (i, j):
+                assert math.isnan(m.matrix[i, j])
+                assert math.isnan(m.matrix[j, i])
+                continue
+            assert m.matrix[i, j] == spearman(data[i], data[j])
+            assert m.matrix[j, i] == pearson(data[i], data[j])
+    assert m.undefined_pairs == [(f"T{i}", "T4") for i in range(4)]
 
 
 def test_matrix_intersection_and_degenerate():
@@ -357,9 +386,11 @@ def test_permutation_requires_999():
 
 @pytest.mark.parametrize("dtype", [np.int8, np.int64])
 def test_shuffle_swaps_depend_on_length_only(dtype):
-    """The numpy property the shared draws rest on: permuting an array
-    equals indexing it with a permutation of its positions drawn from the
-    same child."""
+    """The numpy property that lets the test draw positions, not labels:
+    permuting an array equals indexing it with a permutation of its
+    positions drawn from the same child. So a draw depends on its length
+    alone, and one draw of m positions serves every table of its size
+    class."""
     children = np.random.SeedSequence(2024).spawn(5)
     rng = np.random.default_rng(3)
     for n in (1, 2, 7, 100, 3705):
@@ -371,25 +402,56 @@ def test_shuffle_swaps_depend_on_length_only(dtype):
             assert np.array_equal(shuffled, g[order])
 
 
+def test_positions_below_n_of_a_class_shuffle_are_uniform():
+    """The positions below n of a shuffle of 256, in their shuffled order,
+    are a uniformly random order of n: each of the n! orders appears, and
+    their counts pass a chi-square test."""
+    draws = 6000
+    counts = {n: {} for n in (3, 4, 5)}
+    for child in np.random.SeedSequence(77).spawn(draws):
+        order = np.random.default_rng(child).permutation(256)
+        for n, seen in counts.items():
+            key = tuple(order[order < n].tolist())
+            seen[key] = seen.get(key, 0) + 1
+    for n, seen in counts.items():
+        cells = math.factorial(n)
+        assert len(seen) == cells
+        expected = draws / cells
+        chi2 = sum((c - expected) ** 2 / expected for c in seen.values())
+        assert chi2 < scipy.stats.chi2.isf(1e-4, cells - 1)
+
+
 def _mixed_size_maps():
-    """Tables of several sizes over one 64-journal, 4-field scheme: real
-    values, PR6-like integer classes with heavy ties, and subsets with
-    undefined journals left out."""
+    """Tables of several sizes over one 300-journal, 4-field scheme that
+    drops fields of fewer than 10 journals: real values, PR6-like integer
+    classes with heavy ties, and subsets with undefined journals left out.
+    Their sizes fall on both sides of 256, in two size classes, and one
+    subset keeps too few journals of a field, so it has 3 fields."""
     rng = np.random.default_rng(91)
-    groups = [f"G{i % 4}" for i in range(64)]
+    groups = [f"G{i % 4}" for i in range(300)]
     shift = np.array([0.0, 0.3, 0.6, 0.9])[np.arange(64) % 4]
     full = _values(rng.normal(size=64) + shift)
     pr6 = _values(np.clip(np.round(rng.normal(3.5, 1.2, 64) + shift), 1, 6))
     pr6_null = _values(rng.integers(1, 7, size=64))
     subset = {j: v for j, v in full.items() if int(j[1:]) % 5}
     pr6_subset = {j: v for j, v in pr6.items() if int(j[1:]) % 3}
-    return (_scheme(groups),
-            [full, pr6, subset, pr6_null, pr6_subset, dict(subset)])
+    wide = _values(rng.normal(size=300) + 0.15 * (np.arange(300) % 4))
+    edge = {j: v for j, v in wide.items() if int(j[1:]) < 256}
+    past = {j: v for j, v in wide.items() if int(j[1:]) < 257}
+    past_pr6 = {j: float(np.clip(round(2 * v + 3.5), 1, 6))
+                for j, v in past.items()}
+    thin = {j: v for j, v in full.items()
+            if int(j[1:]) % 4 != 3 or int(j[1:]) < 20}
+    return (_scheme(groups, min_group_size=10),
+            [full, pr6, subset, pr6_null, pr6_subset, dict(subset), wide,
+             edge, past, past_pr6, thin])
 
 
 def test_shared_draws_equal_per_table_loop():
     scheme, maps = _mixed_size_maps()
-    assert len({len(m) for m in maps}) == 3
+    assert len({len(m) for m in maps}) == 7
+    assert {-(-len(m) // 256) for m in maps} == {1, 2}
+    assert {len(scheme.group_arrays(m)[2]) for m in maps} == {3, 4}
     got = permutation_test(maps, scheme, 999, seed=8)
     want = [loop_permutation_p(m, scheme, 999, 8) for m in maps]
     assert got == want
