@@ -28,11 +28,12 @@ from .percentile import (PercentileError, PercentileTable, build_percentiles,
                          percentile_rank, pr6_class, top_share)
 from .refmatch import (CitedRef, RefTable, classify_year, match_corpus,
                        match_venue, normalize_venue, parse_reference)
-from .stats import (CorrelationMatrix, FieldScheme, StatsError, VarCompResult,
-                    analyze_indicators, average_ranks, correlation_matrix,
-                    ks_normality, load_field_scheme, pearson,
-                    permutation_test, save_field_scheme, scheme_from_journals,
-                    spearman, varcomp_moments, variance_reduction)
+from .stats import (CorrelationMatrix, FieldGroups, FieldScheme, StatsError,
+                    VarCompResult, analyze_indicators, average_ranks,
+                    correlation_matrix, ks_normality, load_field_scheme,
+                    pearson, permutation_test, save_field_scheme,
+                    scheme_from_journals, spearman, varcomp_moments,
+                    variance_reduction)
 from .synthgen import (FieldSpec, GroundTruth, SynthConfig, SynthConfigError,
                        expected_fractional_rate, generate_corpus,
                        load_synth_config)

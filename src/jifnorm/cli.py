@@ -77,8 +77,8 @@ OPTIONS = {
     "--pr6": {"action": "store_true",
               "help": "list the top percentile class alphabetically"},
     "--fields": {"help": "journal_id/field TSV"},
-    "--min-group-size": {"type": integer, "default": 10},
-    "--n-perm": {"type": integer, "default": 999},
+    "--min-group-size": {"type": integer, "default": stats_mod.MIN_GROUP_SIZE},
+    "--n-perm": {"type": integer, "default": stats_mod.N_PERM},
     "--seed": {"type": integer},
     "--reference": {"default": "IF2-IC",
                     "help": "reference indicator for the variance-reduction "

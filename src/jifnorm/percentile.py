@@ -61,15 +61,14 @@ def percentile_rank(values: dict[str, float]) -> dict[str, float]:
 
 def pr6_class(percentile: float) -> int:
     """Class 6 at >= 99, then 5/4/3/2 at 95/90/75/50, else 1."""
-    for cls, threshold in zip((6, 5, 4, 3, 2), PR6_THRESHOLDS):
-        if percentile >= threshold:
-            return cls
-    return 1
+    return int(_pr6_classes(np.array([percentile]))[0])
 
 
 def _pr6_classes(percentiles: np.ndarray) -> np.ndarray:
     """:func:`pr6_class` of each percentile: 1 plus the number of
-    thresholds at or below it."""
+    thresholds at or below it. A NaN percentile has no class."""
+    if np.isnan(percentiles).any():
+        raise PercentileError("a NaN percentile has no class")
     return np.searchsorted(PR6_THRESHOLDS[::-1], percentiles, side="right") + 1
 
 

@@ -4,24 +4,25 @@ Field effects are tested without distributional assumptions: a one-way
 random-effects decomposition by the method of moments gives the between-
 and within-field variance components, and a label-permutation test of
 eta2 gives the significance of the observed separation (a permutation
-keeps SS_total, so eta2 orders draws by SS_between). Permutation i of a
-table of n journals keeps the positions below n of one shuffle of n
-rounded up to a multiple of 256 positions, drawn from child i of the
-seed, so it depends on n alone. The permutation p-value uses the add-one
-estimator (1 + exceedances) / (n_perm + 1), so it can never be exactly
-zero. Components are on the raw scale of the indicator, so reductions
-and significance patterns are comparable across counting variants but
-coefficient magnitudes are not comparable with model-based estimates on
-transformed scales.
-
-Fields smaller than ``min_group_size`` journals are excluded before any
-of these computations, mirroring the usual treatment of tiny residual
-categories.
+keeps SS_total, so eta2 orders draws by SS_between). Both read one
+:class:`FieldGroups` record per table, made by :meth:`FieldScheme.group`,
+which drops fields smaller than ``min_group_size`` journals with their
+journals, mirroring the usual treatment of tiny residual categories.
+Permutation i of a table of n journals keeps the positions below n of
+one shuffle of n rounded up to a multiple of 256 positions, drawn from
+child i of the seed, so it depends on n alone. The permutation p-value
+uses the add-one estimator (1 + exceedances) / (n_perm + 1), so it can
+never be exactly zero. Components are on the raw scale of the indicator,
+so reductions and significance patterns are comparable across counting
+variants but coefficient magnitudes are not comparable with model-based
+estimates on transformed scales. A field's variance/mean screen is NaN
+where it is undefined: for a field of one journal, or of mean 0.
 """
 
 from __future__ import annotations
 
 import math
+from collections import Counter
 from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Sequence
@@ -33,6 +34,11 @@ from ._tsv import iter_rows, write_rows
 from .corpus import JournalTable
 from .indicators import IndicatorTable
 
+
+# the default smallest field, in journals, that the field effect keeps,
+# and the default and least number of label permutations of a test
+MIN_GROUP_SIZE = 10
+N_PERM = 999
 
 # a block of the permutation test permutes at least this many labels,
 # summed over its permutations and tables
@@ -47,21 +53,39 @@ class StatsError(Exception):
     pass
 
 
+@dataclass(frozen=True, eq=False)
+class FieldGroups:
+    """One table grouped by field: the values of the journals in retained
+    fields, in journal-id order, their field labels (indices into
+    ``retained``), the journals per retained field, and the one-way split
+    of the values' sum of squares about their mean."""
+
+    values: np.ndarray
+    labels: np.ndarray
+    retained: tuple[str, ...]
+    excluded: tuple[str, ...]
+    sizes: np.ndarray
+    mean: float
+    ss_between: float
+    ss_total: float
+
+    @property
+    def eta2(self) -> float:
+        """SS_between / SS_total, or 0 when SS_total is 0."""
+        return self.ss_between / self.ss_total if self.ss_total > 0 else 0.0
+
+
 @dataclass
 class FieldScheme:
     """A unique assignment of each journal to one broad field."""
 
     assignment: dict[str, str]
-    min_group_size: int = 10
+    min_group_size: int = MIN_GROUP_SIZE
 
-    def group_arrays(self, values: dict[str, float]
-                     ) -> tuple[np.ndarray, np.ndarray, list[str], list[str]]:
-        """Align values with field labels and apply the size filter.
-
-        Returns (values, integer labels, retained field codes, excluded
-        field codes); journals must all be assigned, fields below
-        ``min_group_size`` are dropped along with their journals.
-        """
+    def group(self, values: dict[str, float]) -> FieldGroups:
+        """Group a table's values by field. Every journal must be
+        assigned; fields below ``min_group_size`` are dropped along with
+        their journals, and at least 2 fields must remain."""
         ids = sorted(values)
         missing = [j for j in ids if j not in self.assignment]
         if missing:
@@ -69,23 +93,28 @@ class FieldScheme:
                 f"{len(missing)} journals lack a field assignment "
                 f"(first: {missing[0]!r})")
         fields = [self.assignment[j] for j in ids]
-        sizes: dict[str, int] = {}
-        for f in fields:
-            sizes[f] = sizes.get(f, 0) + 1
-        retained = sorted(f for f, n in sizes.items() if n >= self.min_group_size)
-        excluded = sorted(f for f, n in sizes.items() if n < self.min_group_size)
+        counts = Counter(fields)
+        retained = sorted(f for f, n in counts.items() if n >= self.min_group_size)
+        excluded = sorted(f for f, n in counts.items() if n < self.min_group_size)
+        if len(retained) < 2:
+            raise StatsError("need at least 2 retained fields")
         pos = {f: i for i, f in enumerate(retained)}
-        v, g = [], []
-        for j, f in zip(ids, fields):
-            if f in pos:
-                v.append(values[j])
-                g.append(pos[f])
-        return (np.array(v, dtype=np.float64), np.array(g, dtype=np.int64),
-                retained, excluded)
+        v = np.array([values[j] for j, f in zip(ids, fields) if f in pos],
+                     dtype=np.float64)
+        g = np.array([pos[f] for f in fields if f in pos], dtype=np.int64)
+        sizes = np.array([counts[f] for f in retained], dtype=np.float64)
+        sums = np.bincount(g, weights=v, minlength=sizes.size)
+        mean = float(v.mean())
+        for a in (v, g, sizes):
+            a.setflags(write=False)
+        return FieldGroups(
+            v, g, tuple(retained), tuple(excluded), sizes, mean,
+            float((sizes * (sums / sizes - mean) ** 2).sum()),
+            float(((v - mean) ** 2).sum()))
 
 
-def load_field_scheme(path: str | Path, min_group_size: int = 10
-                      ) -> FieldScheme:
+def load_field_scheme(path: str | Path,
+                      min_group_size: int = MIN_GROUP_SIZE) -> FieldScheme:
     """Load a two-column TSV (journal_id, field); an empty journal_id or
     field is fatal."""
     assignment: dict[str, str] = {}
@@ -110,8 +139,8 @@ def save_field_scheme(scheme: FieldScheme, path: str | Path) -> Path:
     return write_rows(path, ["journal_id", "field"], rows)
 
 
-def scheme_from_journals(journals: JournalTable, min_group_size: int = 10
-                         ) -> FieldScheme:
+def scheme_from_journals(journals: JournalTable,
+                         min_group_size: int = MIN_GROUP_SIZE) -> FieldScheme:
     return FieldScheme({j.journal_id: j.field_code for j in journals},
                        min_group_size=min_group_size)
 
@@ -230,86 +259,62 @@ def correlation_matrix(tables: list[IndicatorTable]) -> CorrelationMatrix:
                              undefined_pairs=undefined)
 
 
-def _ss_between(sizes: np.ndarray, sums: np.ndarray, mean: float) -> float:
-    return float((sizes * (sums / sizes - mean) ** 2).sum())
-
-
-def _one_way(values: dict[str, float], scheme: FieldScheme) -> tuple:
-    """Group a value map by field and split its sum of squares: (values,
-    integer labels, retained fields, excluded fields, SS_between, SS_total,
-    group sizes)."""
-    v, g, retained, excluded = scheme.group_arrays(values)
-    k = len(retained)
-    if k < 2:
-        raise StatsError("need at least 2 retained fields")
-    sizes = np.bincount(g, minlength=k).astype(np.float64)
-    sums = np.bincount(g, weights=v, minlength=k)
-    mean = v.mean()
-    ss_total = float(((v - mean) ** 2).sum())
-    return (v, g, retained, excluded, _ss_between(sizes, sums, mean), ss_total,
-            sizes)
-
-
-def _eta2(ss_between: float, ss_total: float) -> float:
-    """SS_between / SS_total, or 0 when SS_total is 0."""
-    return ss_between / ss_total if ss_total > 0 else 0.0
-
-
-def varcomp_moments(values: dict[str, float], scheme: FieldScheme,
-                    indicator_id: str = "") -> VarCompResult:
+def varcomp_moments(groups: FieldGroups, indicator_id: str = ""
+                    ) -> VarCompResult:
     """One-way random-effects variance components by the method of moments.
 
     sigma2_within is the within-field mean square; sigma2_between is
     (MS_between - MS_within) / n0 clamped at zero, with
     n0 = (N - sum(n_i^2)/N) / (k - 1).
     """
-    v, g, retained, excluded, ss_between, ss_total, sizes = _one_way(values,
-                                                                     scheme)
-    k, n_total = len(retained), v.size
+    k, n_total = len(groups.retained), groups.values.size
     if n_total <= k:
         raise StatsError(f"{n_total} journals in {k} retained fields; the "
                          "within-field variance needs more journals than "
                          "fields")
-    n0 = (n_total - float((sizes ** 2).sum()) / n_total) / (k - 1)
-    ms_within = (ss_total - ss_between) / (n_total - k)
+    n0 = (n_total - float((groups.sizes ** 2).sum()) / n_total) / (k - 1)
+    ms_within = (groups.ss_total - groups.ss_between) / (n_total - k)
 
     dispersion: dict[str, float] = {}
-    for i, code in enumerate(retained):
-        group = v[g == i]
-        mean = float(group.mean())
-        var = float(group.var(ddof=1)) if group.size > 1 else 0.0
-        dispersion[code] = var / mean if mean != 0.0 else float("nan")
+    for i, code in enumerate(groups.retained):
+        x = groups.values[groups.labels == i]
+        mean = float(x.mean())
+        # a one-journal field has no sample variance
+        dispersion[code] = (float(x.var(ddof=1)) / mean
+                            if x.size > 1 and mean != 0.0 else float("nan"))
 
     return VarCompResult(
         indicator_id=indicator_id,
-        sigma2_between=max(0.0, (ss_between / (k - 1) - ms_within) / n0),
-        sigma2_within=ms_within, eta2=_eta2(ss_between, ss_total),
-        groups_used=k, n_journals=n_total, excluded_fields=excluded,
+        sigma2_between=max(0.0, (groups.ss_between / (k - 1) - ms_within) / n0),
+        sigma2_within=ms_within, eta2=groups.eta2, groups_used=k,
+        n_journals=n_total, excluded_fields=list(groups.excluded),
         dispersion_by_field=dispersion)
 
 
-def _perm_block(tables: list[tuple], seed: int, first: int, stop: int
+def _perm_block(groups: list[FieldGroups], seed: int, first: int, stop: int
                 ) -> list[int]:
     """Per-table exceedance counts over permutations ``first..stop-1``,
     drawn as :func:`permutation_test` says. Tables with equal labels share
     one gather of them a permutation, and tables with equal field counts
     are scored as the rows of one array."""
     by_fields: dict[int, list[int]] = {}
-    for t, (_, _, k, *_) in enumerate(tables):
-        by_fields.setdefault(k, []).append(t)
+    for t, table in enumerate(groups):
+        by_fields.setdefault(len(table.retained), []).append(t)
     scores = []
     for k, rows in by_fields.items():
-        sizes, mean, ss_total, observed = (
-            np.array([tables[t][c] for t in rows]) for c in (3, 4, 5, 6))
-        # a row whose SS_total is 0 has eta2 0, as in _eta2
+        tables = [groups[t] for t in rows]
+        sizes, mean, ss_total, observed = map(np.array, zip(*(
+            (t.sizes, t.mean, t.ss_total, t.eta2) for t in tables)))
+        # a row whose SS_total is 0 has eta2 0, as in FieldGroups.eta2
         scores.append((rows, np.empty((len(rows), k)), sizes, mean[:, None],
                        ss_total > 0, np.where(ss_total > 0, ss_total, 1.0),
                        observed, np.zeros(len(rows), dtype=np.int64)))
     gathers: dict[bytes, tuple] = {}
     for rows, sums, *_ in scores:
         for t, row in zip(rows, sums):
-            v, g, k, *_ = tables[t]
-            gathers.setdefault(g.tobytes(), (g, k, []))[2].append((row, v))
+            g = groups[t].labels
+            gathers.setdefault(g.tobytes(), (g, row.size, []))[2].append(
+                (row, groups[t].values))
     classes = {n: -(-n // _SIZE_CLASS) * _SIZE_CLASS
                for n in {g.size for g, *_ in gathers.values()}}
     for i in range(first, stop):
@@ -324,59 +329,53 @@ def _perm_block(tables: list[tuple], seed: int, first: int, stop: int
         for _, sums, sizes, mean, defined, ss_total, observed, exceed in scores:
             ss_between = (sizes * (sums / sizes - mean) ** 2).sum(axis=1)
             exceed += np.where(defined, ss_between / ss_total, 0.0) >= observed
-    counts = [0] * len(tables)
+    counts = [0] * len(groups)
     for rows, *_, exceed in scores:
         for t, c in zip(rows, exceed.tolist()):
             counts[t] = c
     return counts
 
 
-def permutation_test(value_maps: Sequence[dict[str, float]],
-                     scheme: FieldScheme, n_perm: int = 999, seed: int = 0,
-                     threads: int = 1) -> list[float]:
+def permutation_test(groups: Sequence[FieldGroups], n_perm: int = N_PERM,
+                     seed: int = 0, threads: int = 1) -> list[float]:
     """Right-tailed label-permutation p-value of eta2 for the field effect
-    of each value map, in input order.
+    of each grouped table, in input order.
 
     Field labels are shuffled uniformly; permutation i of a table with n
     journals shuffles m positions, m being n rounded up to a multiple of
     ``_SIZE_CLASS`` (256), with a generator made from seed-sequence child
     i, and takes the positions below n in their shuffled order. That
-    depends on n alone, so a map's p-value does not depend on the other
-    maps, and one shuffle per child serves every table of a size class.
+    depends on n alone, so a table's p-value does not depend on the other
+    tables, and one shuffle per child serves every table of a size class.
     The permutations are cut into at most ``threads`` contiguous blocks,
     each run by its own process when there is enough work; their
     exceedance counts are summed, so the p-values do not depend on
     ``threads``.
     """
-    if n_perm < 999:
-        raise StatsError("n_perm must be at least 999")
+    if n_perm < N_PERM:
+        raise StatsError(f"n_perm must be at least {N_PERM}")
     if threads < 1:
         raise StatsError(f"threads {threads} must be >= 1")
-    tables = []
-    for values in value_maps:
-        v, g, retained, _, ss_between, ss_total, sizes = _one_way(values,
-                                                                  scheme)
-        tables.append((v, g, len(retained), sizes, v.mean(), ss_total,
-                       _eta2(ss_between, ss_total)))
-
-    work = n_perm * sum(v.size for v, *_ in tables)
+    work = n_perm * sum(g.values.size for g in groups)
     blocks = max(1, min(threads, work // _MIN_PERM_WORK))
     cuts = [n_perm * b // blocks for b in range(blocks + 1)]
-    jobs = [(tables, seed, first, stop) for first, stop in zip(cuts, cuts[1:])]
+    jobs = [(groups, seed, first, stop) for first, stop in zip(cuts, cuts[1:])]
     counts = run_forked(_perm_block, jobs, "a permutation process")
     return [(1 + sum(c)) / (n_perm + 1) for c in zip(*counts)]
 
 
 def analyze_indicators(tables: Sequence[IndicatorTable], scheme: FieldScheme,
-                       n_perm: int = 999, seed: int = 0, threads: int = 1
+                       n_perm: int = N_PERM, seed: int = 0, threads: int = 1
                        ) -> list[VarCompResult]:
     """Variance components plus permutation significance for each
-    indicator, in input order; ``threads`` bounds the processes of the
-    permutation test."""
-    results = [varcomp_moments(t.values, scheme, indicator_id=t.indicator_id)
-               for t in tables]
-    p_values = permutation_test([t.values for t in tables], scheme,
-                                n_perm=n_perm, seed=seed, threads=threads)
+    indicator, in input order; each table is grouped once, and
+    ``threads`` bounds the processes of the permutation test."""
+    groups, results = [], []
+    for t in tables:
+        groups.append(scheme.group(t.values))
+        results.append(varcomp_moments(groups[-1], indicator_id=t.indicator_id))
+    p_values = permutation_test(groups, n_perm=n_perm, seed=seed,
+                                threads=threads)
     for result, p in zip(results, p_values):
         result.perm_p = p
     return results

@@ -197,9 +197,9 @@ def test_criterion_6_statistics_oracles():
         vmap = {f"J{j:04d}": v for j, v in enumerate(values)}
         scheme = FieldScheme({f"J{j:04d}": g for j, g in enumerate(groups)},
                              min_group_size=1)
-        assert abs(varcomp_moments(vmap, scheme).eta2
+        assert abs(varcomp_moments(scheme.group(vmap)).eta2
                    - brute_eta2(values, groups)) < 1e-10
-        result = varcomp_moments(vmap, scheme)
+        result = varcomp_moments(scheme.group(vmap))
         b_between, b_within = brute_varcomp(values, groups)
         assert abs(result.sigma2_between - b_between) < 1e-10
         assert abs(result.sigma2_within - b_within) < 1e-10
@@ -218,7 +218,7 @@ def test_criterion_6_statistics_oracles():
         vmap = {f"J{j:05d}": v for j, v in enumerate(values)}
         scheme = FieldScheme({f"J{j:05d}": g
                               for j, g in enumerate(groups)})
-        estimates.append(varcomp_moments(vmap, scheme).sigma2_between)
+        estimates.append(varcomp_moments(scheme.group(vmap)).sigma2_between)
     mean_estimate = float(np.mean(estimates))
     assert abs(mean_estimate - 1.0) <= 0.15, mean_estimate
     _report(6, f"statistics oracles; planted recovery {mean_estimate:.3f}")
@@ -305,15 +305,15 @@ def test_criterion_8_invariance_suite(big_synth):
     vmap = {f"J{i:04d}": float(v) for i, v in enumerate(base_vals)}
     scheme = FieldScheme({f"J{i:04d}": g for i, g in enumerate(groups)},
                          min_group_size=1)
-    base_eta = varcomp_moments(vmap, scheme).eta2
-    base_sigma = varcomp_moments(vmap, scheme).sigma2_between
-    base_p = permutation_test([vmap], scheme, seed=12)[0]
+    base_eta = varcomp_moments(scheme.group(vmap)).eta2
+    base_sigma = varcomp_moments(scheme.group(vmap)).sigma2_between
+    base_p = permutation_test([scheme.group(vmap)], seed=12)[0]
     scaled = {j: 2.5 * v + 40.0 for j, v in vmap.items()}
-    assert varcomp_moments(scaled, scheme).eta2 == pytest.approx(base_eta,
-                                                                 rel=1e-10)
-    assert varcomp_moments(scaled, scheme).sigma2_between == pytest.approx(
-        2.5 ** 2 * base_sigma, rel=1e-10)
-    assert permutation_test([scaled], scheme, seed=12)[0] == base_p
+    assert varcomp_moments(scheme.group(scaled)).eta2 == pytest.approx(
+        base_eta, rel=1e-10)
+    assert varcomp_moments(scheme.group(scaled)).sigma2_between == (
+        pytest.approx(2.5 ** 2 * base_sigma, rel=1e-10))
+    assert permutation_test([scheme.group(scaled)], seed=12)[0] == base_p
 
     # quasi impact factor rank order under numerator scaling
     from jifnorm.counts import CountTable

@@ -300,6 +300,20 @@ def test_varcomp_report(tmp_path, tables, fixture_paths):
     assert dispersion[0] == "indicator_id\tfield\tvar_over_mean"
 
 
+def test_varcomp_one_journal_field_dispersion_is_nan(tmp_path, tables,
+                                                     fixture_paths):
+    """MATH has one journal in the fixture's scheme: kept at
+    ``--min-group-size 1``, its variance/mean is undefined."""
+    out = tmp_path / "vc"
+    run(["varcomp", tables / "TC-IC.tsv", "--fields", fixture_paths["fields"],
+         "--min-group-size", 1, "--out", out])
+    rows = read(out / "varcomp_dispersion.tsv").splitlines()[1:]
+    by_field = {l.split("\t")[1]: l.split("\t")[2] for l in rows}
+    assert by_field["MATH"] == "nan"
+    assert all(v not in ("nan", "0") for f, v in by_field.items()
+               if f != "MATH")
+
+
 def test_varcomp_same_seed_identical(tmp_path, tables, fixture_paths):
     outs = []
     for sub in ("one", "two"):

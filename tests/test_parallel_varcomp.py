@@ -60,10 +60,11 @@ def test_spawn_key_rebuilds_spawned_child():
 def test_p_values_do_not_depend_on_blocks(small_blocks, block_counts, n_perm):
     scheme, maps = _mixed_size_maps()
     assert len(maps) >= 6 and len({len(m) for m in maps}) == 7
-    want = permutation_test(maps, scheme, n_perm, seed=8)
+    groups = [scheme.group(m) for m in maps]
+    want = permutation_test(groups, n_perm, seed=8)
     assert len(set(want)) > 2
     for threads in THREADS[1:]:
-        got = permutation_test(maps, scheme, n_perm, seed=8, threads=threads)
+        got = permutation_test(groups, n_perm, seed=8, threads=threads)
         assert got == want
     assert block_counts == list(THREADS)
     assert multiprocessing.active_children() == []
@@ -71,14 +72,15 @@ def test_p_values_do_not_depend_on_blocks(small_blocks, block_counts, n_perm):
 
 def test_small_test_stays_in_one_block(block_counts):
     scheme, maps = _mixed_size_maps()
-    permutation_test(maps, scheme, n_perm=999, seed=8, threads=5)
+    permutation_test([scheme.group(m) for m in maps], n_perm=999, seed=8,
+                     threads=5)
     assert block_counts == [1]
 
 
 def test_threads_below_one_is_an_error():
     scheme, maps = _mixed_size_maps()
     with pytest.raises(stats.StatsError, match="threads 0 must be >= 1"):
-        permutation_test(maps, scheme, threads=0)
+        permutation_test([scheme.group(m) for m in maps], threads=0)
 
 
 def _ingest_failing(monkeypatch, tmp_path, failure):
@@ -112,7 +114,7 @@ def _varcomp_failing(monkeypatch, tmp_path, failure):
 
     monkeypatch.setattr(stats, "_perm_block", block)
     scheme, maps = _mixed_size_maps()
-    permutation_test(maps, scheme, threads=4)
+    permutation_test([scheme.group(m) for m in maps], threads=4)
 
 
 RUNS = {"ingest": (_ingest_failing, "a process reading corpus.jsonl"),

@@ -144,8 +144,18 @@ def test_build_percentiles_table_output(tmp_path):
 
 
 def test_pr6_classes_agree_with_pr6_class_at_every_threshold():
+    """Both forms of the class rule give the oracle's class at each
+    threshold and just below it."""
     points = [0.0, 100.0]
     for threshold in PR6_THRESHOLDS:
         points += [threshold, math.nextafter(threshold, -math.inf)]
-    got = _pr6_classes(np.array(points)).tolist()
-    assert got == [pr6_class(p) for p in points]
+    want = [oracle_pr6(p) for p in points]
+    assert _pr6_classes(np.array(points)).tolist() == want
+    assert [pr6_class(p) for p in points] == want
+
+
+def test_nan_percentile_has_no_class():
+    with pytest.raises(PercentileError, match="NaN percentile"):
+        pr6_class(float("nan"))
+    with pytest.raises(PercentileError, match="NaN percentile"):
+        _pr6_classes(np.array([50.0, float("nan")]))

@@ -89,8 +89,8 @@ def loop_permutation_p(values, scheme, n_perm, seed):
     """One table at a time, eta2 recomputed from scratch for every draw,
     where draw i shuffles n rounded up to a multiple of 256 positions with
     a generator made from child i and keeps those below n, in order."""
-    v, g, retained, _ = scheme.group_arrays(values)
-    k = len(retained)
+    grouped = scheme.group(values)
+    v, g, k = grouped.values, grouped.labels, len(grouped.retained)
     sizes = np.bincount(g, minlength=k).astype(np.float64)
     mean = v.mean()
     ss_total = float(((v - mean) ** 2).sum())
@@ -261,18 +261,18 @@ def test_matrix_intersection_and_degenerate():
 
 def test_eta2_extremes():
     equal_means = _values([1.0, 2.0, 3.0, 1.0, 2.0, 3.0])
-    assert varcomp_moments(equal_means,
-                           _scheme(list("AAABBB"))).eta2 == pytest.approx(0.0)
+    assert varcomp_moments(_scheme(list("AAABBB")).group(
+        equal_means)).eta2 == pytest.approx(0.0)
     separated = _values([1.0, 1.0, 5.0, 5.0])
-    assert varcomp_moments(separated,
-                           _scheme(list("AABB"))).eta2 == pytest.approx(1.0)
+    assert varcomp_moments(_scheme(list("AABB")).group(
+        separated)).eta2 == pytest.approx(1.0)
 
 
 def test_eta2_three_group_oracle():
     rng = np.random.default_rng(17)
     values = rng.normal(size=30)
     groups = list("ABC") * 10
-    got = varcomp_moments(_values(values), _scheme(groups)).eta2
+    got = varcomp_moments(_scheme(groups).group(_values(values))).eta2
     assert got == pytest.approx(brute_eta2(list(values), groups), abs=1e-12)
 
 
@@ -286,7 +286,7 @@ def test_varcomp_matches_brute_force_200_instances():
             effect = rng.normal(scale=1.0)
             values.extend(rng.normal(loc=effect, size=sizes[g]))
             groups.extend([f"G{g}"] * sizes[g])
-        result = varcomp_moments(_values(values), _scheme(groups))
+        result = varcomp_moments(_scheme(groups).group(_values(values)))
         b_between, b_within = brute_varcomp(values, groups)
         assert abs(result.sigma2_between - b_between) < 1e-10
         assert abs(result.sigma2_within - b_within) < 1e-10
@@ -294,7 +294,8 @@ def test_varcomp_matches_brute_force_200_instances():
 
 
 def test_varcomp_identical_values():
-    result = varcomp_moments(_values([2.0] * 20), _scheme(list("AB") * 10))
+    result = varcomp_moments(_scheme(list("AB") * 10).group(
+        _values([2.0] * 20)))
     assert result.sigma2_between == 0.0
     assert result.sigma2_within == 0.0
 
@@ -302,7 +303,7 @@ def test_varcomp_identical_values():
 def test_varcomp_clamps_negative_between():
     # group means equal, all variance within -> MS_between < MS_within
     values = _values([0.0, 1.0, 0.0, 1.0, 0.5, 0.5])
-    result = varcomp_moments(values, _scheme(list("AABBCC")))
+    result = varcomp_moments(_scheme(list("AABBCC")).group(values))
     assert result.sigma2_between == 0.0
 
 
@@ -314,14 +315,14 @@ def test_varcomp_recovers_planted_component():
         effect = rng.normal(scale=1.0)
         values.extend(rng.normal(loc=effect, scale=1.0, size=n))
         groups.extend([f"G{g:02d}"] * n)
-    result = varcomp_moments(_values(values), _scheme(groups))
+    result = varcomp_moments(_scheme(groups).group(_values(values)))
     assert abs(result.sigma2_between - 1.0) <= 0.15
     assert abs(result.sigma2_within - 1.0) <= 0.05
 
 
 def test_varcomp_single_group_fatal():
     with pytest.raises(StatsError):
-        varcomp_moments(_values([1, 2, 3]), _scheme(list("AAA")))
+        varcomp_moments(_scheme(list("AAA")).group(_values([1, 2, 3])))
 
 
 def test_varcomp_one_journal_per_field_fatal():
@@ -330,14 +331,14 @@ def test_varcomp_one_journal_per_field_fatal():
     scheme = FieldScheme({"J01": "A", "J02": "B", "J03": "C"},
                          min_group_size=1)
     with pytest.raises(StatsError, match="3 journals in 3 retained fields"):
-        varcomp_moments({"J01": 1.0, "J02": 2.0, "J03": 4.0}, scheme)
+        varcomp_moments(scheme.group({"J01": 1.0, "J02": 2.0, "J03": 4.0}))
 
 
 def test_min_group_size_filter():
     values = _values(range(25))
     groups = ["A"] * 12 + ["B"] * 11 + ["C"] * 2
     scheme = _scheme(groups, min_group_size=10)
-    result = varcomp_moments(values, scheme)
+    result = varcomp_moments(scheme.group(values))
     assert result.groups_used == 2
     assert result.excluded_fields == ["C"]
     assert result.n_journals == 23
@@ -346,9 +347,19 @@ def test_min_group_size_filter():
 
 def test_dispersion_by_field_is_var_over_mean():
     values = _values([1.0, 2.0, 3.0, 10.0, 20.0, 30.0])
-    result = varcomp_moments(values, _scheme(list("AAABBB")))
+    result = varcomp_moments(_scheme(list("AAABBB")).group(values))
     assert result.dispersion_by_field["A"] == pytest.approx(1.0 / 2.0)
     assert result.dispersion_by_field["B"] == pytest.approx(100.0 / 20.0)
+
+
+def test_dispersion_undefined_for_one_journal_or_zero_mean():
+    """A field of one journal has no sample variance, and a field of mean
+    0 no ratio: both read NaN, not a number."""
+    values = _values([1.0, 2.0, 3.0, -1.0, 1.0, 0.0, 7.0])
+    result = varcomp_moments(_scheme(list("AAABBBC")).group(values))
+    assert result.dispersion_by_field["A"] == pytest.approx(1.0 / 2.0)
+    assert math.isnan(result.dispersion_by_field["B"])
+    assert math.isnan(result.dispersion_by_field["C"])
 
 
 # --- permutation test --------------------------------------------------------
@@ -356,7 +367,8 @@ def test_dispersion_by_field_is_var_over_mean():
 def test_permutation_perfect_separation():
     values = _values([0.0, 0.1, 0.05, 10.0, 10.1, 10.05] * 3)
     groups = (["A"] * 3 + ["B"] * 3) * 3
-    p = permutation_test([values], _scheme(groups), n_perm=999, seed=1)[0]
+    p = permutation_test([_scheme(groups).group(values)], n_perm=999,
+                         seed=1)[0]
     assert p == pytest.approx(1.0 / 1000.0)
 
 
@@ -364,7 +376,8 @@ def test_permutation_null_is_insignificant():
     rng = np.random.default_rng(88)
     values = _values(rng.normal(size=120))
     groups = [f"G{i % 4}" for i in range(120)]
-    p = permutation_test([values], _scheme(groups), n_perm=999, seed=5)[0]
+    p = permutation_test([_scheme(groups).group(values)], n_perm=999,
+                         seed=5)[0]
     assert p > 0.05
 
 
@@ -373,15 +386,17 @@ def test_permutation_determinism_and_thread_independence():
     values = _values(rng.normal(size=60))
     groups = [f"G{i % 3}" for i in range(60)]
     scheme = _scheme(groups)
-    p1 = permutation_test([values], scheme, n_perm=999, seed=42)[0]
-    p2 = permutation_test([values], scheme, n_perm=999, seed=42)[0]
+    p1 = permutation_test([scheme.group(values)], n_perm=999, seed=42)[0]
+    p2 = permutation_test([scheme.group(values)], n_perm=999, seed=42)[0]
     assert p1 == p2
-    assert permutation_test([values], scheme, n_perm=999, seed=43)[0] != p1
+    assert permutation_test([scheme.group(values)], n_perm=999,
+                            seed=43)[0] != p1
 
 
 def test_permutation_requires_999():
     with pytest.raises(StatsError):
-        permutation_test([_values([1, 2, 3, 4])], _scheme(list("AABB")), n_perm=99)
+        permutation_test([_scheme(list("AABB")).group(_values([1, 2, 3, 4]))],
+                         n_perm=99)
 
 
 @pytest.mark.parametrize("dtype", [np.int8, np.int64])
@@ -451,8 +466,8 @@ def test_shared_draws_equal_per_table_loop():
     scheme, maps = _mixed_size_maps()
     assert len({len(m) for m in maps}) == 7
     assert {-(-len(m) // 256) for m in maps} == {1, 2}
-    assert {len(scheme.group_arrays(m)[2]) for m in maps} == {3, 4}
-    got = permutation_test(maps, scheme, 999, seed=8)
+    assert {len(scheme.group(m).retained) for m in maps} == {3, 4}
+    got = permutation_test([scheme.group(m) for m in maps], 999, seed=8)
     want = [loop_permutation_p(m, scheme, 999, 8) for m in maps]
     assert got == want
     assert len(set(want)) > 2
@@ -460,13 +475,14 @@ def test_shared_draws_equal_per_table_loop():
 
 def test_joint_call_equals_one_call_per_table_in_any_order():
     scheme, maps = _mixed_size_maps()
-    alone = [permutation_test([m], scheme, seed=21)[0] for m in maps]
+    alone = [permutation_test([scheme.group(m)], seed=21)[0] for m in maps]
     rng = np.random.default_rng(4)
     for _ in range(3):
         order = rng.permutation(len(maps))
-        joint = permutation_test([maps[i] for i in order], scheme, seed=21)
+        joint = permutation_test([scheme.group(maps[i]) for i in order],
+                                 seed=21)
         assert joint == [alone[i] for i in order]
-    assert permutation_test([], scheme, seed=21) == []
+    assert permutation_test([], seed=21) == []
 
 
 # --- variance reduction -------------------------------------------------------
@@ -516,29 +532,29 @@ def test_field_effect_measures_affine_invariance():
     values = rng.normal(size=60) + np.repeat([0.0, 1.0, 2.0], 20)
     groups = [f"G{i}" for i in range(3) for _ in range(20)]
     scheme = _scheme(groups)
-    base_eta = varcomp_moments(_values(values), scheme).eta2
-    base_vc = varcomp_moments(_values(values), scheme)
-    base_p = permutation_test([_values(values)], scheme, seed=3)[0]
+    base_eta = varcomp_moments(scheme.group(_values(values))).eta2
+    base_vc = varcomp_moments(scheme.group(_values(values)))
+    base_p = permutation_test([scheme.group(_values(values))], seed=3)[0]
 
     shifted = _values(values + 100.0)
-    assert varcomp_moments(shifted, scheme).eta2 == pytest.approx(base_eta,
-                                                                  abs=1e-12)
-    assert varcomp_moments(shifted, scheme).sigma2_between == pytest.approx(
-        base_vc.sigma2_between, abs=1e-10)
+    assert varcomp_moments(scheme.group(shifted)).eta2 == pytest.approx(
+        base_eta, abs=1e-12)
+    assert varcomp_moments(scheme.group(shifted)).sigma2_between == (
+        pytest.approx(base_vc.sigma2_between, abs=1e-10))
 
     scaled = _values(4.0 * values - 9.0)
-    assert varcomp_moments(scaled, scheme).eta2 == pytest.approx(base_eta,
-                                                                 abs=1e-12)
-    assert varcomp_moments(scaled, scheme).sigma2_between == pytest.approx(
-        16.0 * base_vc.sigma2_between, rel=1e-10)
-    assert permutation_test([scaled], scheme, seed=3)[0] == base_p
+    assert varcomp_moments(scheme.group(scaled)).eta2 == pytest.approx(
+        base_eta, abs=1e-12)
+    assert varcomp_moments(scheme.group(scaled)).sigma2_between == (
+        pytest.approx(16.0 * base_vc.sigma2_between, rel=1e-10))
+    assert permutation_test([scheme.group(scaled)], seed=3)[0] == base_p
 
     # reductions computed after transforming both tables are unchanged
     alt = rng.normal(size=60) + np.repeat([0.0, 0.5, 1.0], 20)
-    vc_alt = varcomp_moments(_values(alt), scheme)
+    vc_alt = varcomp_moments(scheme.group(_values(alt)))
     base_red = variance_reduction(base_vc, vc_alt)
-    vc_alt_scaled = varcomp_moments(_values(4.0 * alt - 9.0), scheme)
-    vc_scaled = varcomp_moments(scaled, scheme)
+    vc_alt_scaled = varcomp_moments(scheme.group(_values(4.0 * alt - 9.0)))
+    vc_scaled = varcomp_moments(scheme.group(scaled))
     assert variance_reduction(vc_scaled, vc_alt_scaled) == pytest.approx(
         base_red, rel=1e-10)
 
@@ -585,6 +601,29 @@ def test_ks_guards():
         ks_normality([1.0, 2.0, 3.0])
     with pytest.raises(StatsError):
         ks_normality([1.0] * 10)
+
+
+def test_analyze_indicators_groups_each_table_once(monkeypatch):
+    """One grouping per table serves both the moments and the one
+    permutation test: the results equal those of the two calls made
+    per table and on all tables."""
+    scheme, maps = _mixed_size_maps()
+    tables = [IndicatorTable(f"T{i}", m) for i, m in enumerate(maps)]
+    want = [varcomp_moments(scheme.group(m), indicator_id=t.indicator_id)
+            for m, t in zip(maps, tables)]
+    p_values = permutation_test([scheme.group(m) for m in maps], seed=6)
+    for result, p in zip(want, p_values):
+        result.perm_p = p
+    grouped = []
+    real = FieldScheme.group
+
+    def group(self, values):
+        grouped.append(values)
+        return real(self, values)
+
+    monkeypatch.setattr(FieldScheme, "group", group)
+    assert analyze_indicators(tables, scheme, seed=6) == want
+    assert grouped == maps
 
 
 def test_analyze_indicator_fills_everything(merged_fixture):
