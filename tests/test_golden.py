@@ -66,10 +66,9 @@ def environment() -> dict[str, str]:
     return {"python": platform.python_version(), "numpy": np.__version__}
 
 
-def test_outputs_match_golden_digests(tmp_path, capsys):
+def test_outputs_match_golden_digests(tmp_path):
     golden = json.loads(GOLDEN.read_text(encoding="utf-8"))
     got = digests(tmp_path)
-    capsys.readouterr()
     recorded = {key: golden[key] for key in ("python", "numpy")}
     assert got == golden["runs"], (
         f"digests recorded under {recorded}, this run under {environment()}")
