@@ -21,9 +21,12 @@ import argparse
 import hashlib
 import json
 import os
+import platform
 import sys
 from dataclasses import replace
 from pathlib import Path
+
+import numpy as np
 
 from . import __version__
 from . import corpus as corpus_mod
@@ -166,10 +169,13 @@ def _recorded(key: str, value):
 def write_manifest(out_dir: Path, command: str, inputs: list[Path],
                    parameters: dict, outputs: list[Path]) -> None:
     """Write ``manifest.json``: the sha256 of each input by its absolute
-    path, and of each output by its file name."""
+    path, and of each output by its file name, and the Python and numpy
+    versions that made them."""
     manifest = {
         "tool": "jifnorm",
         "version": __version__,
+        "python": platform.python_version(),
+        "numpy": np.__version__,
         "command": command,
         "inputs": {os.path.abspath(p): _sha256(p) for p in inputs},
         "parameters": parameters,
@@ -267,6 +273,10 @@ def cmd_indicators(args: argparse.Namespace, out: Path):
         indicator_id, sep, ext_path = spec.partition("=")
         if not sep or not indicator_id or not ext_path:
             raise CliError(f"--external expects ID=PATH, got {spec!r}")
+        # the id is a column header and a cell of its table
+        if any(c in indicator_id for c in "\t\n\r"):
+            raise CliError(f"--external id {indicator_id!r} holds a tab or "
+                           "a line end")
         name = _table_file(indicator_id)
         if name in taken:
             raise CliError(f"--external {indicator_id}: {name} is already "

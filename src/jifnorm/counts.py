@@ -1,8 +1,10 @@
 """Per-journal citation totals for a (window, counting mode) pair.
 
-Windows are anchored on the census year Y; :func:`window_years` gives the
-publication years each covers. Years classified pre-1900 or beyond the
-census year never fall in any window.
+Windows are anchored on the census year Y; :func:`window_years` alone
+gives the publication years each covers, none before 1900: for Y before
+1905 the two- and five-year windows are shorter, and empty for Y = 1900.
+Years classified pre-1900 or beyond the census year never fall in any
+window.
 
 Counting modes:
 
@@ -41,16 +43,15 @@ class CountError(Exception):
 
 
 def window_years(kind: str, census_year: int) -> range:
-    """The publication years that window ``kind`` covers for a census year."""
-    if kind == "two_year":
-        return range(census_year - 2, census_year)
-    if kind == "five_year":
-        return range(census_year - 5, census_year)
-    if kind == "all_years":
-        return range(1900, census_year + 1)
-    if kind == "census_only":
-        return range(census_year, census_year + 1)
-    raise CountError(f"unknown window kind {kind!r}")
+    """The publication years that window ``kind`` covers for a census year:
+    none before 1900, the first year a reference can be counted in."""
+    first = {"two_year": census_year - 2, "five_year": census_year - 5,
+             "all_years": 1900, "census_only": census_year}
+    if kind not in first:
+        raise CountError(f"unknown window kind {kind!r}")
+    # the two- and five-year windows end before the census year
+    stop = census_year + (kind in ("all_years", "census_only"))
+    return range(max(first[kind], 1900), stop)
 
 
 @dataclass(frozen=True)
@@ -63,12 +64,8 @@ class WindowSpec:
             raise CountError(f"unknown window kind {self.kind!r}")
 
     @property
-    def lo(self) -> int:
-        return window_years(self.kind, self.census_year)[0]
-
-    @property
-    def hi(self) -> int:
-        return window_years(self.kind, self.census_year)[-1]
+    def years(self) -> range:
+        return window_years(self.kind, self.census_year)
 
 
 @dataclass(frozen=True)
@@ -182,11 +179,10 @@ def _window(corpus: Corpus, ref_table: RefTable, w: WindowSpec) -> _Window:
     if ref_table.year.size >= 2**31:
         raise CountError("more than 2**31 - 1 references")
     # valid years are [1900, census year] and an unparseable one is 0, so
-    # with lo at least 1900 one unsigned compare tests validity and
-    # membership at once (a window of a census year before 1905 can
-    # start before 1900)
-    lo = max(w.lo, 1900)
-    member = (ref_table.year - np.int32(lo)).view(np.uint32) < w.hi + 1 - lo
+    # as no window starts before 1900 one unsigned compare tests both
+    years = w.years
+    member = ((ref_table.year - np.int32(years.start)).view(np.uint32)
+              < len(years))
     # per-document counts: differences of a running count at the offsets
     running = np.zeros(member.size + 1, dtype=np.int32)
     np.cumsum(member, dtype=np.int32, out=running[1:])

@@ -110,10 +110,11 @@ def parse(raw, census):
 
 
 def window_bounds(kind, census):
+    """Inclusive first and last years; no window starts before 1900."""
     if kind == "two_year":
-        return census - 2, census - 1
+        return max(census - 2, 1900), census - 1
     if kind == "five_year":
-        return census - 5, census - 1
+        return max(census - 5, 1900), census - 1
     return 1900, census
 
 

@@ -725,6 +725,23 @@ def test_external_id_or_file_name_in_use_exit_2(tmp_path, fixture_paths,
     assert not list(out.iterdir())
 
 
+@pytest.mark.parametrize("indicator_id", ["EX\tT", "EX\nT", "EX\rT", "\t"])
+def test_external_id_holding_a_tab_or_line_end_exit_2(tmp_path, fixture_paths,
+                                                      capsys, indicator_id):
+    """An --external id is a column header of indicators_wide.tsv and a
+    cell of its own table, so a tab or a line end in it is fatal, with one
+    error line, and nothing is written."""
+    out = tmp_path / "ind"
+    capsys.readouterr()
+    assert run(["indicators", fixture_paths["corpus"],
+                "--journals", fixture_paths["journals"],
+                "--census-year", CENSUS, "--out", out, "--external",
+                f"{indicator_id}={fixture_paths['external']}"]) == 2
+    assert capsys.readouterr().err == (
+        f"error: --external id {indicator_id!r} holds a tab or a line end\n")
+    assert not list(out.iterdir())
+
+
 @pytest.mark.parametrize("names", [["IF2-IC.tsv", "IF2-IC.tsv", "IF5-FC.tsv"],
                                    ["percentiles.tsv", "percentiles.tsv"]])
 def test_varcomp_indicator_read_twice_exit_2(tmp_path, tables,

@@ -46,8 +46,29 @@ def test_in_window(year, kind, expected):
 def test_window_years(kind, years):
     assert list(window_years(kind, CENSUS)) == years
     if kind != "census_only":
-        w = WindowSpec(kind, CENSUS)
-        assert (w.lo, w.hi) == (years[0], years[-1])
+        assert list(WindowSpec(kind, CENSUS).years) == years
+
+
+@pytest.mark.parametrize("census,kind,years", [
+    (1900, "two_year", []), (1900, "five_year", []),
+    (1901, "two_year", [1900]), (1902, "five_year", [1900, 1901]),
+    (1904, "five_year", [1900, 1901, 1902, 1903]),
+    (1905, "five_year", [1900, 1901, 1902, 1903, 1904]),
+    (1900, "all_years", [1900]), (1900, "census_only", [1900])])
+def test_no_window_starts_before_1900(census, kind, years):
+    assert list(window_years(kind, census)) == years
+
+
+def test_empty_window_counts_nothing():
+    """The two-year window of census year 1900 holds no year, so neither a
+    pre-1900 nor a census-year reference falls in it."""
+    assert list(WindowSpec("two_year", 1900).years) == []
+    journals = JournalTable([Journal("A", "A", ["J A"], "F", {})])
+    corpus = Corpus(1900, [Document("d1", "A", 1900, "article",
+                                    ["J A|1898", "J A|1899", "J A|1900"], 3)])
+    for mode in (INTEGER, FRACTIONAL, FRACTIONAL_PLUS):
+        table = count_citations(corpus, journals, "two_year", mode)
+        assert table.values == {"A": 0} and table.contributing_docs == 0
 
 
 def test_window_years_unknown_kind():

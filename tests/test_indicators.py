@@ -1,10 +1,12 @@
 import pytest
+from hypothesis import given, settings, strategies as st
 
-from jifnorm import (import_external_indicator, load_corpus, load_journals,
-                     merge_journal_parts)
+from jifnorm import (Corpus, Document, Journal, JournalTable,
+                     compute_all_tables, import_external_indicator,
+                     load_corpus, load_journals, merge_journal_parts)
 from jifnorm.cli import main
 from jifnorm.counts import (FRACTIONAL, FRACTIONAL_PLUS, INTEGER, WindowSpec,
-                            count_citations)
+                            count_citations, window_years)
 from jifnorm.indicators import (DENOMINATOR_WINDOWS, DenominatorTable,
                                 IndicatorError, compute_denominator,
                                 fc_over_p, quasi_if, read_indicator_table)
@@ -22,6 +24,71 @@ def test_denominator_sums_window_years(merged_fixture):
     assert dc.values["J01"] == 55
     assert d2.values["J10"] == 0          # no pre-census items declared
     assert dc.values["J10"] == 14
+
+
+def _early_indicators(census, items, refs):
+    """The indicators of one document citing ``refs``, in journals A and
+    B, which both declare ``items``."""
+    journals = JournalTable([Journal(j, j, [f"J {j}"], "F", dict(items))
+                             for j in ("A", "B")])
+    corpus = Corpus(census, [Document("d1", "A", census, "article", refs,
+                                      len(refs))])
+    return {t.indicator_id: t
+            for t in compute_all_tables(corpus, journals)[1]}
+
+
+def test_census_1902_divides_by_the_years_it_counts():
+    """The five-year window of 1902 is 1900 and 1901, for the citations
+    (the one to 1898 is not counted) and for the citable items alike."""
+    tables = _early_indicators(1902, {y: 10 for y in range(1897, 1902)},
+                               ["J A|1898", "J A|1900", "J A|1901"])
+    assert tables["IF5-Denom"].values == {"A": 20.0, "B": 20.0}
+    assert tables["IF5-Num"].values == {"A": 2.0, "B": 0.0}
+    assert tables["IF5-IC"].values == {"A": 0.1, "B": 0.0}
+    assert tables["IF2-IC"].values == {"A": 0.1, "B": 0.0}
+
+
+def test_census_1900_windows_are_empty_and_undefined():
+    """No two- or five-year window of 1900 holds a year, so no journal has
+    a citable item in one and every quasi impact factor is undefined,
+    not 0."""
+    tables = _early_indicators(1900, {y: 10 for y in range(1897, 1901)},
+                               ["J A|1898", "J A|1899", "J A|1900"])
+    for name in ("IF2-Denom", "IF5-Denom", "IF2-Num", "IF5-Num"):
+        assert tables[name].values == {"A": 0.0, "B": 0.0}, name
+    for name in ("IF2-IC", "IF5-IC", "IF2-FC", "IF5-FC", "IF2-FC+",
+                 "IF5-FC+"):
+        assert tables[name].values == {}, name
+        assert tables[name].undefined_journals == {"A", "B"}, name
+    assert tables["FC/P"].values == {"A": 0.1, "B": 0.0}
+
+
+@given(st.integers(1900, 1915), st.sampled_from(["two_year", "five_year"]),
+       st.lists(st.integers(0, 50), min_size=26, max_size=26))
+@settings(max_examples=60, deadline=None)
+def test_numerator_and_denominator_cover_the_same_years(census, kind, counts):
+    """A journal with items in every year from 1890 to the census year,
+    each year cited once: the window's total counts exactly the cited
+    years in ``window_years``, and its denominator sums exactly those
+    years' items, whose first is 1900 or later."""
+    items = dict(zip(range(1890, census + 1), counts))
+    refs = [f"J A|{y}" for y in items]
+    journals = JournalTable([Journal("A", "A", ["J A"], "F", items)])
+    corpus = Corpus(census, [Document("d1", "A", census, "article", refs,
+                                      len(refs))])
+    years = window_years(kind, census)
+    assert list(years) == [y for y in items
+                           if 1900 <= y < census
+                           and census - y <= (2 if kind == "two_year" else 5)]
+    total = count_citations(corpus, journals, kind, INTEGER)
+    denominator = compute_denominator(corpus, journals, kind)
+    assert total.values == {"A": len(years)}
+    assert denominator.values == {"A": sum(items[y] for y in years)}
+    table = quasi_if(total, denominator)
+    if denominator.values["A"]:
+        assert table.values == {"A": len(years) / denominator.values["A"]}
+    else:
+        assert table.undefined_journals == {"A"}
 
 
 def test_denominator_derived_from_corpus_when_undeclared(merged_fixture):

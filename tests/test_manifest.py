@@ -1,13 +1,16 @@
 """The manifest is the record of a run: its ``outputs`` are the files the
-run wrote, each with its sha256, and its ``command`` and ``parameters``
-alone re-run it."""
+run wrote, each with its sha256, it names the Python and numpy versions
+that wrote them, and its ``command`` and ``parameters`` alone re-run
+it."""
 
 import argparse
 import hashlib
 import json
 import os
+import platform
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 from jifnorm.cli import build_parser, main
@@ -88,6 +91,10 @@ def test_manifest_outputs_are_the_files_written(name, tmp_path, tables,
                for p in out.iterdir() if p.name != "manifest.json"}
     assert manifest["outputs"] == written
     assert MUST_LIST[name] <= set(written)
+    assert set(manifest) == {"tool", "version", "python", "numpy", "command",
+                             "inputs", "parameters", "outputs"}
+    assert manifest["python"] == platform.python_version()
+    assert manifest["numpy"] == np.__version__
 
 
 def replay_argv(manifest):
